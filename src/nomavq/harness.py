@@ -30,7 +30,7 @@ from .channel import (
     partition_zones,
     sample_channel,
 )
-from .errors import ConfigurationError, Infeasible, InfeasibleRate
+from .errors import ConfigurationError, Infeasible, InfeasibleRate, NonConvergence
 from .greedy import GreedyConfig, solve_greedy
 from .phy import AmcParams, amc_rate, bounds_from_quality, build_feasible_set
 from .polyblock import SolverConfig, solve_polyblock
@@ -95,15 +95,22 @@ class ScenarioConfig:
         return table
 
 
-def _positive(d, key, cast=float):
+def _number(d, key, cast=float, default=None, allow_zero=False):
+    """Read a positive number (nonnegative with ``allow_zero``) from the config.
+
+    A missing key takes ``default``; without one the key is required.
+    """
+    if key not in d and default is not None:
+        return default
     try:
         v = cast(d[key])
     except KeyError:
         raise ConfigurationError(f"missing config key: {key}")
     except (TypeError, ValueError):
         raise ConfigurationError(f"config key {key} is not a number: {d[key]!r}")
-    if v <= 0:
-        raise ConfigurationError(f"config key {key} must be positive, got {v}")
+    if v < 0 or (v == 0 and not allow_zero):
+        kind = "nonnegative" if allow_zero else "positive"
+        raise ConfigurationError(f"config key {key} must be {kind}, got {v}")
     return v
 
 
@@ -129,7 +136,7 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     if len({u.id for u in ues}) != len(ues):
         raise ConfigurationError("UE ids must be unique")
 
-    n_zones = int(_positive(d, "n_zones", int))
+    n_zones = _number(d, "n_zones", int)
     if len(ues) % n_zones != 0:
         raise ConfigurationError("UE count must be a multiple of n_zones")
     snr_db = tuple(float(s) for s in d.get("snr_db", [15.0]))
@@ -171,24 +178,26 @@ def config_from_dict(d: dict) -> ScenarioConfig:
         ues=ues,
         n_zones=n_zones,
         snr_db=snr_db,
-        bandwidth_hz=_positive(d, "bandwidth_hz"),
-        power_budget_w=_positive(d, "power_budget_w"),
-        path_loss_exp=float(d.get("path_loss_exp", 2.0)),
+        bandwidth_hz=_number(d, "bandwidth_hz"),
+        power_budget_w=_number(d, "power_budget_w"),
+        path_loss_exp=_number(d, "path_loss_exp", default=2.0),
         p_rtp=p_rtp,
         gop_size=int(d.get("gop_size", 8)),
         frame_rate=float(d.get("frame_rate", 30.0)),
-        gops_per_trial=int(d.get("gops_per_trial", 1)),
+        gops_per_trial=_number(d, "gops_per_trial", int, default=1),
         grouping=grouping,
         solvers=solvers,
         solver_cfg=solver_cfg,
         greedy_cfg=greedy_cfg,
         amc=amc,
         fixture_path=None if fixture_path in (None, "") else Path(fixture_path),
-        n_trials=int(_positive(d, "n_trials", int)) if "n_trials" in d else 200,
-        seed=int(d.get("seed", 0)),
+        n_trials=_number(d, "n_trials", int, default=200),
+        seed=_number(d, "seed", int, default=0, allow_zero=True),
         out_dir=Path(d.get("out_dir", "results")),
         mgs_weights=mgs,
-        n_enh_layers=int(d.get("n_enh_layers", DEFAULT_ENH_LAYERS)),
+        n_enh_layers=_number(
+            d, "n_enh_layers", int, default=DEFAULT_ENH_LAYERS, allow_zero=True
+        ),
     )
 
 
@@ -338,8 +347,9 @@ def run_scenario(
     ``solvers``, ``snr_db`` and ``grouping`` override the config when given
     (the sweep and comparison commands reuse one config this way). Fading is
     drawn per (trial, GOP) and shared across the SNR sweep, so per-SNR
-    aggregates are paired comparisons. Infeasible instances are recorded in
-    ``exclusions`` and skipped, never fatal.
+    aggregates are paired comparisons. Infeasible instances, and instances
+    whose solver hits an iteration cap (reason prefixed ``NonConvergence: ``),
+    are recorded in ``exclusions`` and skipped, never fatal.
     """
     solvers = tuple(solvers) if solvers is not None else cfg.solvers
     snrs = tuple(snr_db) if snr_db is not None else cfg.snr_db
@@ -386,6 +396,12 @@ def run_scenario(
                             exclusions.append(
                                 (trial, gop, g_idx, scheme, snr, str(e))
                             )
+                            continue
+                        except NonConvergence as e:
+                            exclusions.append((
+                                trial, gop, g_idx, scheme, snr,
+                                f"NonConvergence: {e}",
+                            ))
                             continue
                         wall = time.perf_counter() - t0
                         snapped = [

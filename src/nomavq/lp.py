@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import Infeasible, Unbounded
+from .errors import Infeasible, NonConvergence, Unbounded
 
 
 def _pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int):
@@ -42,7 +42,9 @@ def _run_simplex(t, basis, cost, n_cols, tol, max_iter):
         ties = np.flatnonzero(ratios <= best + tol)
         leaving = int(ties[np.argmin(basis[ties])])  # Bland: lowest basis index
         _pivot(t, basis, leaving, entering)
-    raise Infeasible(f"simplex did not converge within {max_iter} pivots")
+    raise NonConvergence(
+        f"simplex did not converge within {max_iter} pivots", {"pivots": max_iter}
+    )
 
 
 def solve_lp(
@@ -56,7 +58,8 @@ def solve_lp(
     """Solve max c.x s.t. a_ub x <= b_ub, x >= 0 (x_j free for j in free_vars).
 
     Returns ``(optimum, x)`` with x an optimal basic solution. Raises
-    Infeasible or Unbounded. Deterministic: repeated calls with the same
+    Infeasible or Unbounded, and NonConvergence when either phase hits
+    ``max_iter`` pivots. Deterministic: repeated calls with the same
     input produce the same vertex.
     """
     c = np.asarray(c, dtype=float)

@@ -165,24 +165,20 @@ def prune_vertices(block: Polyblock, gamma_min=None) -> Polyblock:
     A vertex is dominated when another vertex is componentwise >= it; a box
     [0, v] cannot contain any point with z >= gamma_min when v_n < gamma_min
     for some n. Neither removal changes the polyblock's coverage of the
-    feasible region.
+    feasible region. Of several equal vertices the first is kept.
     """
-    kept = []
     verts = block.vertices
-    for i, a in enumerate(verts):
-        if gamma_min is not None and np.any(a.z < gamma_min - 1e-12):
-            continue
-        dominated = False
-        for j, b in enumerate(verts):
-            if i == j:
-                continue
-            if np.all(b.z >= a.z) and (
-                np.any(b.z > a.z) or j < i  # equal vertices: keep the first
-            ):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(a)
+    kept = []
+    if verts:
+        z = np.array([vx.z for vx in verts])
+        # entry [i, j] compares vertex j against vertex i
+        geq = (z[None, :, :] >= z[:, None, :]).all(axis=2)
+        gt = (z[None, :, :] > z[:, None, :]).any(axis=2)
+        earlier = np.tri(len(verts), k=-1, dtype=bool)  # j < i
+        keep = ~(geq & (gt | earlier)).any(axis=1)
+        if gamma_min is not None:
+            keep &= ~(z < gamma_min - 1e-12).any(axis=1)
+        kept = [vx for vx, k in zip(verts, keep) if k]
     return Polyblock(kept, block.iteration, block.best_feasible, block.upper_bound)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import yaml
@@ -12,6 +14,7 @@ from nomavq import (
 )
 from nomavq.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from nomavq.harness import aggregate, write_trial_csv
+from nomavq.polyblock import SolverConfig
 from nomavq.quality import load_rd_fixtures
 
 from conftest import B_HZ
@@ -65,10 +68,19 @@ def test_config_parses_and_derives(tmp_path):
              {"id": 1, "distance_m": 2.0, "stream": "Soccer"}]},
     {"ues": [{"id": 1, "stream": "Foreman"},
              {"id": 2, "distance_m": 2.0, "stream": "Soccer"}]},
+    {"gops_per_trial": 0},  # would silently simulate nothing
+    {"n_enh_layers": -1},
+    {"path_loss_exp": -2},
+    {"seed": -5},  # SeedSequence would reject it only mid-run
 ])
 def test_config_validation_errors(broken):
     with pytest.raises(ConfigurationError):
         config_from_dict(_cfg_dict(**broken))
+
+
+def test_config_accepts_base_layer_only_and_seed_zero():
+    cfg = config_from_dict(_cfg_dict(n_enh_layers=0, seed=0))
+    assert (cfg.n_enh_layers, cfg.seed) == (0, 0)
 
 
 def test_config_unknown_stream_detected():
@@ -140,6 +152,34 @@ def test_run_scenario_csv_byte_identical(tmp_path):
     write_trial_csv(run_scenario(cfg), p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text().count("\n") > 1
+
+
+def test_run_scenario_survives_solver_nonconvergence():
+    # one trial of the default scenario at SNRs where every polyblock instance
+    # is feasible; a single Dinkelbach step from lam = 0 can never certify the
+    # projection, so every polyblock instance must hit the cap
+    cfg = dataclasses.replace(
+        load_config("configs/default.yaml"), n_trials=1,
+        snr_db=(20.0, 25.0, 30.0), solvers=("polyblock", "greedy", "oma"),
+    )
+    capped = run_scenario(dataclasses.replace(
+        cfg, solver_cfg=SolverConfig(max_iterations=1)))
+    reference = run_scenario(cfg, solvers=("greedy", "oma"))
+
+    assert not [r for r in capped.records if r.scheme == "polyblock"]
+    reasons = [e[5] for e in capped.exclusions if e[3] == "polyblock"]
+    assert len(reasons) == cfg.ues_per_zone * len(cfg.snr_db)  # one per group
+    assert all(r.startswith("NonConvergence: ") for r in reasons)
+
+    def others(result):
+        return (
+            [dataclasses.replace(r, wall_time_s=0.0) for r in result.records
+             if r.scheme != "polyblock"],
+            [e for e in result.exclusions if e[3] != "polyblock"],
+        )
+
+    assert others(capped) == others(reference)
+    assert reference.records
 
 
 def test_run_scenario_seed_changes_outcomes():

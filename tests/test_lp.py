@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nomavq import Infeasible, Unbounded, solve_lp
+from nomavq import Infeasible, NonConvergence, Unbounded, solve_lp
 
 
 def test_single_variable_bound():
@@ -32,6 +32,18 @@ def test_infeasible_system():
 def test_unbounded_objective():
     with pytest.raises(Unbounded):
         solve_lp(np.array([1.0]), np.array([[-1.0]]), np.array([0.0]))
+
+
+def test_pivot_cap_is_nonconvergence_not_infeasible():
+    # a feasible, bounded LP that needs two pivots: x1 + x2 <= 4, x1 <= 3
+    c = np.array([1.0, 1.0])
+    a = np.array([[1.0, 1.0], [1.0, 0.0]])
+    b = np.array([4.0, 3.0])
+    assert solve_lp(c, a, b)[0] == pytest.approx(4.0)
+    with pytest.raises(NonConvergence) as err:
+        solve_lp(c, a, b, max_iter=1)
+    assert not isinstance(err.value, Infeasible)
+    assert err.value.diagnostics == {"pivots": 1}
 
 
 def test_free_variable_takes_negative_value():

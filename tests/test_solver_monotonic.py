@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nomavq import (
     ChannelState,
@@ -14,7 +16,13 @@ from nomavq import (
     psnr_of_sinr,
     solve_polyblock,
 )
-from nomavq.polyblock import mean_psnr, write_trace_csv
+from nomavq.polyblock import (
+    Polyblock,
+    Vertex,
+    mean_psnr,
+    prune_vertices,
+    write_trace_csv,
+)
 
 from conftest import B_HZ, make_instance
 
@@ -237,6 +245,54 @@ def test_pruning_does_not_change_result(streams_table, amc):
             continue
         assert a.avg_psnr_db == pytest.approx(b.avg_psnr_db, abs=1e-9)
         done += 1
+
+
+def _prune_oracle(block, gamma_min=None):
+    """Reference pairwise pruning loop; returns the kept vertices in order."""
+    kept = []
+    verts = block.vertices
+    for i, a in enumerate(verts):
+        if gamma_min is not None and np.any(a.z < gamma_min - 1e-12):
+            continue
+        dominated = False
+        for j, b in enumerate(verts):
+            if i == j:
+                continue
+            if np.all(b.z >= a.z) and (
+                np.any(b.z > a.z) or j < i  # equal vertices: keep the first
+            ):
+                dominated = True
+                break
+        if not dominated:
+            kept.append(a)
+    return kept
+
+
+@st.composite
+def _pruning_inputs(draw):
+    # small integer coordinates make ties and equal vertices common
+    n = draw(st.integers(min_value=1, max_value=3))
+    coord = st.integers(min_value=0, max_value=3)
+    rows = draw(st.lists(st.lists(coord, min_size=n, max_size=n), max_size=12))
+    gamma_min = draw(st.none() | st.lists(coord, min_size=n, max_size=n))
+    return rows, None if gamma_min is None else np.array(gamma_min, dtype=float)
+
+
+@given(_pruning_inputs())
+@settings(max_examples=500, deadline=None)
+def test_prune_vertices_matches_pairwise_oracle(inputs):
+    rows, gamma_min = inputs
+    block = Polyblock([Vertex(z=np.array(r, dtype=float)) for r in rows],
+                      iteration=4, best_feasible=None, upper_bound=7.0)
+    out = prune_vertices(block, gamma_min=gamma_min)
+    want = _prune_oracle(block, gamma_min)
+    assert [id(vx) for vx in out.vertices] == [id(vx) for vx in want]
+    assert (out.iteration, out.upper_bound) == (4, 7.0)
+
+
+def test_prune_vertices_empty_block():
+    for gamma_min in (None, np.array([1.0, 2.0])):
+        assert prune_vertices(Polyblock([]), gamma_min=gamma_min).vertices == []
 
 
 def test_initial_vertex_rescaling_insensitive(streams_table, amc):
