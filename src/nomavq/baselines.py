@@ -84,10 +84,11 @@ def solve_noma_mt(
 def _simplex_grid(n: int, step: float):
     """All nonnegative n-vectors with entries on the step grid summing to 1."""
     m = round(1.0 / step)
-    for combo in itertools.combinations_with_replacement(range(m + 1), n - 1):
-        # combo are the n-1 cut points of a stars-and-bars split
-        cuts = (0,) + combo + (m,)
-        yield np.diff(cuts) / m
+    # each row holds the n-1 cut points of a stars-and-bars split
+    combos = itertools.combinations_with_replacement(range(m + 1), n - 1)
+    cuts = np.array(list(combos), dtype=int)
+    edges = np.column_stack([np.zeros(len(cuts), int), cuts, np.full(len(cuts), m)])
+    yield from np.diff(edges, axis=1) / m
 
 
 def solve_oma_simple(
@@ -109,11 +110,11 @@ def solve_oma_simple(
     full_rate = amc.c1 * b_hz * np.log2(1.0 + snr / amc.c2)
     r_min = np.array([s.rate_min for s in streams])
 
+    grid = np.array(list(_simplex_grid(n, step)))
+    all_rates = grid * full_rate
+    feasible = ~np.any(all_rates < r_min * (1.0 - 1e-12), axis=1)
     best = None
-    for rho in _simplex_grid(n, step):
-        rates = rho * full_rate
-        if np.any(rates < r_min * (1.0 - 1e-12)):
-            continue
+    for rho, rates in zip(grid[feasible], all_rates[feasible]):
         per_user = np.array(
             [psnr_of_rate(s, float(r)) for s, r in zip(streams, rates)]
         )

@@ -213,7 +213,13 @@ def sinr(ch: ChannelState, p: PowerVector, detector: int, target: int) -> float:
 
 
 def own_sinrs(ch: ChannelState, p: np.ndarray) -> np.ndarray:
-    """Vector of each UE's SINR for its own stream (gamma_n in closed form)."""
+    """Each UE's SINR for its own stream (gamma_n in closed form).
+
+    ``p`` is one power vector of shape (N,) or a stack of shape (..., N);
+    every stacked vector gives the same SINRs, bit for bit, as its own call.
+    """
     p = np.asarray(p, dtype=float)
-    tail = np.concatenate([np.cumsum(p[::-1])[::-1][1:], [0.0]])
+    # interference from stronger UEs: suffix sums, accumulated from UE N down
+    suffix = np.cumsum(p[..., ::-1], axis=-1)[..., ::-1]
+    tail = np.concatenate([suffix[..., 1:], np.zeros(p.shape[:-1] + (1,))], axis=-1)
     return ch.gains_sq * p / (ch.gains_sq * tail + ch.noise_var)

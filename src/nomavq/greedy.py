@@ -83,34 +83,40 @@ def solve_greedy(
     phase1_evals = 0
 
     # Phase I: strongest UE first; earlier-satisfied (stronger) UEs are not
-    # interfered by power later granted to weaker ones.
+    # interfered by power later granted to weaker ones. UE nd's own SINR
+    # depends only on p[nd] and the stronger UEs' fixed powers, so every
+    # power level it can reach is checked at once: np.cumsum adds the blocks
+    # in sequence, exactly as repeated ``p[nd] += block`` would.
     for nd in range(n - 1, -1, -1):
+        levels = np.cumsum(np.concatenate([[p[nd]], np.full(remaining, block)]))
+        stack = np.repeat(p[None, :], len(levels), axis=0)
+        stack[:, nd] = levels
+        met = np.flatnonzero(~(own_sinrs(ch, stack)[:, nd] < g_min[nd]))
+        if met.size == 0:
+            raise Infeasible(
+                f"minimum quality of UE {nd} unreachable within the budget"
+            )
         # counted evaluations follow block placements, so phase1_evals <= L
-        while own_sinrs(ch, p)[nd] < g_min[nd]:
-            if remaining == 0:
-                raise Infeasible(
-                    f"minimum quality of UE {nd} unreachable within the budget"
-                )
-            p[nd] += block
-            remaining -= 1
-            phase1_evals += 1
+        placed = int(met[0])
+        p[nd] = levels[placed]
+        remaining -= placed
+        phase1_evals += placed
 
     # Phase II: award remaining blocks to the best average-PSNR candidate.
+    # Row 0 of the stack is the current allocation, row k + 1 the award to
+    # UE k; one SINR call and one minimum-quality check cover them all.
     phase2_evals = 0
+    awards = block * np.eye(n)
     while remaining > 0:
-        gam_now = own_sinrs(ch, p)
+        gams = own_sinrs(ch, np.vstack([p, p + awards]))
+        # saturated UEs are skipped: the award cannot raise their quality
+        ok = ~(gams[0] >= bounds.gamma_max)
+        phase2_evals += n * int(np.count_nonzero(ok))
+        ok &= ~np.any(gams[1:] < g_min, axis=1)
         best_score = -np.inf
         best_idx = -1
-        for k in range(n):
-            if gam_now[k] >= bounds.gamma_max[k]:
-                continue  # saturated: the award cannot raise this UE's quality
-            cand = p.copy()
-            cand[k] += block
-            gam = own_sinrs(ch, cand)
-            phase2_evals += n
-            if np.any(gam < g_min):
-                continue
-            score = float(np.mean(_per_user_psnr(gam, streams, amc, b_hz)))
+        for k in np.flatnonzero(ok):
+            score = float(np.mean(_per_user_psnr(gams[k + 1], streams, amc, b_hz)))
             if score > best_score:  # strict: ties keep the lowest index
                 best_score = score
                 best_idx = k

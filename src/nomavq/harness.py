@@ -54,8 +54,6 @@ class ScenarioConfig:
     power_budget_w: float
     path_loss_exp: float
     p_rtp: float
-    gop_size: int
-    frame_rate: float
     gops_per_trial: int
     grouping: GroupingStrategy
     solvers: tuple
@@ -72,9 +70,6 @@ class ScenarioConfig:
     @property
     def ues_per_zone(self) -> int:
         return len(self.ues) // self.n_zones
-
-    def gop_duration_s(self) -> float:
-        return self.gop_size / self.frame_rate
 
     def noise_var(self, snr_db: float) -> float:
         # scenario SNR definition: 10 log10(P / sigma^2) with P the group budget
@@ -182,8 +177,6 @@ def config_from_dict(d: dict) -> ScenarioConfig:
         power_budget_w=_number(d, "power_budget_w"),
         path_loss_exp=_number(d, "path_loss_exp", default=2.0),
         p_rtp=p_rtp,
-        gop_size=int(d.get("gop_size", 8)),
-        frame_rate=float(d.get("frame_rate", 30.0)),
         gops_per_trial=_number(d, "gops_per_trial", int, default=1),
         grouping=grouping,
         solvers=solvers,

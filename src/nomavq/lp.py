@@ -24,13 +24,19 @@ def _pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int):
 
 
 def _run_simplex(t, basis, cost, n_cols, tol, max_iter):
-    """Maximize over the tableau in place; ``cost`` is the objective row."""
-    for _ in range(max_iter):
+    """Maximize over the tableau in place; ``cost`` is the objective row.
+
+    Optimality is tested before each of at most ``max_iter`` pivots and once
+    more after the last one.
+    """
+    for pivots in range(max_iter + 1):
         # reduced costs: c_j - c_B . B^-1 A_j
         reduced = cost[:n_cols] - cost[basis] @ t[:, :n_cols]
         improving = np.flatnonzero(reduced > tol)
         if improving.size == 0:
             return
+        if pivots == max_iter:
+            break
         entering = int(improving[0])  # Bland: lowest improving index
         col = t[:, entering]
         mask = col > tol

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import FitRejected, InfeasibleRate, InsufficientData
 
 PEAK_SQ = 255.0**2
+PEAK_DB = 20.0 * math.log10(255.0)
 
 DEFAULT_FIXTURE_PATH = Path(__file__).parent / "fixtures" / "rd_params.csv"
 
@@ -55,11 +57,13 @@ class RdParams:
         if _mse_of_psnr(self.q_max_db) + self.alpha <= 0:
             raise ValueError("alpha too negative: rate model diverges on band")
 
-    @property
+    # band-edge rates, computed on first use; cached_property stores them in
+    # the instance __dict__, so equality and hashing still see fields only
+    @cached_property
     def rate_min(self) -> float:
         return rate_of_psnr(self, self.q_min_db)
 
-    @property
+    @cached_property
     def rate_max(self) -> float:
         return rate_of_psnr(self, self.q_max_db)
 
@@ -130,7 +134,7 @@ def psnr_of_rate(params: RdParams, rate_bps: float) -> float:
         return params.q_max_db
     rate_bps = max(rate_bps, r_lo)
     inner = params.theta / (rate_bps - params.beta) - params.alpha
-    return -10.0 * math.log10(inner) + 20.0 * math.log10(255.0)
+    return -10.0 * math.log10(inner) + PEAK_DB
 
 
 def _fit_theta_beta(x: np.ndarray, rates: np.ndarray):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from nomavq import (
     AmcParams,
@@ -9,6 +10,7 @@ from nomavq import (
 
 B_HZ = 140000.0
 P_MAX_W = 1.0
+_TABLE = load_rd_fixtures()
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +46,39 @@ def make_instance(rng, table, snr_db=20.0, weak_stream="Foreman",
     pair = [table[weak_stream], table[strong_stream]]
     streams = [pair[i] for i in order]
     return ch, streams
+
+
+@st.composite
+def small_instances(draw):
+    """A random 2- or 3-user group: (channel, streams, n_blocks, OMA step).
+
+    Gains and SNR span feasible and infeasible groups alike.
+    """
+    n = draw(st.sampled_from([2, 3]))
+    gain = st.floats(min_value=0.01, max_value=1.0)
+    gains = np.sort(draw(st.lists(gain, min_size=n, max_size=n)))
+    snr_db = draw(st.floats(min_value=10.0, max_value=40.0))
+    names = draw(st.lists(st.sampled_from(sorted(_TABLE)), min_size=n, max_size=n))
+    ch = ChannelState(gains_sq=gains, noise_var=P_MAX_W / 10.0 ** (snr_db / 10.0),
+                      bandwidth_hz=B_HZ, power_budget_w=P_MAX_W)
+    streams = [_TABLE[name] for name in names]
+    n_blocks = draw(st.integers(min_value=1, max_value=200))
+    step = draw(st.sampled_from([0.01, 0.05]))
+    return ch, streams, n_blocks, step
+
+
+def outcome(fn, *args):
+    """The function's result, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # any type: the caller compares them
+        return type(exc)
+
+
+def same_bits(a, b):
+    """True when both values have the same shape and the same bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # acceptance criteria report: one line per criterion, printed at session end

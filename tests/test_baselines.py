@@ -1,18 +1,21 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from nomavq import (
     ChannelState,
     Infeasible,
     bounds_from_quality,
+    psnr_of_rate,
     solve_noma_mt,
     solve_oma_simple,
 )
-from nomavq.baselines import Scheme, _simplex_grid
+from nomavq.baselines import BaselineResult, Scheme, _simplex_grid
 
-from conftest import B_HZ, make_instance
+from conftest import B_HZ, make_instance, outcome, same_bits, small_instances
 
 
 def test_throughput_max_pins_weak_at_minimum(streams_table, amc):
@@ -110,3 +113,46 @@ def test_orthogonal_baseline_infeasible(streams_table, amc):
     streams = [streams_table["Foreman"], streams_table["Soccer"]]
     with pytest.raises(Infeasible):
         solve_oma_simple(ch, streams, amc, B_HZ)
+
+
+def _oma_oracle(ch, streams, amc, b_hz, step):
+    """Reference OMA search: one grid point built and tested at a time."""
+    n = ch.n_users
+    snr = ch.gains_sq * ch.power_budget_w / ch.noise_var
+    full_rate = amc.c1 * b_hz * np.log2(1.0 + snr / amc.c2)
+    r_min = np.array([s.rate_min for s in streams])
+    m = round(1.0 / step)
+
+    best = None
+    for combo in itertools.combinations_with_replacement(range(m + 1), n - 1):
+        rho = np.diff((0,) + combo + (m,)) / m
+        rates = rho * full_rate
+        if np.any(rates < r_min * (1.0 - 1e-12)):
+            continue
+        per_user = np.array(
+            [psnr_of_rate(s, float(r)) for s, r in zip(streams, rates)]
+        )
+        score = float(np.mean(per_user))
+        balance = float(np.sum((rho - 1.0 / n) ** 2))
+        if best is None or score > best[0] + 1e-12 or (
+            score > best[0] - 1e-12 and balance < best[1] - 1e-15
+        ):
+            best = (score, balance, rho.copy(), per_user)
+    if best is None:
+        raise Infeasible("no bandwidth split meets every minimum quality")
+    score, _, rho, per_user = best
+    return BaselineResult(Scheme.OMA_SIMPLE, None, rho, per_user, score, snr)
+
+
+@given(small_instances())
+@settings(max_examples=100, deadline=None)
+def test_orthogonal_baseline_matches_pointwise_oracle_bitwise(amc, instance):
+    ch, streams, _, step = instance
+    got = outcome(solve_oma_simple, ch, streams, amc, B_HZ, step)
+    want = outcome(_oma_oracle, ch, streams, amc, B_HZ, step)
+    if isinstance(got, type) or isinstance(want, type):
+        assert got is want
+        return
+    assert got.power is None and got.scheme is Scheme.OMA_SIMPLE
+    for field in ("bandwidth_frac", "per_user_psnr_db", "avg_psnr_db", "sinrs"):
+        assert same_bits(getattr(got, field), getattr(want, field)), field

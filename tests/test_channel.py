@@ -175,6 +175,28 @@ def test_own_sinrs_matches_elementwise_definition():
         assert np.allclose(got, want, rtol=1e-12)
 
 
+def _own_sinrs_1d(ch, p):
+    """The single-vector closed form, written out with a 1-D suffix sum."""
+    tail = np.concatenate([np.cumsum(p[::-1])[::-1][1:], [0.0]])
+    return ch.gains_sq * p / (ch.gains_sq * tail + ch.noise_var)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_own_sinrs_stack_matches_row_by_row_bitwise(n):
+    rng = np.random.default_rng(40 + n)
+    ch = _random_channel(rng, n)
+    stack = rng.uniform(0, 0.5, (7, n))
+    stack[0] = 0.0
+    got = own_sinrs(ch, stack)
+    assert got.shape == (7, n)
+    for row, p in zip(got, stack):
+        assert row.tobytes() == own_sinrs(ch, p).tobytes()
+        assert row.tobytes() == _own_sinrs_1d(ch, p).tobytes()
+    # deeper stacks reduce over the last axis only
+    deep = stack.reshape(7, 1, n)
+    assert own_sinrs(ch, deep).tobytes() == got.tobytes()
+
+
 @given(st.integers(min_value=0, max_value=3), st.floats(min_value=0.01, max_value=0.5))
 @settings(max_examples=100, deadline=None)
 def test_adding_own_power_raises_own_sinr(idx, extra):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from nomavq import (
     ChannelState,
@@ -10,10 +11,10 @@ from nomavq import (
     solve_greedy,
     solve_polyblock,
 )
-from nomavq.greedy import complexity_counters
+from nomavq.greedy import GreedyResult, _per_user_psnr, complexity_counters
 from nomavq.phy import build_feasible_set
 
-from conftest import B_HZ, make_instance
+from conftest import B_HZ, make_instance, outcome, same_bits, small_instances
 
 
 def _three_user(rng, table, snr_db=22.0):
@@ -159,3 +160,74 @@ def test_finer_blocks_do_not_hurt(streams_table, amc):
         gap_fine = ref.avg_psnr_db - fine.avg_psnr_db
         assert gap_fine <= gap_coarse + 1e-6
         done += 1
+
+
+def _greedy_oracle(ch, streams, amc, b_hz, cfg):
+    """Reference greedy: one SINR evaluation per block and per candidate."""
+    bounds = bounds_from_quality(streams, amc, b_hz)
+    n = ch.n_users
+    block = cfg.block_w(ch.power_budget_w)
+    g_min = bounds.gamma_min * (1.0 - 1e-12)
+
+    p = np.zeros(n)
+    remaining = cfg.n_blocks
+    phase1_evals = 0
+    for nd in range(n - 1, -1, -1):
+        while own_sinrs(ch, p)[nd] < g_min[nd]:
+            if remaining == 0:
+                raise Infeasible(f"minimum quality of UE {nd} unreachable")
+            p[nd] += block
+            remaining -= 1
+            phase1_evals += 1
+
+    phase2_evals = 0
+    while remaining > 0:
+        gam_now = own_sinrs(ch, p)
+        best_score = -np.inf
+        best_idx = -1
+        for k in range(n):
+            if gam_now[k] >= bounds.gamma_max[k]:
+                continue
+            cand = p.copy()
+            cand[k] += block
+            gam = own_sinrs(ch, cand)
+            phase2_evals += n
+            if np.any(gam < g_min):
+                continue
+            score = float(np.mean(_per_user_psnr(gam, streams, amc, b_hz)))
+            if score > best_score:
+                best_score = score
+                best_idx = k
+        if best_idx < 0:
+            break
+        p[best_idx] += block
+        remaining -= 1
+
+    gam = own_sinrs(ch, p)
+    per_user = _per_user_psnr(np.minimum(gam, bounds.gamma_max), streams, amc, b_hz)
+    return GreedyResult(
+        power=p,
+        avg_psnr_db=float(np.mean(per_user)),
+        per_user_psnr_db=per_user,
+        sinrs=gam,
+        blocks_used=cfg.n_blocks - remaining,
+        blocks_total=cfg.n_blocks,
+        phase1_evals=phase1_evals,
+        phase2_evals=phase2_evals,
+    )
+
+
+@given(small_instances())
+@settings(max_examples=150, deadline=None)
+def test_greedy_matches_per_candidate_oracle_bitwise(amc, instance):
+    ch, streams, n_blocks, _ = instance
+    cfg = GreedyConfig(n_blocks=n_blocks)
+    got = outcome(solve_greedy, ch, streams, amc, B_HZ, cfg)
+    want = outcome(_greedy_oracle, ch, streams, amc, B_HZ, cfg)
+    if isinstance(got, type) or isinstance(want, type):
+        assert got is want
+        return
+    for field in ("power", "sinrs", "per_user_psnr_db", "avg_psnr_db"):
+        assert same_bits(getattr(got, field), getattr(want, field)), field
+    assert (got.blocks_used, got.blocks_total) == (want.blocks_used, want.blocks_total)
+    assert complexity_counters(got) == complexity_counters(want)

@@ -46,6 +46,11 @@ def test_pivot_cap_is_nonconvergence_not_infeasible():
     assert err.value.diagnostics == {"pivots": 1}
 
 
+def test_pivot_cap_admits_an_lp_that_needs_exactly_the_cap():
+    # the same LP needs two pivots; optimality is tested after the last one
+    assert solve_lp([1, 1], [[1, 1], [1, 0]], [4, 3], max_iter=2)[0] == 4.0
+
+
 def test_free_variable_takes_negative_value():
     # minimize x (maximize -x) with x >= -4, x free
     opt, x = solve_lp(np.array([-1.0]), np.array([[-1.0]]), np.array([4.0]),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -93,6 +94,24 @@ def test_rate_of_psnr_strictly_increasing(q1, q2):
     assert rate_of_psnr(REF, lo) < rate_of_psnr(REF, hi)
 
 
+def test_band_rates_cached_bitwise_per_instance():
+    for p in [REF, *load_rd_fixtures().values()]:
+        assert p.rate_min == rate_of_psnr(p, p.q_min_db)
+        assert p.rate_max == rate_of_psnr(p, p.q_max_db)
+        # cached: a second read returns the stored object
+        assert p.rate_max is p.rate_max
+    wider = dataclasses.replace(REF, q_max_db=41.0)
+    assert wider.rate_min == REF.rate_min
+    assert wider.rate_max == rate_of_psnr(wider, 41.0) > REF.rate_max
+    # equality and hashing depend on the fields alone, not on the cache
+    fresh = RdParams(alpha=REF.alpha, beta=REF.beta, theta=REF.theta,
+                     q_min_db=REF.q_min_db, q_max_db=REF.q_max_db,
+                     stream_id=REF.stream_id)
+    assert "rate_max" not in vars(fresh)
+    assert fresh == REF and hash(fresh) == hash(REF)
+    assert wider != REF
+
+
 def test_rdparams_validation():
     with pytest.raises(ValueError):
         RdParams(alpha=1.0, beta=0.0, theta=1.0, q_min_db=40.0, q_max_db=32.0)
@@ -169,6 +188,8 @@ def test_fixture_round_trip(tmp_path, streams_table):
         a, b = streams_table[sid], back[sid]
         assert (a.alpha, a.beta, a.theta) == (b.alpha, b.beta, b.theta)
         assert (a.q_min_db, a.q_max_db, a.complexity) == (b.q_min_db, b.q_max_db, b.complexity)
+        assert a == b
+        assert (a.rate_min, a.rate_max) == (b.rate_min, b.rate_max)
 
 
 def test_fixture_missing_loss_rate_raises(tmp_path, streams_table):
