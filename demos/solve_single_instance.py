@@ -61,15 +61,12 @@ print(f"noma-mt      power {mt.power}  avg PSNR {mt.avg_psnr_db:.3f} dB"
       f"  (weak UE pinned at {streams[0].q_min_db:g} dB)")
 
 oma = solve_oma_simple(ch, streams, amc, B_HZ)
-print(f"oma          bandwidth split {oma.bandwidth_frac}"
+print(f"oma          bandwidth split {oma.shares}"
       f"  avg PSNR {oma.avg_psnr_db:.3f} dB")
 
-from nomavq import psnr_of_sinr  # noqa: E402
-
-opt_per = [psnr_of_sinr(s, amc, B_HZ, float(min(g, gm)))
-           for s, g, gm in zip(streams, opt.sinrs, bounds.gamma_max)]
-print("\nper-UE PSNR (weak, strong):")
-for name, per in (("optimal", opt_per), ("greedy", grd.per_user_psnr_db),
-                  ("noma-mt", mt.per_user_psnr_db),
-                  ("oma", oma.per_user_psnr_db)):
-    print(f"  {name:8s} {np.round(np.asarray(per, dtype=float), 3)}")
+# every scheme returns the same Allocation: shares, SINRs, rates and PSNR
+print("\nper-UE allocation share and PSNR (weak, strong):")
+for name, res in (("optimal", opt), ("greedy", grd), ("noma-mt", mt),
+                  ("oma", oma)):
+    print(f"  {name:8s} share {np.round(res.shares, 3)}"
+          f"  PSNR {np.round(res.per_user_psnr_db, 3)}")

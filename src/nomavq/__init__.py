@@ -7,7 +7,7 @@ reference schemes, erasure-protected packetization accounting, and a seeded
 Monte Carlo scenario loop with CSV output.
 """
 
-from .baselines import BaselineResult, Scheme, solve_noma_mt, solve_oma_simple
+from .baselines import solve_noma_mt, solve_oma_simple
 from .channel import (
     ChannelState,
     Complexity,
@@ -53,6 +53,7 @@ from .packetizer import (
     layout_tsb,
 )
 from .phy import (
+    Allocation,
     AmcParams,
     FeasiblePowerSet,
     SinrBounds,

@@ -11,30 +11,14 @@ the proposed solvers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .channel import ChannelState, own_sinrs
 from .errors import Infeasible
-from .phy import AmcParams, SinrBounds, bounds_from_quality
+from .phy import (Allocation, AmcParams, SinrBounds, amc_rate,
+                  bounds_from_quality, power_shares)
 from .quality import RdParams, psnr_of_rate
-
-
-class Scheme(Enum):
-    NOMA_MT = "NomaMt"
-    OMA_SIMPLE = "OmaSimple"
-
-
-@dataclass
-class BaselineResult:
-    scheme: Scheme
-    power: np.ndarray | None  # NOMA power split, or None for OMA
-    bandwidth_frac: np.ndarray | None  # OMA split, or None for NOMA
-    per_user_psnr_db: np.ndarray
-    avg_psnr_db: float
-    sinrs: np.ndarray
 
 
 def solve_noma_mt(
@@ -43,7 +27,7 @@ def solve_noma_mt(
     amc: AmcParams,
     b_hz: float,
     bounds: SinrBounds | None = None,
-) -> BaselineResult:
+) -> Allocation:
     """Two-user throughput-max NOMA: weak UE pinned at its minimum quality.
 
     The weak UE's power solves its gamma_min constraint with equality given
@@ -69,15 +53,15 @@ def solve_noma_mt(
     gam = own_sinrs(ch, p)
     if gam[1] < bounds.gamma_min[1] * (1.0 - 1e-9):
         raise Infeasible("strong UE below its minimum quality under NOMA-MT")
-    rates = amc.c1 * b_hz * np.log2(1.0 + gam / amc.c2)
+    rates = amc_rate(b_hz, gam, amc)
     per_user = np.array([psnr_of_rate(s, float(r)) for s, r in zip(streams, rates)])
-    return BaselineResult(
-        scheme=Scheme.NOMA_MT,
+    return Allocation(
         power=p,
-        bandwidth_frac=None,
+        shares=power_shares(p),
+        sinrs=gam,
+        rates_bps=rates,
         per_user_psnr_db=per_user,
         avg_psnr_db=float(np.mean(per_user)),
-        sinrs=gam,
     )
 
 
@@ -97,7 +81,7 @@ def solve_oma_simple(
     amc: AmcParams,
     b_hz: float,
     step: float = 0.01,
-) -> BaselineResult:
+) -> Allocation:
     """Orthogonal-access baseline: bandwidth fractions on a simplex grid.
 
     Each UE gets rate c1 * rho_n * B * log2(1 + |h_n|^2 P_max / (c2 sigma^2)),
@@ -107,7 +91,7 @@ def solve_oma_simple(
     """
     n = ch.n_users
     snr = ch.gains_sq * ch.power_budget_w / ch.noise_var
-    full_rate = amc.c1 * b_hz * np.log2(1.0 + snr / amc.c2)
+    full_rate = amc_rate(b_hz, snr, amc)
     r_min = np.array([s.rate_min for s in streams])
 
     grid = np.array(list(_simplex_grid(n, step)))
@@ -123,15 +107,15 @@ def solve_oma_simple(
         if best is None or score > best[0] + 1e-12 or (
             score > best[0] - 1e-12 and balance < best[1] - 1e-15
         ):
-            best = (score, balance, rho.copy(), per_user)
+            best = (score, balance, rho, rates, per_user)
     if best is None:
         raise Infeasible("no bandwidth split meets every minimum quality")
-    score, _, rho, per_user = best
-    return BaselineResult(
-        scheme=Scheme.OMA_SIMPLE,
+    score, _, rho, rates, per_user = best
+    return Allocation(
         power=None,
-        bandwidth_frac=rho,
+        shares=rho,
+        sinrs=snr,
+        rates_bps=rates,
         per_user_psnr_db=per_user,
         avg_psnr_db=score,
-        sinrs=snr,
     )

@@ -10,13 +10,14 @@ quality bound. Complexity is O(N^2 L + 2 N L) PSNR evaluations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelState, own_sinrs
 from .errors import Infeasible
-from .phy import AmcParams, SinrBounds, bounds_from_quality
+from .phy import (Allocation, AmcParams, SinrBounds, amc_rate,
+                  bounds_from_quality, power_shares)
 from .quality import RdParams, psnr_of_rate
 
 
@@ -34,19 +35,19 @@ class GreedyConfig:
 
 
 @dataclass
-class GreedyResult:
-    power: np.ndarray
-    avg_psnr_db: float
-    per_user_psnr_db: np.ndarray
-    sinrs: np.ndarray
-    blocks_used: int
-    blocks_total: int
+class GreedyResult(Allocation):
+    """Greedy allocation; ``iterations`` counts the blocks spent."""
+
+    blocks_total: int = 0
     phase1_evals: int = 0
     phase2_evals: int = 0
 
+    @property
+    def blocks_used(self) -> int:
+        return self.iterations
 
-def _per_user_psnr(gammas, streams, amc, b_hz):
-    rates = amc.c1 * b_hz * np.log2(1.0 + np.asarray(gammas) / amc.c2)
+
+def _per_user_psnr(rates, streams):
     return np.array([psnr_of_rate(s, float(r)) for s, r in zip(streams, rates)])
 
 
@@ -116,7 +117,8 @@ def solve_greedy(
         best_score = -np.inf
         best_idx = -1
         for k in np.flatnonzero(ok):
-            score = float(np.mean(_per_user_psnr(gams[k + 1], streams, amc, b_hz)))
+            rates = amc_rate(b_hz, gams[k + 1], amc)
+            score = float(np.mean(_per_user_psnr(rates, streams)))
             if score > best_score:  # strict: ties keep the lowest index
                 best_score = score
                 best_idx = k
@@ -125,20 +127,18 @@ def solve_greedy(
         p[best_idx] += block
         remaining -= 1
 
-    gam = own_sinrs(ch, p)
-    per_user = _per_user_psnr(np.minimum(gam, bounds.gamma_max), streams, amc, b_hz)
+    gam = np.minimum(own_sinrs(ch, p), bounds.gamma_max)
+    rates = amc_rate(b_hz, gam, amc)
+    per_user = _per_user_psnr(rates, streams)
     return GreedyResult(
         power=p,
-        avg_psnr_db=float(np.mean(per_user)),
-        per_user_psnr_db=per_user,
+        shares=power_shares(p),
         sinrs=gam,
-        blocks_used=cfg.n_blocks - remaining,
+        rates_bps=rates,
+        per_user_psnr_db=per_user,
+        avg_psnr_db=float(np.mean(per_user)),
+        iterations=cfg.n_blocks - remaining,
         blocks_total=cfg.n_blocks,
         phase1_evals=phase1_evals,
         phase2_evals=phase2_evals,
     )
-
-
-def complexity_counters(result: GreedyResult) -> tuple[int, int]:
-    """PSNR-evaluation counts of an instrumented run: (phase I, phase II)."""
-    return result.phase1_evals, result.phase2_evals

@@ -12,7 +12,6 @@ plus seed produces byte-identical CSV output.
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .channel import (
 )
 from .errors import ConfigurationError, Infeasible, InfeasibleRate, NonConvergence
 from .greedy import GreedyConfig, solve_greedy
-from .phy import AmcParams, amc_rate, bounds_from_quality, build_feasible_set
+from .phy import AmcParams, bounds_from_quality, build_feasible_set
 from .polyblock import SolverConfig, solve_polyblock
 from .quality import RdParams, load_rd_fixtures, psnr_of_rate
 
@@ -91,9 +90,8 @@ class ScenarioConfig:
 
 
 def _number(d, key, cast=float, default=None, allow_zero=False):
-    """Read a positive number (nonnegative with ``allow_zero``) from the config.
-
-    A missing key takes ``default``; without one the key is required.
+    """Read a finite positive number (nonnegative with ``allow_zero``) from
+    the config. A missing key takes ``default``; without one it is required.
     """
     if key not in d and default is not None:
         return default
@@ -101,12 +99,24 @@ def _number(d, key, cast=float, default=None, allow_zero=False):
         v = cast(d[key])
     except KeyError:
         raise ConfigurationError(f"missing config key: {key}")
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(f"config key {key} is not a number: {d[key]!r}")
-    if v < 0 or (v == 0 and not allow_zero):
+    if not np.isfinite(v) or v < 0 or (v == 0 and not allow_zero):
         kind = "nonnegative" if allow_zero else "positive"
-        raise ConfigurationError(f"config key {key} must be {kind}, got {v}")
+        raise ConfigurationError(f"config key {key} must be finite and {kind}, got {v}")
     return v
+
+
+def _numbers(d, key, cast, default):
+    """Read a nonempty list of finite numbers from the config."""
+    v = d.get(key, default)
+    try:
+        vals = tuple(cast(x) for x in v) if isinstance(v, (list, tuple)) else ()
+    except (TypeError, ValueError, OverflowError):
+        vals = ()
+    if not vals or not np.all(np.isfinite(vals)):
+        raise ConfigurationError(f"config key {key} must be a nonempty number list: {v!r}")
+    return vals
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
@@ -134,9 +144,7 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     n_zones = _number(d, "n_zones", int)
     if len(ues) % n_zones != 0:
         raise ConfigurationError("UE count must be a multiple of n_zones")
-    snr_db = tuple(float(s) for s in d.get("snr_db", [15.0]))
-    if not snr_db:
-        raise ConfigurationError("snr_db must be nonempty")
+    snr_db = _numbers(d, "snr_db", float, [15.0])
 
     try:
         grouping = GroupingStrategy(d.get("grouping", "ByIndex"))
@@ -151,20 +159,21 @@ def config_from_dict(d: dict) -> ScenarioConfig:
 
     try:
         solver_cfg = SolverConfig(
-            epsilon=float(d.get("epsilon", 1e-3)),
-            delta=float(d.get("delta", 1e-6)),
+            epsilon=_number(d, "epsilon", default=1e-3),
+            delta=_number(d, "delta", default=1e-6),
         )
-        greedy_cfg = GreedyConfig(n_blocks=int(d.get("n_blocks", 100)))
+        greedy_cfg = GreedyConfig(n_blocks=_number(d, "n_blocks", int, default=100))
         amc = AmcParams(
-            c1=float(d.get("amc_c1", 0.905)), c2=float(d.get("amc_c2", 1.34))
+            c1=_number(d, "amc_c1", default=0.905),
+            c2=_number(d, "amc_c2", default=1.34),
         )
     except ValueError as e:
         raise ConfigurationError(str(e))
 
-    p_rtp = float(d.get("p_rtp", 0.05))
-    if not 0 <= p_rtp < 1:
+    p_rtp = _number(d, "p_rtp", default=0.05, allow_zero=True)
+    if not p_rtp < 1:
         raise ConfigurationError("p_rtp must be in [0, 1)")
-    mgs = tuple(int(w) for w in d.get("mgs_weights", DEFAULT_MGS_WEIGHTS))
+    mgs = _numbers(d, "mgs_weights", int, DEFAULT_MGS_WEIGHTS)
     if any(w <= 0 for w in mgs):
         raise ConfigurationError("mgs_weights must be positive")
 
@@ -269,7 +278,6 @@ class TrialRecord:
     avg_psnr_cont_db: float  # mean per-UE PSNR before rate snapping
     iterations: int
     bound_gap_db: float
-    wall_time_s: float
 
 
 @dataclass
@@ -285,42 +293,18 @@ class ScenarioResult:
         return counts
 
 
-def _power_shares(p):
-    # allocation coefficients as shares of the power actually spent: the
-    # absolute level scales with the noise floor once UEs saturate, so
-    # budget-relative fractions would vanish at high SNR
-    total = float(np.sum(p))
-    return p / total if total > 0 else p
-
-
-def _run_scheme(scheme, ch, streams, cfg, trace_sink=None):
-    """Run one allocation scheme; returns (sinrs, rates, coeffs, iters, gap)."""
+def _run_scheme(scheme, ch, streams, bounds, cfg):
+    """Run one allocation scheme on one instance; returns its Allocation."""
     amc, b = cfg.amc, cfg.bandwidth_hz
     if scheme == "polyblock":
-        bounds = bounds_from_quality(streams, amc, b)
         fset = build_feasible_set(ch, bounds)
-        res = solve_polyblock(
-            fset, streams, amc, b, cfg.solver_cfg, keep_trace=trace_sink is not None
-        )
-        if trace_sink is not None:
-            trace_sink.extend(res.trace)
-        gam = np.minimum(res.sinrs, bounds.gamma_max)
-        return gam, amc_rate(b, gam, amc), _power_shares(res.power), \
-            res.iterations, res.bound_gap_db
+        return solve_polyblock(fset, streams, amc, b, cfg.solver_cfg)
     if scheme == "greedy":
-        res = solve_greedy(ch, streams, amc, b, cfg.greedy_cfg)
-        bounds = bounds_from_quality(streams, amc, b)
-        gam = np.minimum(res.sinrs, bounds.gamma_max)
-        return gam, amc_rate(b, gam, amc), _power_shares(res.power), \
-            res.blocks_used, 0.0
+        return solve_greedy(ch, streams, amc, b, cfg.greedy_cfg, bounds)
     if scheme == "noma-mt":
-        res = solve_noma_mt(ch, streams, amc, b)
-        return res.sinrs, amc_rate(b, res.sinrs, amc), \
-            _power_shares(res.power), 0, 0.0
+        return solve_noma_mt(ch, streams, amc, b, bounds)
     if scheme == "oma":
-        res = solve_oma_simple(ch, streams, amc, b)
-        rates = res.bandwidth_frac * amc_rate(b, res.sinrs, amc)
-        return res.sinrs, rates, res.bandwidth_frac, 0, 0.0
+        return solve_oma_simple(ch, streams, amc, b)
     raise ConfigurationError(f"unknown scheme {scheme!r}")
 
 
@@ -371,6 +355,7 @@ def run_scenario(
                 members = sorted(group, key=lambda u: fading[u.id])
                 gains = np.array([fading[u.id] for u in members])
                 streams = [table[u.requested_stream] for u in members]
+                bounds = bounds_from_quality(streams, cfg.amc, cfg.bandwidth_hz)
                 for snr in snrs:
                     ch = ChannelState(
                         gains_sq=gains,
@@ -380,11 +365,8 @@ def run_scenario(
                         path_loss_exp=cfg.path_loss_exp,
                     )
                     for scheme in solvers:
-                        t0 = time.perf_counter()
                         try:
-                            gam, rates, coeffs, iters, gap = _run_scheme(
-                                scheme, ch, streams, cfg, trace_sink
-                            )
+                            res = _run_scheme(scheme, ch, streams, bounds, cfg)
                         except (Infeasible, InfeasibleRate) as e:
                             exclusions.append(
                                 (trial, gop, g_idx, scheme, snr, str(e))
@@ -396,17 +378,14 @@ def run_scenario(
                                 f"NonConvergence: {e}",
                             ))
                             continue
-                        wall = time.perf_counter() - t0
+                        if trace_sink is not None and scheme == "polyblock":
+                            trace_sink.extend(res.trace)
                         snapped = [
                             snap_rate(float(r), rate_sets[s.stream_id])
-                            for r, s in zip(rates, streams)
+                            for r, s in zip(res.rates_bps, streams)
                         ]
                         psnrs = [
                             psnr_of_rate(s, r) for s, r in zip(streams, snapped)
-                        ]
-                        cont = [
-                            psnr_of_rate(s, float(r))
-                            for s, r in zip(streams, rates)
                         ]
                         records.append(TrialRecord(
                             trial=trial,
@@ -417,16 +396,15 @@ def run_scenario(
                             grouping=strategy.value,
                             ue_ids=tuple(u.id for u in members),
                             streams=tuple(s.stream_id for s in streams),
-                            sinrs=tuple(float(x) for x in gam),
-                            rates_bps=tuple(float(r) for r in rates),
+                            sinrs=tuple(float(x) for x in res.sinrs),
+                            rates_bps=tuple(float(r) for r in res.rates_bps),
                             snapped_rates_bps=tuple(snapped),
                             psnr_db=tuple(psnrs),
-                            alloc_coeff=tuple(float(x) for x in coeffs),
+                            alloc_coeff=tuple(float(x) for x in res.shares),
                             avg_psnr_db=float(np.mean(psnrs)),
-                            avg_psnr_cont_db=float(np.mean(cont)),
-                            iterations=int(iters),
-                            bound_gap_db=float(gap),
-                            wall_time_s=wall,
+                            avg_psnr_cont_db=float(np.mean(res.per_user_psnr_db)),
+                            iterations=int(res.iterations),
+                            bound_gap_db=float(res.bound_gap_db),
                         ))
     return ScenarioResult(records=records, exclusions=exclusions, config=cfg)
 
@@ -450,8 +428,8 @@ def _record_sort_key(r: TrialRecord):
 def write_trial_csv(result: ScenarioResult, path):
     """One row per (record, UE slot), order-normalized for reproducibility.
 
-    Wall times vary between runs, so they are rounded away to keep the
-    byte-identical-output guarantee meaningful for everything that matters.
+    The ``wall_time_s`` column is kept empty: timing would break the
+    byte-identical-output guarantee.
     """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

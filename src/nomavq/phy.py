@@ -52,6 +52,37 @@ def amc_rate(b_hz: float, gamma, amc: AmcParams):
     return amc.c1 * b_hz * np.log2(1.0 + np.asarray(gamma) / amc.c2)
 
 
+def power_shares(p):
+    """Allocation coefficients as shares of the power actually spent.
+
+    The absolute level scales with the noise floor once UEs saturate, so
+    budget-relative fractions would vanish at high SNR.
+    """
+    total = float(np.sum(p))
+    return p / total if total > 0 else p
+
+
+@dataclass
+class Allocation:
+    """One scheme's allocation on one instance, decoded to per-user PSNR.
+
+    ``sinrs`` are own SINRs (capped at gamma_max by polyblock and greedy),
+    or full-band SNRs when ``power`` is None and ``shares`` split the band.
+    ``rates_bps`` is ``amc_rate`` of ``sinrs``, times the band share, and
+    ``per_user_psnr_db`` is ``psnr_of_rate`` at each rate. ``avg_psnr_db``
+    is their mean, or the certified incumbent for polyblock.
+    """
+
+    power: np.ndarray | None
+    shares: np.ndarray
+    sinrs: np.ndarray
+    rates_bps: np.ndarray
+    per_user_psnr_db: np.ndarray
+    avg_psnr_db: float
+    iterations: int = 0
+    bound_gap_db: float = 0.0
+
+
 def psnr_of_sinr(params: RdParams, amc: AmcParams, b_hz: float, gamma: float) -> float:
     """Decoded PSNR when the stream is received at SINR ``gamma``.
 

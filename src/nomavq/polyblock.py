@@ -22,7 +22,8 @@ import numpy as np
 from .channel import own_sinrs
 from .errors import Infeasible, NonConvergence
 from .lp import solve_lp
-from .phy import AmcParams, FeasiblePowerSet, check_feasible
+from .phy import (Allocation, AmcParams, FeasiblePowerSet, amc_rate,
+                  check_feasible, power_shares)
 from .quality import PEAK_SQ, RdParams, psnr_of_rate
 
 
@@ -62,12 +63,10 @@ class Polyblock:
 
 
 @dataclass
-class PolyblockResult:
-    power: np.ndarray
-    avg_psnr_db: float
-    bound_gap_db: float
-    iterations: int
-    sinrs: np.ndarray
+class PolyblockResult(Allocation):
+    """Certified allocation; ``trace`` holds one row per outer iteration:
+    (iteration, vertices, upper bound, incumbent, gap)."""
+
     rel_gap: float = 0.0  # ||v - Phi(v)|| / ||v|| at the final selected vertex
     trace: list = field(default_factory=list)
 
@@ -188,7 +187,6 @@ def solve_polyblock(
     amc: AmcParams,
     b_hz: float,
     cfg: SolverConfig | None = None,
-    keep_trace: bool = False,
     prune: bool = True,
     bound_prune: bool = True,
     initial_vertex=None,
@@ -245,12 +243,19 @@ def solve_polyblock(
 
     def result(it):
         z_star, p_star, psi_star = best
+        sinrs = np.minimum(own_sinrs(ch, p_star), g_max)
+        rates = amc_rate(b_hz, sinrs, amc)
         return PolyblockResult(
             power=p_star,
+            shares=power_shares(p_star),
+            sinrs=sinrs,
+            rates_bps=rates,
+            per_user_psnr_db=np.array(
+                [psnr_of_rate(s, float(r)) for s, r in zip(streams, rates)]
+            ),
             avg_psnr_db=psi_star,
-            bound_gap_db=max(0.0, block.upper_bound - psi_star),
             iterations=it,
-            sinrs=own_sinrs(ch, p_star),
+            bound_gap_db=max(0.0, block.upper_bound - psi_star),
             rel_gap=last_rel if last_rel < math.inf else 0.0,
             trace=trace,
         )
@@ -275,13 +280,11 @@ def solve_polyblock(
                 raise Infeasible("polyblock emptied without a feasible point")
             block.upper_bound = incumbent
             last_rel = 0.0
-            if keep_trace:
-                trace.append((it, 0, block.upper_bound, incumbent, 0.0))
+            trace.append((it, 0, block.upper_bound, incumbent, 0.0))
             return result(it)
         block.upper_bound = max(vx.ub_value for vx in block.vertices)
         gap = block.upper_bound - incumbent
-        if keep_trace:
-            trace.append((it, len(block.vertices), block.upper_bound, incumbent, gap))
+        trace.append((it, len(block.vertices), block.upper_bound, incumbent, gap))
         if on_iteration is not None:
             on_iteration(block)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from nomavq import (
+    Allocation,
     ChannelState,
     Infeasible,
     bounds_from_quality,
@@ -13,7 +14,7 @@ from nomavq import (
     solve_noma_mt,
     solve_oma_simple,
 )
-from nomavq.baselines import BaselineResult, Scheme, _simplex_grid
+from nomavq.baselines import _simplex_grid
 
 from conftest import B_HZ, make_instance, outcome, same_bits, small_instances
 
@@ -27,11 +28,11 @@ def test_throughput_max_pins_weak_at_minimum(streams_table, amc):
             res = solve_noma_mt(ch, streams, amc, B_HZ)
         except Infeasible:
             continue
-        assert res.scheme is Scheme.NOMA_MT
         assert res.per_user_psnr_db[0] == pytest.approx(
             streams[0].q_min_db, abs=1e-7
         )
         assert res.power.sum() <= ch.power_budget_w + 1e-9
+        assert res.shares.sum() == pytest.approx(1.0, abs=1e-12)
         done += 1
 
 
@@ -87,8 +88,8 @@ def test_orthogonal_baseline_deterministic_and_feasible(streams_table, amc):
         except Infeasible:
             continue
         b = solve_oma_simple(ch, streams, amc, B_HZ)
-        assert np.array_equal(a.bandwidth_frac, b.bandwidth_frac)
-        assert a.bandwidth_frac.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(a.shares, b.shares)
+        assert a.shares.sum() == pytest.approx(1.0, abs=1e-12)
         for s, q in zip(streams, a.per_user_psnr_db):
             assert s.q_min_db - 1e-7 <= q <= s.q_max_db + 1e-9
         assert a.avg_psnr_db == pytest.approx(
@@ -104,7 +105,7 @@ def test_orthogonal_baseline_uniform_tie_rule(streams_table, amc):
                       bandwidth_hz=B_HZ, power_budget_w=1.0)
     streams = [streams_table["Ice"], streams_table["Ice"]]
     res = solve_oma_simple(ch, streams, amc, B_HZ)
-    assert np.allclose(res.bandwidth_frac, [0.5, 0.5])
+    assert np.allclose(res.shares, [0.5, 0.5])
 
 
 def test_orthogonal_baseline_infeasible(streams_table, amc):
@@ -137,11 +138,11 @@ def _oma_oracle(ch, streams, amc, b_hz, step):
         if best is None or score > best[0] + 1e-12 or (
             score > best[0] - 1e-12 and balance < best[1] - 1e-15
         ):
-            best = (score, balance, rho.copy(), per_user)
+            best = (score, balance, rho.copy(), rates, per_user)
     if best is None:
         raise Infeasible("no bandwidth split meets every minimum quality")
-    score, _, rho, per_user = best
-    return BaselineResult(Scheme.OMA_SIMPLE, None, rho, per_user, score, snr)
+    score, _, rho, rates, per_user = best
+    return Allocation(None, rho, snr, rates, per_user, score)
 
 
 @given(small_instances())
@@ -153,6 +154,6 @@ def test_orthogonal_baseline_matches_pointwise_oracle_bitwise(amc, instance):
     if isinstance(got, type) or isinstance(want, type):
         assert got is want
         return
-    assert got.power is None and got.scheme is Scheme.OMA_SIMPLE
-    for field in ("bandwidth_frac", "per_user_psnr_db", "avg_psnr_db", "sinrs"):
+    assert got.power is None
+    for field in ("shares", "sinrs", "rates_bps", "per_user_psnr_db", "avg_psnr_db"):
         assert same_bits(getattr(got, field), getattr(want, field)), field

@@ -6,13 +6,15 @@ from nomavq import (
     ChannelState,
     GreedyConfig,
     Infeasible,
+    amc_rate,
     bounds_from_quality,
     own_sinrs,
+    psnr_of_rate,
     solve_greedy,
     solve_polyblock,
 )
-from nomavq.greedy import GreedyResult, _per_user_psnr, complexity_counters
-from nomavq.phy import build_feasible_set
+from nomavq.greedy import GreedyResult
+from nomavq.phy import build_feasible_set, power_shares
 
 from conftest import B_HZ, make_instance, outcome, same_bits, small_instances
 
@@ -104,7 +106,7 @@ def test_complexity_counters_within_bounds(streams_table, amc, n_blocks):
             except Infeasible:
                 continue
             n = ch.n_users
-            p1, p2 = complexity_counters(res)
+            p1, p2 = res.phase1_evals, res.phase2_evals
             assert 0 <= p1 <= n_blocks  # one placement per counted evaluation
             assert 0 <= p2 <= n * n * n_blocks
             done += 1
@@ -162,6 +164,11 @@ def test_finer_blocks_do_not_hurt(streams_table, amc):
         done += 1
 
 
+def _per_user_psnr(gammas, streams, amc, b_hz):
+    rates = amc.c1 * b_hz * np.log2(1.0 + np.asarray(gammas) / amc.c2)
+    return np.array([psnr_of_rate(s, float(r)) for s, r in zip(streams, rates)])
+
+
 def _greedy_oracle(ch, streams, amc, b_hz, cfg):
     """Reference greedy: one SINR evaluation per block and per candidate."""
     bounds = bounds_from_quality(streams, amc, b_hz)
@@ -203,14 +210,16 @@ def _greedy_oracle(ch, streams, amc, b_hz, cfg):
         p[best_idx] += block
         remaining -= 1
 
-    gam = own_sinrs(ch, p)
-    per_user = _per_user_psnr(np.minimum(gam, bounds.gamma_max), streams, amc, b_hz)
+    gam = np.minimum(own_sinrs(ch, p), bounds.gamma_max)
+    per_user = _per_user_psnr(gam, streams, amc, b_hz)
     return GreedyResult(
         power=p,
-        avg_psnr_db=float(np.mean(per_user)),
-        per_user_psnr_db=per_user,
+        shares=power_shares(p),
         sinrs=gam,
-        blocks_used=cfg.n_blocks - remaining,
+        rates_bps=amc_rate(b_hz, gam, amc),
+        per_user_psnr_db=per_user,
+        avg_psnr_db=float(np.mean(per_user)),
+        iterations=cfg.n_blocks - remaining,
         blocks_total=cfg.n_blocks,
         phase1_evals=phase1_evals,
         phase2_evals=phase2_evals,
@@ -227,7 +236,8 @@ def test_greedy_matches_per_candidate_oracle_bitwise(amc, instance):
     if isinstance(got, type) or isinstance(want, type):
         assert got is want
         return
-    for field in ("power", "sinrs", "per_user_psnr_db", "avg_psnr_db"):
+    for field in ("power", "shares", "sinrs", "rates_bps", "per_user_psnr_db",
+                  "avg_psnr_db"):
         assert same_bits(getattr(got, field), getattr(want, field)), field
     assert (got.blocks_used, got.blocks_total) == (want.blocks_used, want.blocks_total)
-    assert complexity_counters(got) == complexity_counters(want)
+    assert (got.phase1_evals, got.phase2_evals) == (want.phase1_evals, want.phase2_evals)

@@ -15,7 +15,7 @@ from nomavq import (
 from nomavq.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from nomavq.harness import aggregate, write_trial_csv
 from nomavq.polyblock import SolverConfig
-from nomavq.quality import load_rd_fixtures
+from nomavq.quality import load_rd_fixtures, psnr_of_rate
 
 from conftest import B_HZ
 
@@ -72,6 +72,17 @@ def test_config_parses_and_derives(tmp_path):
     {"n_enh_layers": -1},
     {"path_loss_exp": -2},
     {"seed": -5},  # SeedSequence would reject it only mid-run
+    {"mgs_weights": []},  # the rate set would collapse to the full rate
+    {"mgs_weights": ["thick", "thin"]},
+    {"snr_db": 20.0},  # a scalar, not a list
+    {"snr_db": "20"},  # a string would iterate as two SNR points
+    {"snr_db": [20.0, "loud"]},
+    {"snr_db": [float("nan")]},  # every UE would be reported at q_max
+    {"bandwidth_hz": float("inf")},
+    {"epsilon": float("nan")},  # polyblock could never certify a vertex
+    {"amc_c2": float("nan")},
+    {"n_blocks": None},
+    {"p_rtp": "low"},
 ])
 def test_config_validation_errors(broken):
     with pytest.raises(ConfigurationError):
@@ -133,6 +144,9 @@ def test_run_scenario_record_consistency():
         n = len(r.ue_ids)
         assert len(r.sinrs) == len(r.rates_bps) == len(r.psnr_db) == n
         assert r.avg_psnr_db == pytest.approx(float(np.mean(r.psnr_db)), abs=1e-12)
+        decoded = [psnr_of_rate(table[sid], rate)
+                   for sid, rate in zip(r.streams, r.rates_bps)]
+        assert r.avg_psnr_cont_db == float(np.mean(decoded))
         # snapping only moves rates down, never above the continuous rate
         for cont, snap, sid in zip(r.rates_bps, r.snapped_rates_bps, r.streams):
             assert snap <= cont * (1.0 + 1e-9) + 1e-6
@@ -173,8 +187,7 @@ def test_run_scenario_survives_solver_nonconvergence():
 
     def others(result):
         return (
-            [dataclasses.replace(r, wall_time_s=0.0) for r in result.records
-             if r.scheme != "polyblock"],
+            [r for r in result.records if r.scheme != "polyblock"],
             [e for e in result.exclusions if e[3] != "polyblock"],
         )
 
@@ -207,8 +220,11 @@ def test_cli_validate_ok_and_config_error(tmp_path, capsys):
     assert main(["validate", "--config", str(good)]) == EXIT_OK
     assert "config ok" in capsys.readouterr().out
     bad = tmp_path / "broken.yaml"
-    bad.write_text(yaml.safe_dump(_cfg_dict(snr_db=[])))
-    assert main(["validate", "--config", str(bad)]) == EXIT_CONFIG
+    for broken in ({"snr_db": []}, {"snr_db": 20.0}, {"p_rtp": "low"},
+                   {"mgs_weights": ["thick"]}):
+        bad.write_text(yaml.safe_dump(_cfg_dict(**broken)))
+        assert main(["validate", "--config", str(bad)]) == EXIT_CONFIG, broken
+        assert "config error" in capsys.readouterr().err
     assert main(["validate", "--config", str(tmp_path / "missing.yaml")]) \
         == EXIT_CONFIG
 
@@ -266,7 +282,6 @@ def test_cli_fit_rd_round_trip(tmp_path, capsys):
     points = tmp_path / "points.csv"
     rates = np.linspace(src.rate_min, src.rate_max, 12)
     rows = ["rate_bps,psnr_db"]
-    from nomavq.quality import psnr_of_rate
     rows += [f"{float(r)!r},{psnr_of_rate(src, float(r))!r}" for r in rates]
     points.write_text("\n".join(rows) + "\n")
     out = tmp_path / "fitted.csv"

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nomavq import (
     AmcParams,
     ChannelState,
+    GreedyConfig,
     Infeasible,
+    InfeasibleRate,
+    NonConvergence,
     SinrBounds,
     amc_rate,
     bounds_from_quality,
@@ -13,11 +18,15 @@ from nomavq import (
     own_sinrs,
     psnr_of_sinr,
     sinr_bound_of_psnr,
+    solve_greedy,
+    solve_noma_mt,
+    solve_oma_simple,
+    solve_polyblock,
 )
 from nomavq.phy import verify_sic_elimination
 from nomavq.quality import psnr_of_rate
 
-from conftest import B_HZ, make_instance
+from conftest import B_HZ, make_instance, same_bits, small_instances
 
 # independent arithmetic: 0.905 * 140000 * log2(1 + 10/1.34)
 AMC_RATE_AT_10 = 390377.36355918064
@@ -122,3 +131,47 @@ def test_sic_decodability_implied_on_feasible_points(amc, streams_table):
             if fset.contains(p):
                 assert verify_sic_elimination(fset, p)
                 checked += 1
+
+
+def _allocate(scheme, ch, streams, amc, n_blocks, step):
+    bounds = bounds_from_quality(streams, amc, B_HZ)
+    if scheme == "polyblock":
+        return solve_polyblock(build_feasible_set(ch, bounds), streams, amc, B_HZ)
+    if scheme == "greedy":
+        return solve_greedy(ch, streams, amc, B_HZ, GreedyConfig(n_blocks), bounds)
+    if scheme == "noma-mt":
+        return solve_noma_mt(ch, streams, amc, B_HZ, bounds)
+    return solve_oma_simple(ch, streams, amc, B_HZ, step)
+
+
+def _check_allocation_contract(scheme, amc, instance):
+    ch, streams, n_blocks, step = instance
+    try:
+        res = _allocate(scheme, ch, streams, amc, n_blocks, step)
+    except (Infeasible, InfeasibleRate, NonConvergence):
+        return
+    band_rates = amc_rate(B_HZ, res.sinrs, amc)
+    if scheme == "oma":
+        assert res.power is None
+        band_rates = res.shares * band_rates
+    assert same_bits(res.rates_bps, band_rates)
+    for k, s in enumerate(streams):
+        assert res.per_user_psnr_db[k] == psnr_of_rate(s, float(res.rates_bps[k]))
+    assert abs(float(np.sum(res.shares)) - 1.0) <= 1e-12
+    if scheme != "polyblock":
+        assert res.avg_psnr_db == float(np.mean(res.per_user_psnr_db))
+
+
+@given(small_instances(), st.sampled_from(["greedy", "noma-mt", "oma"]))
+@settings(max_examples=100, deadline=None)
+def test_fast_schemes_keep_the_allocation_contract(amc, instance, scheme):
+    # the throughput-max reference is defined for two users only
+    assume(scheme != "noma-mt" or instance[0].n_users == 2)
+    _check_allocation_contract(scheme, amc, instance)
+
+
+@given(small_instances())
+@settings(max_examples=20, deadline=None)
+def test_polyblock_keeps_the_allocation_contract(amc, instance):
+    assume(instance[0].n_users == 2)  # keeps each example short
+    _check_allocation_contract("polyblock", amc, instance)

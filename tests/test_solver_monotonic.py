@@ -205,7 +205,7 @@ def test_bounds_monotone_and_terminal_gap(streams_table, amc):
         ch, streams = make_instance(rng, streams_table)
         fset = _fset(ch, streams, amc)
         try:
-            res = solve_polyblock(fset, streams, amc, B_HZ, keep_trace=True)
+            res = solve_polyblock(fset, streams, amc, B_HZ)
         except Infeasible:
             continue
         ubs = [row[2] for row in res.trace]
@@ -380,7 +380,7 @@ def test_trace_csv_emission(tmp_path, streams_table, amc):
     rng = np.random.default_rng(53)
     ch, streams = make_instance(rng, streams_table)
     fset = _fset(ch, streams, amc)
-    res = solve_polyblock(fset, streams, amc, B_HZ, keep_trace=True)
+    res = solve_polyblock(fset, streams, amc, B_HZ)
     path = tmp_path / "trace.csv"
     write_trace_csv(res.trace, path)
     lines = path.read_text().strip().splitlines()
