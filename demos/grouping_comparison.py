@@ -17,8 +17,8 @@ n_groups = len(cfg.ues) // cfg.n_zones
 means = {}
 for strat in (GroupingStrategy.WLBH, GroupingStrategy.WRBR,
               GroupingStrategy.WHBL):
-    res = run_scenario(cfg, solvers=("greedy",), snr_db=(15.0, 25.0),
-                       grouping=strat)
+    res = run_scenario(dataclasses.replace(
+        cfg, solvers=("greedy",), snr_db=(15.0, 25.0), grouping=strat))
     cells = {}
     for r in res.records:
         cells.setdefault((r.trial, r.gop, r.snr_db), []).append(r.avg_psnr_db)

@@ -61,13 +61,13 @@ from .phy import (
     bounds_from_quality,
     build_feasible_set,
     check_feasible,
+    min_power,
     psnr_of_sinr,
     sinr_bound_of_psnr,
 )
 from .polyblock import (
     PolyblockResult,
     SolverConfig,
-    objective_psi,
     project,
     solve_polyblock,
 )

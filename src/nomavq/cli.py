@@ -23,8 +23,7 @@ from pathlib import Path
 from . import harness
 from .channel import GroupingStrategy
 from .errors import ConfigurationError, Infeasible, InfeasibleRate, NomavqError
-from .greedy import GreedyConfig
-from .polyblock import SolverConfig, write_trace_csv
+from .polyblock import write_trace_csv
 from .quality import RdPoint, dump_rd_fixtures, fit_rd_params
 
 EXIT_OK = 0
@@ -49,30 +48,28 @@ def _add_common(p):
 
 
 def _load(args) -> harness.ScenarioConfig:
-    cfg = harness.load_config(args.config)
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.epsilon is not None:
-        updates["solver_cfg"] = SolverConfig(
-            epsilon=args.epsilon, delta=cfg.solver_cfg.delta
-        )
-    if args.blocks is not None:
-        updates["greedy_cfg"] = GreedyConfig(n_blocks=args.blocks)
-    if args.out is not None:
-        updates["out_dir"] = Path(args.out)
-    if args.solver is not None and args.solver != "all":
-        updates["solvers"] = (args.solver,)
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-    return cfg
+    """The config, with the flags put under their keys before validation so
+    that they pass the same checks as the file."""
+    raw = harness.read_config(args.config)
+    flags = {
+        "seed": args.seed,
+        "epsilon": args.epsilon,
+        "n_blocks": args.blocks,
+        "out_dir": args.out,
+        "solvers": None if args.solver in (None, "all") else [args.solver],
+    }
+    if isinstance(raw, dict):
+        raw.update((k, v) for k, v in flags.items() if v is not None)
+    return harness.config_from_dict(raw)
 
 
 def _cmd_solve(args) -> int:
     cfg = _load(args)
-    cfg = dataclasses.replace(cfg, n_trials=1, gops_per_trial=1)
+    cfg = dataclasses.replace(
+        cfg, n_trials=1, gops_per_trial=1, snr_db=cfg.snr_db[:1]
+    )
     trace = [] if args.trace else None
-    result = harness.run_scenario(cfg, snr_db=cfg.snr_db[:1], trace_sink=trace)
+    result = harness.run_scenario(cfg, trace_sink=trace)
     if not result.records:
         for *_, reason in result.exclusions:
             print(f"infeasible: {reason}", file=sys.stderr)
@@ -133,7 +130,7 @@ def _cmd_grouping_compare(args) -> int:
     for strategy in (
         GroupingStrategy.WLBH, GroupingStrategy.WRBR, GroupingStrategy.WHBL
     ):
-        res = harness.run_scenario(cfg, grouping=strategy)
+        res = harness.run_scenario(dataclasses.replace(cfg, grouping=strategy))
         records.extend(res.records)
         exclusions.extend(res.exclusions)
     combined = harness.ScenarioResult(records, exclusions, cfg)

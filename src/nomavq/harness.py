@@ -89,6 +89,14 @@ class ScenarioConfig:
         return table
 
 
+def _cast(x, cast):
+    """``cast(x)``, refusing to truncate a non-integral value to an int."""
+    v = cast(x)
+    if cast is int and v != float(x):
+        raise ValueError(x)
+    return v
+
+
 def _number(d, key, cast=float, default=None, allow_zero=False):
     """Read a finite positive number (nonnegative with ``allow_zero``) from
     the config. A missing key takes ``default``; without one it is required.
@@ -96,11 +104,12 @@ def _number(d, key, cast=float, default=None, allow_zero=False):
     if key not in d and default is not None:
         return default
     try:
-        v = cast(d[key])
+        v = _cast(d[key], cast)
     except KeyError:
         raise ConfigurationError(f"missing config key: {key}")
     except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(f"config key {key} is not a number: {d[key]!r}")
+        kind = "whole number" if cast is int else "number"
+        raise ConfigurationError(f"config key {key} is not a {kind}: {d[key]!r}")
     if not np.isfinite(v) or v < 0 or (v == 0 and not allow_zero):
         kind = "nonnegative" if allow_zero else "positive"
         raise ConfigurationError(f"config key {key} must be finite and {kind}, got {v}")
@@ -111,11 +120,12 @@ def _numbers(d, key, cast, default):
     """Read a nonempty list of finite numbers from the config."""
     v = d.get(key, default)
     try:
-        vals = tuple(cast(x) for x in v) if isinstance(v, (list, tuple)) else ()
+        vals = tuple(_cast(x, cast) for x in v) if isinstance(v, (list, tuple)) else ()
     except (TypeError, ValueError, OverflowError):
         vals = ()
     if not vals or not np.all(np.isfinite(vals)):
-        raise ConfigurationError(f"config key {key} must be a nonempty number list: {v!r}")
+        kind = "whole number" if cast is int else "number"
+        raise ConfigurationError(f"config key {key} must be a nonempty {kind} list: {v!r}")
     return vals
 
 
@@ -203,15 +213,19 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     )
 
 
-def load_config(path) -> ScenarioConfig:
+def read_config(path):
+    """The parsed YAML of a config file, before validation."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            return yaml.safe_load(fh)
     except OSError as e:
         raise ConfigurationError(f"cannot read config: {e}")
     except yaml.YAMLError as e:
         raise ConfigurationError(f"config is not valid YAML: {e}")
-    return config_from_dict(raw)
+
+
+def load_config(path) -> ScenarioConfig:
+    return config_from_dict(read_config(path))
 
 
 # ---------------------------------------------------------------------------
@@ -312,25 +326,15 @@ def _instance_seed(cfg, trial, gop, salt):
     return np.random.SeedSequence((cfg.seed, trial, gop, salt))
 
 
-def run_scenario(
-    cfg: ScenarioConfig,
-    solvers=None,
-    snr_db=None,
-    grouping: GroupingStrategy | None = None,
-    trace_sink: list | None = None,
-) -> ScenarioResult:
+def run_scenario(cfg: ScenarioConfig, trace_sink: list | None = None) -> ScenarioResult:
     """Execute the Monte Carlo loop and return all trial records.
 
-    ``solvers``, ``snr_db`` and ``grouping`` override the config when given
-    (the sweep and comparison commands reuse one config this way). Fading is
-    drawn per (trial, GOP) and shared across the SNR sweep, so per-SNR
-    aggregates are paired comparisons. Infeasible instances, and instances
-    whose solver hits an iteration cap (reason prefixed ``NonConvergence: ``),
-    are recorded in ``exclusions`` and skipped, never fatal.
+    Fading is drawn per (trial, GOP) and shared across the SNR sweep, so
+    per-SNR aggregates are paired comparisons. Infeasible instances, and
+    instances whose solver hits an iteration cap (reason prefixed
+    ``NonConvergence: ``), are recorded in ``exclusions`` and skipped, never
+    fatal. ``trace_sink`` collects every polyblock iteration trace.
     """
-    solvers = tuple(solvers) if solvers is not None else cfg.solvers
-    snrs = tuple(snr_db) if snr_db is not None else cfg.snr_db
-    strategy = grouping if grouping is not None else cfg.grouping
     table = cfg.load_streams()
     zoned = partition_zones(list(cfg.ues), cfg.n_zones)
     rate_sets = {
@@ -349,14 +353,14 @@ def run_scenario(
             group_seed = int(
                 _instance_seed(cfg, trial, gop, 1).generate_state(1)[0]
             )
-            groups = group_users(zoned, strategy, seed=group_seed)
+            groups = group_users(zoned, cfg.grouping, seed=group_seed)
             for g_idx, group in enumerate(groups):
                 # SIC ordering follows the realized gains, not the zones
                 members = sorted(group, key=lambda u: fading[u.id])
                 gains = np.array([fading[u.id] for u in members])
                 streams = [table[u.requested_stream] for u in members]
                 bounds = bounds_from_quality(streams, cfg.amc, cfg.bandwidth_hz)
-                for snr in snrs:
+                for snr in cfg.snr_db:
                     ch = ChannelState(
                         gains_sq=gains,
                         noise_var=cfg.noise_var(snr),
@@ -364,7 +368,7 @@ def run_scenario(
                         power_budget_w=cfg.power_budget_w,
                         path_loss_exp=cfg.path_loss_exp,
                     )
-                    for scheme in solvers:
+                    for scheme in cfg.solvers:
                         try:
                             res = _run_scheme(scheme, ch, streams, bounds, cfg)
                         except (Infeasible, InfeasibleRate) as e:
@@ -393,7 +397,7 @@ def run_scenario(
                             group=g_idx,
                             scheme=scheme,
                             snr_db=snr,
-                            grouping=strategy.value,
+                            grouping=cfg.grouping.value,
                             ue_ids=tuple(u.id for u in members),
                             streams=tuple(s.stream_id for s in streams),
                             sinrs=tuple(float(x) for x in res.sinrs),

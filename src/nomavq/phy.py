@@ -1,20 +1,20 @@
-"""PHY-layer rate model and the linear feasible power set.
+"""PHY-layer rate model, the linear feasible power set and minimal SIC power.
 
 The AMC achievable rate is c1 * B * log2(1 + gamma/c2). Composing it with the
 stream's rate-PSNR curve links PSNR directly to SINR, and the per-user quality
 bounds (Q_min, Q_max) translate into SINR box bounds (gamma_min, gamma_max).
 Those box bounds, together with the power budget, linearize into a bounded
-polytope over the power vector.
+polytope over the power vector. Whether that polytope is empty has a closed
+form: the least power that meets gamma_min must fit the budget.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelState, own_sinrs
+from .channel import ChannelState
 from .errors import Infeasible
 from .quality import RdParams, psnr_of_rate, rate_of_psnr
 
@@ -29,7 +29,7 @@ class AmcParams:
     def __post_init__(self):
         if not 0 < self.c1 <= 1:
             raise ValueError("c1 must be in (0, 1]")
-        if self.c2 < 1:
+        if not self.c2 >= 1:  # also rejects NaN
             raise ValueError("c2 must be >= 1")
 
 
@@ -113,26 +113,14 @@ def bounds_from_quality(
 class FeasiblePowerSet:
     """Bounded polytope {p >= 0 : A p <= b} of budget + SINR box constraints.
 
-    Nonnegativity is kept implicit (the LP layer enforces p >= 0); every
-    explicit row is tagged so the system stays auditable: 'budget',
-    'gamma_min:<n>' or 'gamma_max:<n>'.
+    Nonnegativity is kept implicit (the LP layer enforces p >= 0). The rows
+    are the budget, then gamma_min and gamma_max of each UE in turn.
     """
 
     a_ub: np.ndarray
     b_ub: np.ndarray
-    row_tags: tuple
     channel: ChannelState
     bounds: SinrBounds
-
-    @property
-    def n_vars(self) -> int:
-        return self.a_ub.shape[1]
-
-    def contains(self, p: np.ndarray, tol: float = 1e-9) -> bool:
-        p = np.asarray(p, dtype=float)
-        if np.any(p < -tol):
-            return False
-        return bool(np.all(self.a_ub @ p <= self.b_ub + tol))
 
 
 def build_feasible_set(ch: ChannelState, bounds: SinrBounds) -> FeasiblePowerSet:
@@ -147,10 +135,7 @@ def build_feasible_set(ch: ChannelState, bounds: SinrBounds) -> FeasiblePowerSet
     n = ch.n_users
     if len(bounds.gamma_min) != n:
         raise ValueError("bounds dimension mismatch")
-    rows, rhs, tags = [], [], []
-    rows.append(np.ones(n))
-    rhs.append(ch.power_budget_w)
-    tags.append("budget")
+    rows, rhs = [np.ones(n)], [ch.power_budget_w]
     for k in range(n):
         g = ch.gains_sq[k]
         tail = np.zeros(n)
@@ -159,47 +144,38 @@ def build_feasible_set(ch: ChannelState, bounds: SinrBounds) -> FeasiblePowerSet
         own[k] = g
         rows.append(-(own - bounds.gamma_min[k] * tail))
         rhs.append(-bounds.gamma_min[k] * ch.noise_var)
-        tags.append(f"gamma_min:{k}")
         rows.append(own - bounds.gamma_max[k] * tail)
         rhs.append(bounds.gamma_max[k] * ch.noise_var)
-        tags.append(f"gamma_max:{k}")
     return FeasiblePowerSet(
-        a_ub=np.array(rows), b_ub=np.array(rhs), row_tags=tuple(tags),
-        channel=ch, bounds=bounds,
+        a_ub=np.array(rows), b_ub=np.array(rhs), channel=ch, bounds=bounds
     )
 
 
+def min_power(ch: ChannelState, gamma) -> np.ndarray:
+    """Least power vector at which every UE reaches SINR ``gamma`` under SIC.
+
+    UE n sees only the stronger UEs' streams as interference, so
+    back-substitution from the strongest UE down gives
+    p_n = gamma_n (sum_{i>n} p_i + sigma^2 / |h_n|^2). Every power vector
+    reaching ``gamma`` dominates it componentwise.
+    """
+    p = np.zeros(ch.n_users)
+    tail = 0.0  # running sum of the stronger UEs' powers
+    for k in range(ch.n_users - 1, -1, -1):
+        p[k] = gamma[k] * (tail + ch.noise_var / ch.gains_sq[k])
+        tail += p[k]
+    return p
+
+
 def check_feasible(fset: FeasiblePowerSet) -> np.ndarray:
-    """Return one feasible power vector, or raise Infeasible."""
-    from .lp import solve_lp  # local import: lp depends on nothing here
+    """Return the least power vector in the set, or raise Infeasible.
 
-    n = fset.n_vars
-    # maximize the worst slack; feasible iff the optimum is >= 0
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    a = np.column_stack([fset.a_ub, np.ones(len(fset.b_ub))])
-    opt, x = solve_lp(c, a, fset.b_ub, free_vars=(n,))
-    if opt < -1e-9:
-        raise Infeasible("SINR bounds incompatible with power budget")
-    return x[:n]
-
-
-def verify_sic_elimination(
-    fset: FeasiblePowerSet, p: np.ndarray, tol: float = 1e-9
-) -> bool:
-    """Check that cross-decoding SINRs dominate own SINRs for a feasible p.
-
-    For any feasible p with positive entries, UE n decoding the stream of a
-    weaker UE t<n sees at least the SINR UE t itself sees, so no separate
-    decodability constraints are needed.
+    Every power vector meeting gamma_min dominates ``min_power`` at
+    gamma_min, so the set is empty exactly when that vector overruns the
+    budget. At it each UE sees exactly gamma_min < gamma_max.
     """
     ch = fset.channel
-    own = own_sinrs(ch, p)
-    p = np.asarray(p, dtype=float)
-    for n in range(ch.n_users):
-        for t in range(n):
-            g = ch.gains_sq[n]
-            cross = g * p[t] / (g * np.sum(p[t + 1:]) + ch.noise_var)
-            if cross < own[t] - tol:
-                return False
-    return True
+    p = min_power(ch, fset.bounds.gamma_min)
+    if np.sum(p) > ch.power_budget_w + 1e-9:
+        raise Infeasible("SINR bounds incompatible with power budget")
+    return p

@@ -24,7 +24,7 @@ from .errors import Infeasible, NonConvergence
 from .lp import solve_lp
 from .phy import (Allocation, AmcParams, FeasiblePowerSet, amc_rate,
                   check_feasible, power_shares)
-from .quality import PEAK_SQ, RdParams, psnr_of_rate
+from .quality import RdParams, psnr_of_rate
 
 
 @dataclass
@@ -32,11 +32,10 @@ class SolverConfig:
     epsilon: float = 1e-3  # relative termination tolerance in SINR space
     delta: float = 1e-6  # Dinkelbach residual tolerance
     max_iterations: int = 10_000
-    lp_tolerance: float = 1e-9
     gap_tol_db: float = 0.02  # required certificate: upper bound - incumbent
 
     def __post_init__(self):
-        if min(self.epsilon, self.delta, self.lp_tolerance) <= 0:
+        if not (self.epsilon > 0 and self.delta > 0):  # also rejects NaN
             raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
@@ -71,25 +70,6 @@ class PolyblockResult(Allocation):
     trace: list = field(default_factory=list)
 
 
-def objective_psi(z, streams: list[RdParams], amc: AmcParams, b_hz: float) -> float:
-    """Average PSNR (dB) at SINR vector z, in the exact product-log form.
-
-    Every z_n must lie on its stream's feasible SINR band; a nonpositive
-    factor (SINR below the minimum-quality band) is a domain error.
-    """
-    z = np.asarray(z, dtype=float)
-    n = len(z)
-    rates = amc.c1 * b_hz * np.log2(1.0 + z / amc.c2)
-    factors = np.array(
-        [s.theta / (r - s.beta) - s.alpha for s, r in zip(streams, rates)]
-    )
-    if np.any(rates - np.array([s.beta for s in streams]) <= 0) or np.any(factors <= 0):
-        raise ValueError("SINR outside the feasible quality band")
-    return float(
-        -10.0 / n * np.sum(np.log10(factors)) + 10.0 * math.log10(PEAK_SQ)
-    )
-
-
 def mean_psnr(z, streams, amc, b_hz) -> float:
     """Average PSNR with saturation at each stream's q_max (decode semantics)."""
     rates = amc.c1 * b_hz * np.log2(1.0 + np.asarray(z, dtype=float) / amc.c2)
@@ -98,7 +78,7 @@ def mean_psnr(z, streams, amc, b_hz) -> float:
     )
 
 
-def _dinkelbach_lp(fset: FeasiblePowerSet, v, lam, tol):
+def _dinkelbach_lp(fset: FeasiblePowerSet, v, lam):
     """One inner subproblem: max_P min_n {f_n(P) - lam v_n xi_n(P)} in epigraph form."""
     ch = fset.channel
     n = ch.n_users
@@ -115,7 +95,7 @@ def _dinkelbach_lp(fset: FeasiblePowerSet, v, lam, tol):
     b = np.concatenate([rhs, fset.b_ub])
     c = np.zeros(n + 1)
     c[-1] = 1.0
-    opt, x = solve_lp(c, a, b, free_vars=(n,), tol=tol)
+    opt, x = solve_lp(c, a, b, free_vars=(n,))
     return opt, x[:n]
 
 
@@ -141,7 +121,7 @@ def project(
     lam = lam0
     power = None
     for _ in range(cfg.max_iterations):
-        val, p = _dinkelbach_lp(fset, v, lam, cfg.lp_tolerance)
+        val, p = _dinkelbach_lp(fset, v, lam)
         gammas = own_sinrs(ch, p)
         with np.errstate(over="ignore"):
             new_lam = float(np.min(gammas / v))

@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 from nomavq import (
     AmcParams,
     ChannelState,
+    Infeasible,
     load_rd_fixtures,
+    own_sinrs,
+    solve_lp,
 )
 
 B_HZ = 140000.0
@@ -65,6 +68,47 @@ def small_instances(draw):
     n_blocks = draw(st.integers(min_value=1, max_value=200))
     step = draw(st.sampled_from([0.01, 0.05]))
     return ch, streams, n_blocks, step
+
+
+def contains(fset, p, tol=1e-9):
+    """Membership of power vector ``p`` in the linearized feasible set."""
+    p = np.asarray(p, dtype=float)
+    if np.any(p < -tol):
+        return False
+    return bool(np.all(fset.a_ub @ p <= fset.b_ub + tol))
+
+
+def lp_check_feasible(fset):
+    """The simplex feasibility check that ``check_feasible`` replaced:
+    one feasible power vector, or Infeasible."""
+    n = fset.a_ub.shape[1]
+    # maximize the worst slack; feasible iff the optimum is >= 0
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    a = np.column_stack([fset.a_ub, np.ones(len(fset.b_ub))])
+    opt, x = solve_lp(c, a, fset.b_ub, free_vars=(n,))
+    if opt < -1e-9:
+        raise Infeasible("SINR bounds incompatible with power budget")
+    return x[:n]
+
+
+def verify_sic_elimination(fset, p, tol=1e-9):
+    """Check that cross-decoding SINRs dominate own SINRs for a feasible p.
+
+    For any feasible p with positive entries, UE n decoding the stream of a
+    weaker UE t<n sees at least the SINR UE t itself sees, so no separate
+    decodability constraints are needed.
+    """
+    ch = fset.channel
+    own = own_sinrs(ch, p)
+    p = np.asarray(p, dtype=float)
+    for n in range(ch.n_users):
+        for t in range(n):
+            g = ch.gains_sq[n]
+            cross = g * p[t] / (g * np.sum(p[t + 1:]) + ch.noise_var)
+            if cross < own[t] - tol:
+                return False
+    return True
 
 
 def outcome(fn, *args):

@@ -30,10 +30,9 @@ from nomavq import (
     solve_lp,
     solve_polyblock,
 )
-from nomavq.phy import verify_sic_elimination
 from nomavq.quality import PEAK_SQ, rate_of_psnr
 
-from conftest import B_HZ, make_instance
+from conftest import B_HZ, contains, make_instance, verify_sic_elimination
 from test_greedy import _three_user
 from test_lp import _oracle_lp
 
@@ -56,8 +55,8 @@ def grouping_runs(default_cfg):
     """Greedy-only reruns of the scenario under each grouping strategy."""
     cfg = dataclasses.replace(default_cfg, n_trials=300)
     return {
-        strat: run_scenario(cfg, solvers=("greedy",), snr_db=(15.0, 25.0),
-                            grouping=strat)
+        strat: run_scenario(dataclasses.replace(
+            cfg, solvers=("greedy",), snr_db=(15.0, 25.0), grouping=strat))
         for strat in (GroupingStrategy.WLBH, GroupingStrategy.WRBR,
                       GroupingStrategy.WHBL)
     }
@@ -321,7 +320,7 @@ def test_criterion_8_model_round_trips(streams_table, amc, acceptance_report):
             and np.all(gam >= bounds.gamma_min)
             and np.all(gam <= bounds.gamma_max)
         )
-        member = fset.contains(p, tol=1e-9)
+        member = contains(fset, p, tol=1e-9)
         agree += member == direct
         if member:
             n_feas += 1

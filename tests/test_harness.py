@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from nomavq import (
+    AmcParams,
     ConfigurationError,
     config_from_dict,
     discrete_rate_set,
@@ -83,6 +84,11 @@ def test_config_parses_and_derives(tmp_path):
     {"amc_c2": float("nan")},
     {"n_blocks": None},
     {"p_rtp": "low"},
+    # integer keys must not be truncated
+    {"n_trials": 2.5},
+    {"n_blocks": 99.9},
+    {"n_zones": 2.5},
+    {"mgs_weights": [2.5, 1.9]},
 ])
 def test_config_validation_errors(broken):
     with pytest.raises(ConfigurationError):
@@ -92,6 +98,22 @@ def test_config_validation_errors(broken):
 def test_config_accepts_base_layer_only_and_seed_zero():
     cfg = config_from_dict(_cfg_dict(n_enh_layers=0, seed=0))
     assert (cfg.n_enh_layers, cfg.seed) == (0, 0)
+
+
+def test_config_accepts_integral_floats_for_integer_keys():
+    cfg = config_from_dict(_cfg_dict(n_trials=2.0, mgs_weights=[4.0, 3]))
+    assert (cfg.n_trials, cfg.mgs_weights) == (2, (4, 3))
+    assert type(cfg.n_trials) is int
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SolverConfig(epsilon=float("nan")),
+    lambda: SolverConfig(delta=float("nan")),
+    lambda: AmcParams(c2=float("nan")),
+])
+def test_constructors_reject_nan(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_config_unknown_stream_detected():
@@ -178,7 +200,7 @@ def test_run_scenario_survives_solver_nonconvergence():
     )
     capped = run_scenario(dataclasses.replace(
         cfg, solver_cfg=SolverConfig(max_iterations=1)))
-    reference = run_scenario(cfg, solvers=("greedy", "oma"))
+    reference = run_scenario(dataclasses.replace(cfg, solvers=("greedy", "oma")))
 
     assert not [r for r in capped.records if r.scheme == "polyblock"]
     reasons = [e[5] for e in capped.exclusions if e[3] == "polyblock"]
@@ -227,6 +249,15 @@ def test_cli_validate_ok_and_config_error(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
     assert main(["validate", "--config", str(tmp_path / "missing.yaml")]) \
         == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flag", [
+    ["--epsilon", "nan"], ["--epsilon", "-1"], ["--blocks", "0"], ["--seed", "-1"],
+])
+def test_cli_overrides_pass_the_config_checks(tmp_path, capsys, flag):
+    code = main(["solve", "--config", str(_write_cfg(tmp_path)), *flag])
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_simulate_writes_outputs(tmp_path):

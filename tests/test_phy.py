@@ -15,6 +15,7 @@ from nomavq import (
     bounds_from_quality,
     build_feasible_set,
     check_feasible,
+    min_power,
     own_sinrs,
     psnr_of_sinr,
     sinr_bound_of_psnr,
@@ -23,10 +24,10 @@ from nomavq import (
     solve_oma_simple,
     solve_polyblock,
 )
-from nomavq.phy import verify_sic_elimination
 from nomavq.quality import psnr_of_rate
 
-from conftest import B_HZ, make_instance, same_bits, small_instances
+from conftest import (_TABLE, B_HZ, contains, lp_check_feasible, make_instance,
+                      outcome, same_bits, small_instances, verify_sic_elimination)
 
 # independent arithmetic: 0.905 * 140000 * log2(1 + 10/1.34)
 AMC_RATE_AT_10 = 390377.36355918064
@@ -79,9 +80,6 @@ def test_feasible_set_rows_and_tags():
     bounds = SinrBounds(gamma_min=np.array([0.5, 1.0]),
                         gamma_max=np.array([5.0, 20.0]))
     fset = build_feasible_set(ch, bounds)
-    assert fset.row_tags == (
-        "budget", "gamma_min:0", "gamma_max:0", "gamma_min:1", "gamma_max:1"
-    )
     # membership agrees with direct SINR evaluation on sampled power vectors
     rng = np.random.default_rng(1)
     agree = 0
@@ -93,7 +91,7 @@ def test_feasible_set_rows_and_tags():
             and np.all(gam >= bounds.gamma_min)
             and np.all(gam <= bounds.gamma_max)
         )
-        assert fset.contains(p, tol=1e-9) == direct
+        assert contains(fset, p, tol=1e-9) == direct
         agree += direct
     assert agree > 0  # the sample actually exercised both outcomes
 
@@ -105,7 +103,7 @@ def test_check_feasible_returns_member_point():
                         gamma_max=np.array([5.0, 20.0]))
     fset = build_feasible_set(ch, bounds)
     p = check_feasible(fset)
-    assert fset.contains(p, tol=1e-7)
+    assert contains(fset, p, tol=1e-7)
 
 
 def test_check_feasible_raises_on_empty_polytope():
@@ -115,6 +113,45 @@ def test_check_feasible_raises_on_empty_polytope():
                         gamma_max=np.array([60.0, 20.0]))
     with pytest.raises(Infeasible):
         check_feasible(build_feasible_set(ch, bounds))
+
+
+@st.composite
+def _budget_near_minimum(draw):
+    """A 1- to 3-user power set whose budget is the least total power
+    for gamma_min times a drawn factor in [0.5, 2]."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    gains = np.sort(draw(st.lists(st.floats(min_value=0.01, max_value=1.0),
+                                  min_size=n, max_size=n)))
+    noise = 10.0 ** (-draw(st.floats(min_value=10.0, max_value=40.0)) / 10.0)
+    names = draw(st.lists(st.sampled_from(sorted(_TABLE)), min_size=n, max_size=n))
+    bounds = bounds_from_quality([_TABLE[k] for k in names], AmcParams(), B_HZ)
+    # the scale comes from the plain SIC recursion, not from min_power
+    need = 0.0
+    for k in range(n - 1, -1, -1):
+        need += bounds.gamma_min[k] * (need + noise / gains[k])
+    ch = ChannelState(gains_sq=gains, noise_var=noise, bandwidth_hz=B_HZ,
+                      power_budget_w=need * draw(st.floats(min_value=0.5, max_value=2.0)))
+    return build_feasible_set(ch, bounds)
+
+
+@given(_budget_near_minimum())
+@settings(max_examples=500, deadline=None)
+def test_check_feasible_matches_lp_oracle(fset):
+    got = outcome(check_feasible, fset)
+    want = outcome(lp_check_feasible, fset)
+    ch, g_min = fset.channel, fset.bounds.gamma_min
+    if isinstance(got, type) or isinstance(want, type):
+        # The simplex lets each of its rows miss by 1e-9, which in total power
+        # can exceed the 1e-9 W the closed form allows: only there may it
+        # accept a set whose least power overruns the budget (by 6.7e-8 W at
+        # most in 20,000 draws).
+        overrun = float(np.sum(min_power(ch, g_min))) - ch.power_budget_w
+        assert got is want or (got is Infeasible and overrun <= 1e-6)
+        return
+    # every UE sits exactly on its lower SINR bound ...
+    assert np.all(np.abs(own_sinrs(ch, got) - g_min) <= 1e-12 * g_min)
+    # ... with no more power than the simplex's feasible point
+    assert np.all(got <= want + 1e-9)
 
 
 def test_sic_decodability_implied_on_feasible_points(amc, streams_table):
@@ -128,7 +165,7 @@ def test_sic_decodability_implied_on_feasible_points(amc, streams_table):
         fset = build_feasible_set(ch, bounds)
         for _ in range(50):
             p = rng.uniform(0, 1.0, 2)
-            if fset.contains(p):
+            if contains(fset, p):
                 assert verify_sic_elimination(fset, p)
                 checked += 1
 

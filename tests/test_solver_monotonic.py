@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from nomavq import (
     SolverConfig,
     bounds_from_quality,
     build_feasible_set,
-    objective_psi,
     own_sinrs,
     project,
     psnr_of_sinr,
@@ -23,10 +24,30 @@ from nomavq.polyblock import (
     prune_vertices,
     write_trace_csv,
 )
+from nomavq.quality import PEAK_SQ
 
 from conftest import B_HZ, make_instance
 
 CFG = SolverConfig()
+
+
+def objective_psi(z, streams, amc, b_hz):
+    """Average PSNR (dB) at SINR vector z, in the exact product-log form.
+
+    Every z_n must lie on its stream's feasible SINR band; a nonpositive
+    factor (SINR below the minimum-quality band) is a domain error.
+    """
+    z = np.asarray(z, dtype=float)
+    n = len(z)
+    rates = amc.c1 * b_hz * np.log2(1.0 + z / amc.c2)
+    factors = np.array(
+        [s.theta / (r - s.beta) - s.alpha for s, r in zip(streams, rates)]
+    )
+    if np.any(rates - np.array([s.beta for s in streams]) <= 0) or np.any(factors <= 0):
+        raise ValueError("SINR outside the feasible quality band")
+    return float(
+        -10.0 / n * np.sum(np.log10(factors)) + 10.0 * math.log10(PEAK_SQ)
+    )
 
 
 def _fset(ch, streams, amc):
