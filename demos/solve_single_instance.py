@@ -37,7 +37,6 @@ for d in (3.0, 1.0):
 ch = ChannelState(
     gains_sq=np.sort(gains),
     noise_var=P_MAX_W / 10 ** (SNR_DB / 10),
-    bandwidth_hz=B_HZ,
     power_budget_w=P_MAX_W,
 )
 amc = AmcParams()

@@ -12,7 +12,6 @@ from .channel import (
     ChannelState,
     Complexity,
     GroupingStrategy,
-    PowerVector,
     QualityReq,
     UserEquipment,
     group_users,

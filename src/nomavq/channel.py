@@ -8,7 +8,7 @@ noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -58,9 +58,7 @@ class ChannelState:
 
     gains_sq: np.ndarray  # |h_n|^2, nondecreasing
     noise_var: float  # sigma^2 [W]
-    bandwidth_hz: float
     power_budget_w: float
-    path_loss_exp: float = 2.0
 
     def __post_init__(self):
         g = np.asarray(self.gains_sq, dtype=float)
@@ -69,27 +67,12 @@ class ChannelState:
             raise ValueError("channel gains must be strictly positive")
         if np.any(np.diff(g) < 0):
             raise ValueError("gains_sq must be nondecreasing (SIC ordering)")
-        if self.noise_var <= 0 or self.bandwidth_hz <= 0 or self.power_budget_w <= 0:
-            raise ValueError("noise_var, bandwidth_hz, power_budget_w must be positive")
+        if self.noise_var <= 0 or self.power_budget_w <= 0:
+            raise ValueError("noise_var and power_budget_w must be positive")
 
     @property
     def n_users(self) -> int:
         return len(self.gains_sq)
-
-
-@dataclass(frozen=True)
-class PowerVector:
-    p: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        object.__setattr__(self, "p", p)
-        if np.any(p < 0):
-            raise ValueError("powers must be nonnegative")
-
-    def check_budget(self, budget: float, tol: float = 1e-9):
-        if float(np.sum(self.p)) > budget + tol:
-            raise ValueError("power vector exceeds budget")
 
 
 def channel_gain(g: complex, distance_m: float, path_loss_exp: float) -> complex:
@@ -198,7 +181,7 @@ def group_users(
     return groups
 
 
-def sinr(ch: ChannelState, p: PowerVector, detector: int, target: int) -> float:
+def sinr(ch: ChannelState, p: np.ndarray, detector: int, target: int) -> float:
     """SINR at UE ``detector`` when decoding the signal of UE ``target``.
 
     Indices are 0-based with weakest channel first; requires target <= detector
@@ -208,8 +191,8 @@ def sinr(ch: ChannelState, p: PowerVector, detector: int, target: int) -> float:
     if t > n:
         raise ValueError("SIC cannot decode a stronger-indexed user's signal")
     g = ch.gains_sq[n]
-    interference = g * float(np.sum(p.p[t + 1:]))
-    return g * p.p[t] / (interference + ch.noise_var)
+    interference = g * float(np.sum(p[t + 1:]))
+    return g * p[t] / (interference + ch.noise_var)
 
 
 def own_sinrs(ch: ChannelState, p: np.ndarray) -> np.ndarray:

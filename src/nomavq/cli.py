@@ -3,7 +3,6 @@
 Subcommands:
   solve             one channel instance, prints the allocation and PSNR
   simulate          full Monte Carlo scenario, CSV output
-  sweep-snr         scenario restricted to the SNR sweep aggregate
   grouping-compare  rerun the scenario under each grouping strategy
   fit-rd            fit rate-quality parameters to an R-D points file
   validate          parse and check a scenario config
@@ -113,17 +112,6 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep_snr(args) -> int:
-    cfg = _load(args)
-    result = harness.run_scenario(cfg)
-    tables = harness.aggregate(result)
-    paths = harness.write_aggregates(
-        {"mean_psnr": tables["mean_psnr"]}, cfg.out_dir
-    )
-    print(f"SNR sweep over {sorted(set(cfg.snr_db))} -> {paths['mean_psnr']}")
-    return EXIT_OK
-
-
 def _cmd_grouping_compare(args) -> int:
     cfg = _load(args)
     records, exclusions = [], []
@@ -203,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, func, help_text in (
         ("simulate", _cmd_simulate, "run the full Monte Carlo scenario"),
-        ("sweep-snr", _cmd_sweep_snr, "aggregate mean PSNR over the SNR sweep"),
         ("grouping-compare", _cmd_grouping_compare,
          "compare stream-to-zone grouping strategies"),
     ):

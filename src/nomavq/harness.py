@@ -155,15 +155,22 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     if len(ues) % n_zones != 0:
         raise ConfigurationError("UE count must be a multiple of n_zones")
     snr_db = _numbers(d, "snr_db", float, [15.0])
+    if len(set(snr_db)) != len(snr_db):
+        raise ConfigurationError(f"config key snr_db repeats a value: {list(snr_db)}")
 
     try:
         grouping = GroupingStrategy(d.get("grouping", "ByIndex"))
     except ValueError:
         raise ConfigurationError(f"unknown grouping strategy: {d.get('grouping')!r}")
-    solvers = tuple(d.get("solvers", list(SCHEMES)))
+    solvers = d.get("solvers", list(SCHEMES))
+    if not isinstance(solvers, (list, tuple)) or not solvers:
+        raise ConfigurationError(f"config key solvers must be a nonempty list: {solvers!r}")
     for s in solvers:
         if s not in SCHEMES:
             raise ConfigurationError(f"unknown scheme {s!r}; choose from {SCHEMES}")
+    if len(set(solvers)) != len(solvers):
+        raise ConfigurationError(f"config key solvers repeats a scheme: {solvers}")
+    solvers = tuple(solvers)
     if "noma-mt" in solvers and n_zones != 2:
         raise ConfigurationError("the noma-mt reference scheme needs exactly 2 zones")
 
@@ -364,9 +371,7 @@ def run_scenario(cfg: ScenarioConfig, trace_sink: list | None = None) -> Scenari
                     ch = ChannelState(
                         gains_sq=gains,
                         noise_var=cfg.noise_var(snr),
-                        bandwidth_hz=cfg.bandwidth_hz,
                         power_budget_w=cfg.power_budget_w,
-                        path_loss_exp=cfg.path_loss_exp,
                     )
                     for scheme in cfg.solvers:
                         try:
@@ -468,8 +473,6 @@ def aggregate(result: ScenarioResult) -> dict:
                   weakest-channel UE
       grouping_psnr: (grouping, snr_db, stream) -> mean per-UE PSNR
     """
-    if not result.records:
-        raise ValueError("no records to aggregate")
     excl = result.exclusion_counts()
 
     def mean_over(keyfunc, valfunc):

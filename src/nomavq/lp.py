@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import Infeasible, NonConvergence, Unbounded
 
+TOL = 1e-9  # pivot, ratio-test and optimality tolerance
+
 
 def _pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int):
     t[row] /= t[row, col]
@@ -23,7 +25,7 @@ def _pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int):
     basis[row] = col
 
 
-def _run_simplex(t, basis, cost, n_cols, tol, max_iter):
+def _run_simplex(t, basis, cost, n_cols, max_iter):
     """Maximize over the tableau in place; ``cost`` is the objective row.
 
     Optimality is tested before each of at most ``max_iter`` pivots and once
@@ -32,20 +34,20 @@ def _run_simplex(t, basis, cost, n_cols, tol, max_iter):
     for pivots in range(max_iter + 1):
         # reduced costs: c_j - c_B . B^-1 A_j
         reduced = cost[:n_cols] - cost[basis] @ t[:, :n_cols]
-        improving = np.flatnonzero(reduced > tol)
+        improving = np.flatnonzero(reduced > TOL)
         if improving.size == 0:
             return
         if pivots == max_iter:
             break
         entering = int(improving[0])  # Bland: lowest improving index
         col = t[:, entering]
-        mask = col > tol
+        mask = col > TOL
         if not mask.any():
             raise Unbounded("objective unbounded over the feasible polytope")
         ratios = np.full(t.shape[0], np.inf)
         ratios[mask] = t[mask, -1] / col[mask]
         best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + tol)
+        ties = np.flatnonzero(ratios <= best + TOL)
         leaving = int(ties[np.argmin(basis[ties])])  # Bland: lowest basis index
         _pivot(t, basis, leaving, entering)
     raise NonConvergence(
@@ -58,7 +60,6 @@ def solve_lp(
     a_ub,
     b_ub,
     free_vars: tuple = (),
-    tol: float = 1e-9,
     max_iter: int = 20000,
 ):
     """Solve max c.x s.t. a_ub x <= b_ub, x >= 0 (x_j free for j in free_vars).
@@ -98,7 +99,6 @@ def solve_lp(
     n_cols = n_ext + m + n_art
 
     basis = np.empty(m, dtype=int)
-    art_idx = np.flatnonzero(neg)
     k = 0
     for r in range(m):
         if neg[r]:
@@ -110,14 +110,14 @@ def solve_lp(
     if n_art:
         phase1 = np.zeros(n_cols)
         phase1[n_ext + m:] = -1.0
-        _run_simplex(tableau, basis, phase1, n_cols, tol, max_iter)
+        _run_simplex(tableau, basis, phase1, n_cols, max_iter)
         if -float(phase1[basis] @ tableau[:, -1]) > 1e-7:
             raise Infeasible("no point satisfies the constraint system")
         # pivot any artificial variable out of the basis where possible
         for r in range(m):
             if basis[r] >= n_ext + m:
                 for j in range(n_ext + m):
-                    if abs(tableau[r, j]) > tol:
+                    if abs(tableau[r, j]) > TOL:
                         _pivot(tableau, basis, r, j)
                         break
         # freeze artificial columns out of phase 2
@@ -125,7 +125,7 @@ def solve_lp(
 
     cost = np.zeros(n_cols)
     cost[:n_ext] = c
-    _run_simplex(tableau, basis, cost, n_ext + m, tol, max_iter)
+    _run_simplex(tableau, basis, cost, n_ext + m, max_iter)
 
     x_ext = np.zeros(n_ext)
     for r in range(m):

@@ -123,31 +123,40 @@ class FeasiblePowerSet:
     bounds: SinrBounds
 
 
+def sinr_rows(ch: ChannelState, gamma):
+    """Rows (A, b) with A p <= b exactly when every UE n reaches SINR gamma_n:
+        -|h_n|^2 p_n + gamma_n |h_n|^2 sum_{i>n} p_i <= -gamma_n sigma^2
+    Row n holds UE n's own gain on the diagonal and the interference of the
+    stronger UEs above it.
+    """
+    g = ch.gains_sq
+    gamma = np.asarray(gamma, dtype=float)
+    idx = np.arange(ch.n_users)
+    a = (gamma * g)[:, None] * (idx > idx[:, None])
+    np.fill_diagonal(a, -g)
+    return a, -gamma * ch.noise_var
+
+
 def build_feasible_set(ch: ChannelState, bounds: SinrBounds) -> FeasiblePowerSet:
     """Linearize the SINR box constraints into an inequality system over p.
 
-    gamma_n(p) >= g_min becomes
-        -|h_n|^2 p_n + g_min |h_n|^2 sum_{i>n} p_i <= -g_min sigma^2
-    and symmetrically (flipped) for gamma_max. The SIC decodability
-    constraints (better UEs decoding weaker streams) are implied by the
-    channel ordering and are not added as rows; see the property tests.
+    The gamma_min rows are ``sinr_rows`` at gamma_min; the gamma_max rows are
+    ``sinr_rows`` at gamma_max, negated. The SIC decodability constraints
+    (better UEs decoding weaker streams) are implied by the channel ordering
+    and are not added as rows; see the property tests.
     """
     n = ch.n_users
     if len(bounds.gamma_min) != n:
         raise ValueError("bounds dimension mismatch")
-    rows, rhs = [np.ones(n)], [ch.power_budget_w]
-    for k in range(n):
-        g = ch.gains_sq[k]
-        tail = np.zeros(n)
-        tail[k + 1:] = g
-        own = np.zeros(n)
-        own[k] = g
-        rows.append(-(own - bounds.gamma_min[k] * tail))
-        rhs.append(-bounds.gamma_min[k] * ch.noise_var)
-        rows.append(own - bounds.gamma_max[k] * tail)
-        rhs.append(bounds.gamma_max[k] * ch.noise_var)
+    lo_a, lo_b = sinr_rows(ch, bounds.gamma_min)
+    hi_a, hi_b = sinr_rows(ch, bounds.gamma_max)
+    rows = np.stack([lo_a, -hi_a], axis=1).reshape(2 * n, n)
+    rhs = np.stack([lo_b, -hi_b], axis=1).ravel()
     return FeasiblePowerSet(
-        a_ub=np.array(rows), b_ub=np.array(rhs), channel=ch, bounds=bounds
+        a_ub=np.vstack([np.ones(n), rows]),
+        b_ub=np.concatenate([[ch.power_budget_w], rhs]),
+        channel=ch,
+        bounds=bounds,
     )
 
 

@@ -23,7 +23,7 @@ from .channel import own_sinrs
 from .errors import Infeasible, NonConvergence
 from .lp import solve_lp
 from .phy import (Allocation, AmcParams, FeasiblePowerSet, amc_rate,
-                  check_feasible, power_shares)
+                  check_feasible, power_shares, sinr_rows)
 from .quality import RdParams, psnr_of_rate
 
 
@@ -43,11 +43,10 @@ class SolverConfig:
 
 @dataclass
 class Vertex:
-    """A polyblock vertex in SINR space with its cached radial projection."""
+    """A polyblock vertex in SINR space; its radial projection is lam * z."""
 
     z: np.ndarray
     lam: float | None = None  # scaling of the projection, z outside G => lam <= 1
-    proj: np.ndarray | None = None  # lam * z
     power: np.ndarray | None = None  # argmax power vector of the projection LP
     sel_value: float = -math.inf  # psi at the projection, -inf if below gamma_min
     ub_value: float = -math.inf  # psi at z clipped into the SINR box
@@ -57,7 +56,7 @@ class Vertex:
 class Polyblock:
     vertices: list
     iteration: int = 0
-    best_feasible: tuple | None = None  # (z, power, psi)
+    best_feasible: tuple | None = None  # (power, psi)
     upper_bound: float = math.inf
 
 
@@ -70,28 +69,24 @@ class PolyblockResult(Allocation):
     trace: list = field(default_factory=list)
 
 
+def _psnrs(streams, rates) -> np.ndarray:
+    """Per-user PSNR at each rate."""
+    return np.array([psnr_of_rate(s, float(r)) for s, r in zip(streams, rates)])
+
+
 def mean_psnr(z, streams, amc, b_hz) -> float:
     """Average PSNR with saturation at each stream's q_max (decode semantics)."""
-    rates = amc.c1 * b_hz * np.log2(1.0 + np.asarray(z, dtype=float) / amc.c2)
-    return float(
-        np.mean([psnr_of_rate(s, float(r)) for s, r in zip(streams, rates)])
-    )
+    return float(np.mean(_psnrs(streams, amc_rate(b_hz, z, amc))))
 
 
 def _dinkelbach_lp(fset: FeasiblePowerSet, v, lam):
     """One inner subproblem: max_P min_n {f_n(P) - lam v_n xi_n(P)} in epigraph form."""
-    ch = fset.channel
-    n = ch.n_users
-    rows, rhs = [], []
-    for k in range(n):
-        g = ch.gains_sq[k]
-        row = np.zeros(n + 1)
-        row[-1] = 1.0  # epigraph variable t
-        row[k] -= g
-        row[k + 1:n] += lam * v[k] * g
-        rows.append(row)
-        rhs.append(-lam * v[k] * ch.noise_var)
-    a = np.vstack([rows, np.column_stack([fset.a_ub, np.zeros(len(fset.b_ub))])])
+    n = fset.channel.n_users
+    rows, rhs = sinr_rows(fset.channel, lam * v)
+    a = np.zeros((n + len(fset.b_ub), n + 1))
+    a[:n, :n] = rows
+    a[:n, n] = 1.0  # the epigraph variable t enters only the SINR rows
+    a[n:, :n] = fset.a_ub
     b = np.concatenate([rhs, fset.b_ub])
     c = np.zeros(n + 1)
     c[-1] = 1.0
@@ -197,14 +192,13 @@ def solve_polyblock(
         # removing quality-saturated flat directions from the search
         vx = Vertex(z=np.minimum(np.asarray(z, dtype=float), g_max))
         vx.lam, vx.power = project(vx.z, fset, cfg, lam0=lam0)
-        vx.proj = vx.lam * vx.z
         if np.any(vx.z < g_min * (1.0 - 1e-12)):
             # the box [0, z] misses the SINR lower bounds entirely, so it
             # cannot hold the optimum; a clipped bound would overstate it
             vx.ub_value = -math.inf
         else:
             vx.ub_value = clipped_psi(vx.z)
-        if np.all(vx.proj >= g_min * (1.0 - 1e-9)):
+        if np.all(vx.lam * vx.z >= g_min * (1.0 - 1e-9)):
             # projection lands in the conormal set: a feasible incumbent
             vx.sel_value = mean_psnr(
                 np.clip(own_sinrs(ch, vx.power), g_min, g_max), streams, amc, b_hz
@@ -222,7 +216,7 @@ def solve_polyblock(
     last_rel = math.inf
 
     def result(it):
-        z_star, p_star, psi_star = best
+        p_star, psi_star = best
         sinrs = np.minimum(own_sinrs(ch, p_star), g_max)
         rates = amc_rate(b_hz, sinrs, amc)
         return PolyblockResult(
@@ -230,9 +224,7 @@ def solve_polyblock(
             shares=power_shares(p_star),
             sinrs=sinrs,
             rates_bps=rates,
-            per_user_psnr_db=np.array(
-                [psnr_of_rate(s, float(r)) for s, r in zip(streams, rates)]
-            ),
+            per_user_psnr_db=_psnrs(streams, rates),
             avg_psnr_db=psi_star,
             iterations=it,
             bound_gap_db=max(0.0, block.upper_bound - psi_star),
@@ -243,8 +235,8 @@ def solve_polyblock(
     for it in range(1, cfg.max_iterations + 1):
         block.iteration = it
         for vx in block.vertices:
-            if vx.sel_value > -math.inf and (best is None or vx.sel_value > best[2]):
-                best = (vx.proj, vx.power, vx.sel_value)
+            if vx.sel_value > -math.inf and (best is None or vx.sel_value > best[1]):
+                best = (vx.power, vx.sel_value)
         if best is not None:
             block.best_feasible = best
             if bound_prune:
@@ -252,9 +244,9 @@ def solve_polyblock(
                 # holds no improvement; dropping it narrows the polyblock to
                 # the still-optimal region without affecting the optimum
                 block.vertices = [
-                    vx for vx in block.vertices if vx.ub_value > best[2] + 1e-9
+                    vx for vx in block.vertices if vx.ub_value > best[1] + 1e-9
                 ]
-        incumbent = best[2] if best else -math.inf
+        incumbent = best[1] if best else -math.inf
         if not block.vertices:
             if best is None:
                 raise Infeasible("polyblock emptied without a feasible point")
@@ -275,7 +267,7 @@ def solve_polyblock(
             block.vertices,
             key=lambda vx: (vx.sel_value, vx.ub_value, tuple(-vx.z)),
         )
-        rel = float(np.linalg.norm(sel.z - sel.proj) / np.linalg.norm(sel.z))
+        rel = float(np.linalg.norm(sel.z - sel.lam * sel.z) / np.linalg.norm(sel.z))
         last_rel = min(last_rel, rel)
         if rel <= cfg.epsilon:
             if best is not None and gap <= cfg.gap_tol_db:
@@ -284,10 +276,11 @@ def solve_polyblock(
             # certificate by refining the loosest box instead
             sel = max(block.vertices, key=lambda vx: (vx.ub_value, tuple(-vx.z)))
 
+        proj = sel.lam * sel.z
         children = []
         for k in range(n):
             z = sel.z.copy()
-            z[k] = sel.proj[k]
+            z[k] = proj[k]
             if z[k] <= 0:
                 continue
             children.append(make_vertex(z, lam0=sel.lam))

@@ -43,7 +43,6 @@ def make_instance(rng, table, snr_db=20.0, weak_stream="Foreman",
     ch = ChannelState(
         gains_sq=np.sort(gains),
         noise_var=noise,
-        bandwidth_hz=B_HZ,
         power_budget_w=P_MAX_W,
     )
     pair = [table[weak_stream], table[strong_stream]]
@@ -63,7 +62,7 @@ def small_instances(draw):
     snr_db = draw(st.floats(min_value=10.0, max_value=40.0))
     names = draw(st.lists(st.sampled_from(sorted(_TABLE)), min_size=n, max_size=n))
     ch = ChannelState(gains_sq=gains, noise_var=P_MAX_W / 10.0 ** (snr_db / 10.0),
-                      bandwidth_hz=B_HZ, power_budget_w=P_MAX_W)
+                      power_budget_w=P_MAX_W)
     streams = [_TABLE[name] for name in names]
     n_blocks = draw(st.integers(min_value=1, max_value=200))
     step = draw(st.sampled_from([0.01, 0.05]))

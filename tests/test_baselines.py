@@ -40,7 +40,7 @@ def test_throughput_max_strong_clipped_at_saturation(streams_table, amc):
     # huge SNR: the strong UE stops at its own quality ceiling and the
     # leftover budget is not spent
     ch = ChannelState(gains_sq=np.array([0.2, 0.9]), noise_var=1e-6,
-                      bandwidth_hz=B_HZ, power_budget_w=1.0)
+                      power_budget_w=1.0)
     streams = [streams_table["Foreman"], streams_table["Soccer"]]
     bounds = bounds_from_quality(streams, amc, B_HZ)
     res = solve_noma_mt(ch, streams, amc, B_HZ)
@@ -50,7 +50,7 @@ def test_throughput_max_strong_clipped_at_saturation(streams_table, amc):
 
 def test_throughput_max_requires_two_users(streams_table, amc):
     ch = ChannelState(gains_sq=np.array([0.1, 0.2, 0.5]), noise_var=0.01,
-                      bandwidth_hz=B_HZ, power_budget_w=1.0)
+                      power_budget_w=1.0)
     streams = [streams_table["Foreman"]] * 3
     with pytest.raises(ValueError):
         solve_noma_mt(ch, streams, amc, B_HZ)
@@ -58,7 +58,7 @@ def test_throughput_max_requires_two_users(streams_table, amc):
 
 def test_throughput_max_infeasible_weak_minimum(streams_table, amc):
     ch = ChannelState(gains_sq=np.array([1e-7, 0.5]), noise_var=0.01,
-                      bandwidth_hz=B_HZ, power_budget_w=1.0)
+                      power_budget_w=1.0)
     streams = [streams_table["Foreman"], streams_table["Soccer"]]
     with pytest.raises(Infeasible):
         solve_noma_mt(ch, streams, amc, B_HZ)
@@ -102,7 +102,7 @@ def test_orthogonal_baseline_uniform_tie_rule(streams_table, amc):
     # two identical high-SNR users saturate under many splits; the tie rule
     # picks the split closest to uniform
     ch = ChannelState(gains_sq=np.array([0.5, 0.5]), noise_var=1e-6,
-                      bandwidth_hz=B_HZ, power_budget_w=1.0)
+                      power_budget_w=1.0)
     streams = [streams_table["Ice"], streams_table["Ice"]]
     res = solve_oma_simple(ch, streams, amc, B_HZ)
     assert np.allclose(res.shares, [0.5, 0.5])
@@ -110,7 +110,7 @@ def test_orthogonal_baseline_uniform_tie_rule(streams_table, amc):
 
 def test_orthogonal_baseline_infeasible(streams_table, amc):
     ch = ChannelState(gains_sq=np.array([1e-7, 1e-7]), noise_var=0.1,
-                      bandwidth_hz=B_HZ, power_budget_w=1.0)
+                      power_budget_w=1.0)
     streams = [streams_table["Foreman"], streams_table["Soccer"]]
     with pytest.raises(Infeasible):
         solve_oma_simple(ch, streams, amc, B_HZ)

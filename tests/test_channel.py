@@ -8,7 +8,6 @@ from nomavq import (
     Complexity,
     ConfigurationError,
     GroupingStrategy,
-    PowerVector,
     QualityReq,
     UserEquipment,
     group_users,
@@ -47,19 +46,10 @@ def test_sample_channel_deterministic_and_scaled():
 def test_channel_state_validates_ordering():
     with pytest.raises(ValueError):
         ChannelState(gains_sq=np.array([2.0, 1.0]), noise_var=0.1,
-                     bandwidth_hz=1e5, power_budget_w=1.0)
+                     power_budget_w=1.0)
     with pytest.raises(ValueError):
         ChannelState(gains_sq=np.array([0.0, 1.0]), noise_var=0.1,
-                     bandwidth_hz=1e5, power_budget_w=1.0)
-
-
-def test_power_vector_budget_check():
-    p = PowerVector(np.array([0.6, 0.5]))
-    with pytest.raises(ValueError):
-        p.check_budget(1.0)
-    PowerVector(np.array([0.5, 0.5])).check_budget(1.0)
-    with pytest.raises(ValueError):
-        PowerVector(np.array([-0.1, 0.5]))
+                     power_budget_w=1.0)
 
 
 def test_partition_zones_orders_farthest_first():
@@ -149,13 +139,13 @@ def test_group_users_complexity_count_mismatch():
 def _random_channel(rng, n):
     gains = np.sort(rng.uniform(0.01, 1.0, n))
     return ChannelState(gains_sq=gains, noise_var=0.05,
-                        bandwidth_hz=1.4e5, power_budget_w=1.0)
+                        power_budget_w=1.0)
 
 
 def test_sinr_closed_form_two_users():
     ch = ChannelState(gains_sq=np.array([0.2, 0.8]), noise_var=0.1,
-                      bandwidth_hz=1.4e5, power_budget_w=1.0)
-    p = PowerVector(np.array([0.7, 0.3]))
+                      power_budget_w=1.0)
+    p = np.array([0.7, 0.3])
     assert sinr(ch, p, 0, 0) == pytest.approx(0.2 * 0.7 / (0.2 * 0.3 + 0.1))
     assert sinr(ch, p, 1, 1) == pytest.approx(0.8 * 0.3 / 0.1)
     # the strong UE decodes the weak signal at higher SINR than the weak UE
@@ -171,7 +161,7 @@ def test_own_sinrs_matches_elementwise_definition():
         ch = _random_channel(rng, n)
         p = rng.uniform(0, 0.5, n)
         got = own_sinrs(ch, p)
-        want = [sinr(ch, PowerVector(p), k, k) for k in range(n)]
+        want = [sinr(ch, p, k, k) for k in range(n)]
         assert np.allclose(got, want, rtol=1e-12)
 
 

@@ -25,7 +25,7 @@ def _three_user(rng, table, snr_db=22.0):
     raw = rng.standard_normal(3) ** 2 + rng.standard_normal(3) ** 2
     gains = np.sort(raw / 2.0 / (1.0 + dists**2))
     ch = ChannelState(gains_sq=gains, noise_var=noise,
-                      bandwidth_hz=B_HZ, power_budget_w=1.0)
+                      power_budget_w=1.0)
     streams = [table["Foreman"], table["Ice"], table["Soccer"]]
     return ch, streams
 
@@ -33,7 +33,7 @@ def _three_user(rng, table, snr_db=22.0):
 def test_single_user_stops_at_saturation(streams_table, amc):
     # plenty of budget: blocks beyond the saturation SINR are left unspent
     ch = ChannelState(gains_sq=np.array([0.5]), noise_var=1e-4,
-                      bandwidth_hz=B_HZ, power_budget_w=1.0)
+                      power_budget_w=1.0)
     streams = [streams_table["Foreman"]]
     res = solve_greedy(ch, streams, amc, B_HZ, GreedyConfig(n_blocks=100))
     bounds = bounds_from_quality(streams, amc, B_HZ)
@@ -47,7 +47,7 @@ def test_single_user_stops_at_saturation(streams_table, amc):
 
 def test_phase_one_infeasible(streams_table, amc):
     ch = ChannelState(gains_sq=np.array([1e-6, 0.5]), noise_var=0.01,
-                      bandwidth_hz=B_HZ, power_budget_w=1.0)
+                      power_budget_w=1.0)
     streams = [streams_table["Foreman"], streams_table["Soccer"]]
     with pytest.raises(Infeasible):
         solve_greedy(ch, streams, amc, B_HZ)

@@ -14,7 +14,7 @@ from nomavq import (
     snap_rate,
 )
 from nomavq.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
-from nomavq.harness import aggregate, write_trial_csv
+from nomavq.harness import aggregate, read_config, write_trial_csv
 from nomavq.polyblock import SolverConfig
 from nomavq.quality import load_rd_fixtures, psnr_of_rate
 
@@ -89,6 +89,11 @@ def test_config_parses_and_derives(tmp_path):
     {"n_blocks": 99.9},
     {"n_zones": 2.5},
     {"mgs_weights": [2.5, 1.9]},
+    # every run would be empty, doubled, or read one character at a time
+    {"solvers": []},
+    {"solvers": ["oma", "oma"]},
+    {"snr_db": [15, 15]},
+    {"solvers": "oma"},
 ])
 def test_config_validation_errors(broken):
     with pytest.raises(ConfigurationError):
@@ -243,7 +248,9 @@ def test_cli_validate_ok_and_config_error(tmp_path, capsys):
     assert "config ok" in capsys.readouterr().out
     bad = tmp_path / "broken.yaml"
     for broken in ({"snr_db": []}, {"snr_db": 20.0}, {"p_rtp": "low"},
-                   {"mgs_weights": ["thick"]}):
+                   {"mgs_weights": ["thick"]}, {"solvers": []},
+                   {"solvers": ["oma", "oma"]}, {"snr_db": [15, 15]},
+                   {"solvers": "oma"}):
         bad.write_text(yaml.safe_dump(_cfg_dict(**broken)))
         assert main(["validate", "--config", str(bad)]) == EXIT_CONFIG, broken
         assert "config error" in capsys.readouterr().err
@@ -294,12 +301,25 @@ def test_cli_solver_and_blocks_overrides(tmp_path, capsys):
         assert "scheme=polyblock" not in captured
 
 
-def test_cli_sweep_and_grouping_compare(tmp_path):
+def test_cli_all_excluded_run_writes_header_only_aggregates(tmp_path):
+    raw = read_config("configs/default.yaml")
+    raw.update(n_trials=1, snr_db=[0], solvers=["greedy", "oma", "noma-mt"])
+    cfg_path = tmp_path / "scenario.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    for command in ("simulate", "grouping-compare"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(out)]) == EXIT_OK
+        for name in ("mean_psnr", "grouping_psnr"):
+            assert len((out / f"{name}.csv").read_text().splitlines()) == 1
+    lines = {name: (tmp_path / "simulate" / name).read_text().splitlines()
+             for name in ("trials.csv", "exclusions.csv")}
+    assert len(lines["trials.csv"]) == 1 and len(lines["exclusions.csv"]) > 1
+
+
+def test_cli_grouping_compare(tmp_path):
     cfg_path = _write_cfg(tmp_path, n_trials=2, snr_db=[15.0, 25.0])
     out = tmp_path / "results"
-    assert main(["sweep-snr", "--config", str(cfg_path),
-                 "--out", str(out)]) == EXIT_OK
-    assert (out / "mean_psnr.csv").exists()
     assert main(["grouping-compare", "--config", str(cfg_path),
                  "--out", str(out)]) == EXIT_OK
     text = (out / "grouping_psnr.csv").read_text()

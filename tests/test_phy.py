@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +26,7 @@ from nomavq import (
     solve_oma_simple,
     solve_polyblock,
 )
+from nomavq.polyblock import _dinkelbach_lp
 from nomavq.quality import psnr_of_rate
 
 from conftest import (_TABLE, B_HZ, contains, lp_check_feasible, make_instance,
@@ -76,7 +79,7 @@ def test_sinr_bounds_validation():
 
 def test_feasible_set_rows_and_tags():
     ch = ChannelState(gains_sq=np.array([0.1, 0.5]), noise_var=0.01,
-                      bandwidth_hz=B_HZ, power_budget_w=1.0)
+                      power_budget_w=1.0)
     bounds = SinrBounds(gamma_min=np.array([0.5, 1.0]),
                         gamma_max=np.array([5.0, 20.0]))
     fset = build_feasible_set(ch, bounds)
@@ -98,7 +101,7 @@ def test_feasible_set_rows_and_tags():
 
 def test_check_feasible_returns_member_point():
     ch = ChannelState(gains_sq=np.array([0.1, 0.5]), noise_var=0.01,
-                      bandwidth_hz=B_HZ, power_budget_w=1.0)
+                      power_budget_w=1.0)
     bounds = SinrBounds(gamma_min=np.array([0.5, 1.0]),
                         gamma_max=np.array([5.0, 20.0]))
     fset = build_feasible_set(ch, bounds)
@@ -108,11 +111,84 @@ def test_check_feasible_returns_member_point():
 
 def test_check_feasible_raises_on_empty_polytope():
     ch = ChannelState(gains_sq=np.array([0.1, 0.5]), noise_var=0.01,
-                      bandwidth_hz=B_HZ, power_budget_w=1.0)
+                      power_budget_w=1.0)
     bounds = SinrBounds(gamma_min=np.array([50.0, 1.0]),
                         gamma_max=np.array([60.0, 20.0]))
     with pytest.raises(Infeasible):
         check_feasible(build_feasible_set(ch, bounds))
+
+
+def _feasible_rows_oracle(ch, bounds):
+    """The per-UE row loop that built the feasible set before ``sinr_rows``."""
+    n = ch.n_users
+    rows, rhs = [np.ones(n)], [ch.power_budget_w]
+    for k in range(n):
+        g = ch.gains_sq[k]
+        tail = np.zeros(n)
+        tail[k + 1:] = g
+        own = np.zeros(n)
+        own[k] = g
+        rows.append(-(own - bounds.gamma_min[k] * tail))
+        rhs.append(-bounds.gamma_min[k] * ch.noise_var)
+        rows.append(own - bounds.gamma_max[k] * tail)
+        rhs.append(bounds.gamma_max[k] * ch.noise_var)
+    return np.array(rows), np.array(rhs)
+
+
+def _epigraph_rows_oracle(fset, v, lam):
+    """The per-UE row loop that built the Dinkelbach LP before ``sinr_rows``."""
+    ch = fset.channel
+    n = ch.n_users
+    rows, rhs = [], []
+    for k in range(n):
+        g = ch.gains_sq[k]
+        row = np.zeros(n + 1)
+        row[-1] = 1.0
+        row[k] -= g
+        row[k + 1:n] += lam * v[k] * g
+        rows.append(row)
+        rhs.append(-lam * v[k] * ch.noise_var)
+    a = np.vstack([rows, np.column_stack([fset.a_ub, np.zeros(len(fset.b_ub))])])
+    return a, np.concatenate([rhs, fset.b_ub])
+
+
+@st.composite
+def _row_inputs(draw):
+    """A 1- to 4-user channel, SINR box, positive vertex and scaling lam."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    pos = st.floats(min_value=1e-3, max_value=1e3)
+    gains = np.sort(draw(st.lists(pos, min_size=n, max_size=n)))
+    ch = ChannelState(gains_sq=gains, noise_var=draw(pos), power_budget_w=draw(pos))
+    lo = np.array(draw(st.lists(st.floats(min_value=0.0, max_value=1e3),
+                                min_size=n, max_size=n)))
+    hi = lo + np.array(draw(st.lists(pos, min_size=n, max_size=n)))
+    v = np.array(draw(st.lists(pos, min_size=n, max_size=n)))
+    lam = draw(st.floats(min_value=0.0, max_value=2.0))
+    return ch, SinrBounds(lo, hi), v, lam
+
+
+@given(_row_inputs())
+@settings(max_examples=300, deadline=None)
+def test_sinr_rows_match_the_per_ue_loops(inputs):
+    # values, not bytes: the old gamma_min rows hold -0.0 below the diagonal
+    ch, bounds, v, lam = inputs
+    fset = build_feasible_set(ch, bounds)
+    a, b = _feasible_rows_oracle(ch, bounds)
+    assert np.array_equal(fset.a_ub, a) and np.array_equal(fset.b_ub, b)
+
+    captured = []
+
+    def capture(c, a_ub, b_ub, free_vars):
+        captured.append((c, a_ub, b_ub, free_vars))
+        return 0.0, np.zeros(len(c))
+
+    with mock.patch("nomavq.polyblock.solve_lp", capture):
+        _dinkelbach_lp(fset, v, lam)
+    c, a_ub, b_ub, free_vars = captured[0]
+    a, b = _epigraph_rows_oracle(fset, v, lam)
+    assert np.array_equal(a_ub, a) and np.array_equal(b_ub, b)
+    assert np.array_equal(c, np.eye(ch.n_users + 1)[-1])
+    assert free_vars == (ch.n_users,)
 
 
 @st.composite
@@ -129,7 +205,7 @@ def _budget_near_minimum(draw):
     need = 0.0
     for k in range(n - 1, -1, -1):
         need += bounds.gamma_min[k] * (need + noise / gains[k])
-    ch = ChannelState(gains_sq=gains, noise_var=noise, bandwidth_hz=B_HZ,
+    ch = ChannelState(gains_sq=gains, noise_var=noise,
                       power_budget_w=need * draw(st.floats(min_value=0.5, max_value=2.0)))
     return build_feasible_set(ch, bounds)
 

@@ -57,7 +57,7 @@ def _fset(ch, streams, amc):
 def _single_user(table, amc, snr_db=20.0, gain=0.05):
     noise = 1.0 / 10 ** (snr_db / 10.0)
     ch = ChannelState(gains_sq=np.array([gain]), noise_var=noise,
-                      bandwidth_hz=B_HZ, power_budget_w=1.0)
+                      power_budget_w=1.0)
     streams = [table["Foreman"]]
     return ch, streams, _fset(ch, streams, amc)
 
@@ -210,7 +210,7 @@ def test_solve_single_user_obvious_optimum(streams_table, amc):
 
 def test_solve_infeasible_bounds(amc, streams_table):
     ch = ChannelState(gains_sq=np.array([0.01, 0.5]), noise_var=0.1,
-                      bandwidth_hz=B_HZ, power_budget_w=1.0)
+                      power_budget_w=1.0)
     bounds = SinrBounds(gamma_min=np.array([50.0, 1.0]),
                         gamma_max=np.array([60.0, 20.0]))
     fset = build_feasible_set(ch, bounds)
@@ -384,7 +384,7 @@ def test_incumbent_pruning_keeps_improving_region(streams_table, amc):
     failures = []
 
     def check(block):
-        inc = block.best_feasible[2] if block.best_feasible else -np.inf
+        inc = block.best_feasible[1] if block.best_feasible else -np.inf
         better = z[psi > inc + 1e-9]
         if len(better) == 0 or not block.vertices:
             return
