@@ -144,10 +144,14 @@ def _cmd_fit_rd(args) -> int:
     except (OSError, KeyError, TypeError, ValueError) as e:
         print(f"cannot read points file: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    params = fit_rd_params(
-        points, (args.q_min, args.q_max),
-        stream_id=args.stream, complexity=args.complexity,
-    )
+    try:
+        params = fit_rd_params(
+            points, (args.q_min, args.q_max),
+            stream_id=args.stream, complexity=args.complexity,
+        )
+    except ValueError as e:  # a bad quality band or repeated rates
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     print(
         f"stream={params.stream_id or '-'} alpha={params.alpha:.6g}"
         f" beta={params.beta:.6g} theta={params.theta:.6g}"

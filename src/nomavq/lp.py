@@ -5,7 +5,17 @@ Solves   maximize c.x   s.t.  A x <= b,  x >= 0  (selected variables free).
 Bland's rule is used for both the entering and leaving choice, which makes
 the solver anti-cycling and fully deterministic: ties always resolve to the
 lowest variable index. The problems fed to it here are tiny (a handful of
-variables), so a dense tableau is the right tool.
+variables, about seven pivots each), so the cost is numpy call overhead, not
+arithmetic: each pivot is one masked row update, and the pivot choice is made
+over Python lists.
+
+The arithmetic is fixed bit for bit: for finite inputs, every tableau entry
+(the sign of every zero included), every pivot and every result equal those
+of the straightforward formulation, with a ``column_stack`` tableau, a
+per-row pivot loop and numpy ratio tests. ``tests/test_lp.py`` keeps that
+formulation as ``_simplex_oracle`` and requires, under ``hypothesis``, the
+same ``optimum`` and ``x`` bytes, or the same exception and diagnostics. A
+change here that alters one output bit changes ``trials.csv``.
 """
 
 from __future__ import annotations
@@ -18,10 +28,12 @@ TOL = 1e-9  # pivot, ratio-test and optimality tolerance
 
 
 def _pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int):
-    t[row] /= t[row, col]
-    for r in range(t.shape[0]):
-        if r != row and t[r, col] != 0.0:
-            t[r] -= t[r, col] * t[row]
+    p = t[row]
+    p /= p[col]
+    f = t[:, col, None].copy()
+    f[row] = 0.0
+    # one masked update; rows with a zero entry keep the signs of their zeros
+    np.subtract(t, f * p, out=t, where=f != 0.0)
     basis[row] = col
 
 
@@ -31,24 +43,26 @@ def _run_simplex(t, basis, cost, n_cols, max_iter):
     Optimality is tested before each of at most ``max_iter`` pivots and once
     more after the last one.
     """
+    body = t[:, :n_cols]
+    cost_n = cost[:n_cols]
     for pivots in range(max_iter + 1):
         # reduced costs: c_j - c_B . B^-1 A_j
-        reduced = cost[:n_cols] - cost[basis] @ t[:, :n_cols]
-        improving = np.flatnonzero(reduced > TOL)
-        if improving.size == 0:
+        reduced = (cost_n - cost[basis] @ body).tolist()
+        # Bland: lowest improving index
+        entering = next((j for j, r in enumerate(reduced) if r > TOL), None)
+        if entering is None:
             return
         if pivots == max_iter:
             break
-        entering = int(improving[0])  # Bland: lowest improving index
-        col = t[:, entering]
-        mask = col > TOL
-        if not mask.any():
+        col = t[:, entering].tolist()
+        if not any(v > TOL for v in col):
             raise Unbounded("objective unbounded over the feasible polytope")
-        ratios = np.full(t.shape[0], np.inf)
-        ratios[mask] = t[mask, -1] / col[mask]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + TOL)
-        leaving = int(ties[np.argmin(basis[ties])])  # Bland: lowest basis index
+        ratios = [r / v if v > TOL else np.inf
+                  for r, v in zip(t[:, -1].tolist(), col)]
+        cutoff = min(ratios) + TOL
+        # Bland: lowest basis index among the tied rows
+        leaving = min((r for r, q in enumerate(ratios) if q <= cutoff),
+                      key=basis.__getitem__)
         _pivot(t, basis, leaving, entering)
     raise NonConvergence(
         f"simplex did not converge within {max_iter} pivots", {"pivots": max_iter}
@@ -73,65 +87,52 @@ def solve_lp(
     a = np.atleast_2d(np.asarray(a_ub, dtype=float))
     b = np.asarray(b_ub, dtype=float)
     m, n = a.shape
-    free_vars = tuple(free_vars)
+    free = list(free_vars)  # each is split into positive and negative parts
+    n_ext = n + len(free)
+    n_std = n_ext + m  # structural and slack columns
 
-    # split free variables into positive and negative parts
-    if free_vars:
-        extra_c = -c[list(free_vars)]
-        extra_a = -a[:, list(free_vars)]
-        c = np.concatenate([c, extra_c])
-        a = np.column_stack([a, extra_a])
-    n_ext = a.shape[1]
-
-    # standard form with slacks; negate rows with negative rhs and add artificials
+    # tableau [A | -A_free | I | artificials | b]; rows with negative rhs are
+    # negated (zeros become -0.0) and get an artificial column
     neg = b < 0
-    a_std = a.copy()
-    b_std = b.copy()
-    a_std[neg] *= -1.0
-    b_std[neg] *= -1.0
-    slack = np.eye(m)
-    slack[neg] *= -1.0
-    n_art = int(np.sum(neg))
-    art = np.zeros((m, n_art))
-    for k, r in enumerate(np.flatnonzero(neg)):
-        art[r, k] = 1.0
-    tableau = np.column_stack([a_std, slack, art, b_std])
-    n_cols = n_ext + m + n_art
-
-    basis = np.empty(m, dtype=int)
-    k = 0
-    for r in range(m):
-        if neg[r]:
-            basis[r] = n_ext + m + k
-            k += 1
-        else:
-            basis[r] = n_ext + r
-
+    neg_rows = neg.nonzero()[0]
+    n_art = len(neg_rows)
+    n_cols = n_std + n_art
+    tableau = np.zeros((m, n_cols + 1))
+    tableau[:, :n] = a
+    tableau[:, n:n_ext] = -a[:, free]
+    tableau[:, n_ext:n_std] = np.eye(m)
+    tableau[:, -1] = b
+    basis = np.arange(n_ext, n_std)
     if n_art:
+        tableau[neg, :n_std] *= -1.0
+        tableau[neg, -1] *= -1.0
+        art = np.arange(n_std, n_cols)
+        tableau[neg_rows, art] = 1.0
+        basis[neg_rows] = art
+
         phase1 = np.zeros(n_cols)
-        phase1[n_ext + m:] = -1.0
+        phase1[n_std:] = -1.0
         _run_simplex(tableau, basis, phase1, n_cols, max_iter)
         if -float(phase1[basis] @ tableau[:, -1]) > 1e-7:
             raise Infeasible("no point satisfies the constraint system")
         # pivot any artificial variable out of the basis where possible
-        for r in range(m):
-            if basis[r] >= n_ext + m:
-                for j in range(n_ext + m):
-                    if abs(tableau[r, j]) > TOL:
-                        _pivot(tableau, basis, r, j)
-                        break
+        for r in (basis >= n_std).nonzero()[0].tolist():
+            for j, v in enumerate(tableau[r, :n_std].tolist()):
+                if abs(v) > TOL:
+                    _pivot(tableau, basis, r, j)
+                    break
         # freeze artificial columns out of phase 2
-        tableau[:, n_ext + m: n_cols] = 0.0
+        tableau[:, n_std:n_cols] = 0.0
 
     cost = np.zeros(n_cols)
-    cost[:n_ext] = c
-    _run_simplex(tableau, basis, cost, n_ext + m, max_iter)
+    cost[:n] = c
+    cost[n:n_ext] = -c[free]
+    _run_simplex(tableau, basis, cost, n_std, max_iter)
 
     x_ext = np.zeros(n_ext)
-    for r in range(m):
-        if basis[r] < n_ext:
-            x_ext[basis[r]] = tableau[r, -1]
+    structural = basis < n_ext
+    x_ext[basis[structural]] = tableau[structural, -1]
     x = x_ext[:n]
-    for k, j in enumerate(free_vars):
+    for k, j in enumerate(free):
         x[j] -= x_ext[n + k]
-    return float(np.asarray(np.atleast_1d(c[:n]) @ x)), x
+    return float(c @ x), x

@@ -76,10 +76,10 @@ class RdPoint:
     mse: float
 
     def __post_init__(self):
-        if self.rate_bps <= 0:
-            raise ValueError("rate_bps must be positive")
-        if self.mse <= 0:
-            raise ValueError("mse must be positive")
+        if not 0 < self.rate_bps < math.inf:  # also rejects NaN
+            raise ValueError("rate_bps must be positive and finite")
+        if not 0 < self.mse < math.inf:
+            raise ValueError("mse must be positive and finite")
 
     @classmethod
     def from_psnr(cls, rate_bps: float, psnr_db: float) -> "RdPoint":
@@ -157,6 +157,10 @@ def fit_rd_params(
     so (theta, beta) come from a linear solve; alpha is chosen by nested
     grid refinement on the residual. Deterministic given inputs.
     """
+    q_min, q_max = q_bounds
+    if not (math.isfinite(q_min) and math.isfinite(q_max) and q_min < q_max):
+        raise ValueError(f"quality band [{q_min}, {q_max}] dB must be finite "
+                         "with q_min below q_max")
     if len(points) < 6:
         raise InsufficientData(f"need at least 6 R-D points, got {len(points)}")
     rates = np.array([p.rate_bps for p in points], dtype=float)
@@ -164,7 +168,6 @@ def fit_rd_params(
     if len(np.unique(rates)) != len(rates):
         raise ValueError("R-D points must have distinct rates")
 
-    q_min, q_max = q_bounds
     mse_floor = min(mses.min(), _mse_of_psnr(q_max))
     # alpha must keep mse + alpha > 0 everywhere on the band
     lo, hi = -0.95 * mse_floor, 10.0 * mses.max()

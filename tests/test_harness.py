@@ -346,3 +346,27 @@ def test_cli_fit_rd_round_trip(tmp_path, capsys):
     assert refit.theta == pytest.approx(src.theta, rel=1e-6)
     assert main(["fit-rd", "--points", str(tmp_path / "nope.csv"),
                  "--q-min", "30", "--q-max", "40"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("q_min, q_max, extra_row", [
+    ("40", "30", None),
+    ("nan", "40", None),
+    ("30", "inf", None),
+    ("30", "40", "repeat"),  # a rate that is already in the file
+    ("30", "40", "nan,35.0"),
+    ("30", "40", "2e5,-inf"),
+])
+def test_cli_fit_rd_bad_input_is_a_config_error(tmp_path, capsys, q_min, q_max,
+                                                 extra_row):
+    src = load_rd_fixtures()["Ice"]
+    rows = [f"{r!r},{psnr_of_rate(src, r)!r}"
+            for r in map(float, np.linspace(src.rate_min, src.rate_max, 8))]
+    if extra_row:
+        rows.append(rows[0] if extra_row == "repeat" else extra_row)
+    points = tmp_path / "points.csv"
+    points.write_text("rate_bps,psnr_db\n" + "\n".join(rows) + "\n")
+    assert main(["fit-rd", "--points", str(points),
+                 "--q-min", q_min, "--q-max", q_max]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read points file: " if extra_row not in (None, "repeat")
+                          else "config error: ")

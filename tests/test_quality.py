@@ -127,6 +127,9 @@ def test_rdpoint_validation():
         RdPoint(rate_bps=-1.0, mse=1.0)
     with pytest.raises(ValueError):
         RdPoint(rate_bps=1.0, mse=0.0)
+    for rate, mse in ((float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("inf"))):
+        with pytest.raises(ValueError):
+            RdPoint(rate_bps=rate, mse=mse)
     p = RdPoint.from_psnr(1e5, 35.0)
     assert psnr_from_mse(p.mse) == pytest.approx(35.0)
 
