@@ -4,8 +4,8 @@
 weak UE gets exactly enough power to meet its minimum quality and the strong
 UE hoards the rest. ``solve_oma_simple`` is an orthogonal-access stand-in
 that splits bandwidth (with full power reuse per slice) on a simplex grid to
-maximize average PSNR. Both run through the same rate/quality pipeline as
-the proposed solvers.
+maximize average PSNR, scoring every feasible split in one batch. Both run
+through the same rate/quality pipeline as the proposed solvers.
 """
 
 from __future__ import annotations
@@ -97,25 +97,25 @@ def solve_oma_simple(
     grid = np.array(list(_simplex_grid(n, step)))
     all_rates = grid * full_rate
     feasible = ~np.any(all_rates < r_min * (1.0 - 1e-12), axis=1)
-    best = None
-    for rho, rates in zip(grid[feasible], all_rates[feasible]):
-        per_user = np.array(
-            [psnr_of_rate(s, float(r)) for s, r in zip(streams, rates)]
-        )
-        score = float(np.mean(per_user))
-        balance = float(np.sum((rho - 1.0 / n) ** 2))
-        if best is None or score > best[0] + 1e-12 or (
-            score > best[0] - 1e-12 and balance < best[1] - 1e-15
-        ):
-            best = (score, balance, rho, rates, per_user)
-    if best is None:
+    if not feasible.any():
         raise Infeasible("no bandwidth split meets every minimum quality")
-    score, _, rho, rates, per_user = best
+    rhos, rates = grid[feasible], all_rates[feasible]
+    per_user = np.array([[psnr_of_rate(s, r) for s, r in zip(streams, row)]
+                         for row in rates.tolist()])
+    scores = np.mean(per_user, axis=1).tolist()
+    balances = np.sum((rhos - 1.0 / n) ** 2, axis=1).tolist()
+    # the 1e-12 score tie rule is not transitive, so the scan stays in order
+    best = 0
+    for i in range(1, len(scores)):
+        if scores[i] > scores[best] + 1e-12 or (
+            scores[i] > scores[best] - 1e-12 and balances[i] < balances[best] - 1e-15
+        ):
+            best = i
     return Allocation(
         power=None,
-        shares=rho,
+        shares=rhos[best],
         sinrs=snr,
-        rates_bps=rates,
-        per_user_psnr_db=per_user,
-        avg_psnr_db=score,
+        rates_bps=rates[best],
+        per_user_psnr_db=per_user[best],
+        avg_psnr_db=scores[best],
     )

@@ -6,6 +6,9 @@ later) and spends blocks until each minimum quality requirement is met.
 Phase II hands out the remaining blocks one at a time to whichever UE
 improves the average PSNR most, rejecting any award that would break a
 quality bound. Complexity is O(N^2 L + 2 N L) PSNR evaluations.
+
+Each phase-II step scores all N awards in one batch. PSNR stays the scalar
+``psnr_of_rate``, as vectorized ``np.log10`` can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -47,10 +50,6 @@ class GreedyResult(Allocation):
         return self.iterations
 
 
-def _per_user_psnr(rates, streams):
-    return np.array([psnr_of_rate(s, float(r)) for s, r in zip(streams, rates)])
-
-
 def solve_greedy(
     ch: ChannelState,
     streams: list[RdParams],
@@ -77,7 +76,7 @@ def solve_greedy(
     bounds = bounds or bounds_from_quality(streams, amc, b_hz)
     n = ch.n_users
     block = cfg.block_w(ch.power_budget_w)
-    g_min = bounds.gamma_min * (1.0 - 1e-12)
+    g_min = (bounds.gamma_min * (1.0 - 1e-12)).tolist()
 
     p = np.zeros(n)
     remaining = cfg.n_blocks
@@ -105,31 +104,32 @@ def solve_greedy(
 
     # Phase II: award remaining blocks to the best average-PSNR candidate.
     # Row 0 of the stack is the current allocation, row k + 1 the award to
-    # UE k; one SINR call and one minimum-quality check cover them all.
+    # UE k. A refused award's rate can sit below the band, where psnr_of_rate
+    # raises, so PSNR is taken for the candidates only.
     phase2_evals = 0
-    awards = block * np.eye(n)
+    steps = np.vstack([np.zeros(n), block * np.eye(n)])
+    g_max = bounds.gamma_max.tolist()
     while remaining > 0:
-        gams = own_sinrs(ch, np.vstack([p, p + awards]))
+        gams = own_sinrs(ch, p + steps)
+        now, *award = gams.tolist()
         # saturated UEs are skipped: the award cannot raise their quality
-        ok = ~(gams[0] >= bounds.gamma_max)
-        phase2_evals += n * int(np.count_nonzero(ok))
-        ok &= ~np.any(gams[1:] < g_min, axis=1)
-        best_score = -np.inf
-        best_idx = -1
-        for k in np.flatnonzero(ok):
-            rates = amc_rate(b_hz, gams[k + 1], amc)
-            score = float(np.mean(_per_user_psnr(rates, streams)))
-            if score > best_score:  # strict: ties keep the lowest index
-                best_score = score
-                best_idx = k
-        if best_idx < 0:
+        open_ues = [k for k in range(n) if not now[k] >= g_max[k]]
+        phase2_evals += n * len(open_ues)
+        cand = [k for k in open_ues
+                if not any(g < lo for g, lo in zip(award[k], g_min))]
+        if not cand:
             break  # every award refused; leftover budget stays unused
-        p[best_idx] += block
+        rates = amc_rate(b_hz, gams[1:], amc).tolist()
+        psnr = [[psnr_of_rate(s, r) for s, r in zip(streams, rates[k])]
+                for k in cand]
+        # np.mean's own sum and division; argmax keeps the lowest index on ties
+        best = cand[int((np.add.reduce(psnr, axis=1) / n).argmax())]
+        p[best] += block
         remaining -= 1
 
     gam = np.minimum(own_sinrs(ch, p), bounds.gamma_max)
     rates = amc_rate(b_hz, gam, amc)
-    per_user = _per_user_psnr(rates, streams)
+    per_user = np.array([psnr_of_rate(s, r) for s, r in zip(streams, rates.tolist())])
     return GreedyResult(
         power=p,
         shares=power_shares(p),

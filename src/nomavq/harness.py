@@ -33,7 +33,8 @@ from .errors import ConfigurationError, Infeasible, InfeasibleRate, NonConvergen
 from .greedy import GreedyConfig, solve_greedy
 from .phy import AmcParams, bounds_from_quality, build_feasible_set
 from .polyblock import SolverConfig, solve_polyblock
-from .quality import RdParams, load_rd_fixtures, psnr_of_rate
+from .quality import (DEFAULT_FIXTURE_PATH, RdParams, load_rd_fixtures,
+                      psnr_of_rate)
 
 SCHEMES = ("polyblock", "greedy", "noma-mt", "oma")
 
@@ -75,12 +76,11 @@ class ScenarioConfig:
         return self.power_budget_w / 10.0 ** (snr_db / 10.0)
 
     def load_streams(self) -> dict:
-        path = self.fixture_path
-        table = (
-            load_rd_fixtures(p_rtp=self.p_rtp)
-            if path is None
-            else load_rd_fixtures(path, p_rtp=self.p_rtp)
-        )
+        path = self.fixture_path or DEFAULT_FIXTURE_PATH
+        try:
+            table = load_rd_fixtures(path, p_rtp=self.p_rtp)
+        except (OSError, ValueError) as e:  # unreadable or malformed file
+            raise ConfigurationError(f"bad R-D fixture file: {e}") from e
         for u in self.ues:
             if u.requested_stream not in table:
                 raise ConfigurationError(

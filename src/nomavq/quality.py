@@ -49,6 +49,9 @@ class RdParams:
     complexity: str = "Low"  # "Low" or "High"
 
     def __post_init__(self):
+        values = (self.alpha, self.beta, self.theta, self.q_min_db, self.q_max_db)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"R-D parameters must be finite, got {values}")
         if not self.q_min_db < self.q_max_db:
             raise ValueError("q_min_db must be below q_max_db")
         if self.theta <= 0:
@@ -219,7 +222,15 @@ def load_rd_fixtures(path=DEFAULT_FIXTURE_PATH, p_rtp: float = 0.05):
         if reader.fieldnames != _FIXTURE_FIELDS:
             raise ValueError(f"unexpected fixture columns: {reader.fieldnames}")
         for row in reader:
-            if abs(float(row["p_rtp"]) - p_rtp) > 1e-12:
+            # csv.DictReader fills a short row with None and keys a long
+            # row's extra fields under None
+            if None in row or None in row.values():
+                raise ValueError(f"fixture line {reader.line_num}: expected "
+                                 f"{len(_FIXTURE_FIELDS)} fields")
+            row_p_rtp = float(row["p_rtp"])
+            if not math.isfinite(row_p_rtp):
+                raise ValueError(f"fixture line {reader.line_num}: p_rtp {row_p_rtp}")
+            if abs(row_p_rtp - p_rtp) > 1e-12:
                 continue
             table[row["stream_id"]] = RdParams(
                 alpha=float(row["alpha"]),

@@ -16,7 +16,7 @@ from nomavq import (
 from nomavq.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from nomavq.harness import aggregate, read_config, write_trial_csv
 from nomavq.polyblock import SolverConfig
-from nomavq.quality import load_rd_fixtures, psnr_of_rate
+from nomavq.quality import dump_rd_fixtures, load_rd_fixtures, psnr_of_rate
 
 from conftest import B_HZ
 
@@ -256,6 +256,31 @@ def test_cli_validate_ok_and_config_error(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
     assert main(["validate", "--config", str(tmp_path / "missing.yaml")]) \
         == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace("Foreman,Low,0.05,3.0,", "Foreman,Low,0.05,low,", 1),
+    lambda text: text.replace("theta", "gain", 1),  # wrong columns
+    lambda text: text + "Extra,Low,0.05,nan,1.0,1.0,30.0,40.0,\n",
+    lambda text: text + "Extra,Low,0.05,1.0,1.0,nan,30.0,40.0,\n",
+    lambda text: text + "Extra,Low,0.05,1.0,1.0,1.0,30.0,inf,\n",
+    lambda text: text + "Extra,Low,nan,1.0,1.0,1.0,30.0,40.0,\n",
+    lambda text: text + "Extra,Low,0.05,1.0\n",  # short row
+    lambda text: text + "Extra,Low,0.05,1.0,1.0,1.0,30.0,40.0,,surplus\n",
+    None,  # no file at fixture_path
+], ids=["non-numeric", "columns", "nan-alpha", "nan-theta", "inf-q-max",
+        "nan-p-rtp", "short-row", "long-row", "missing"])
+def test_cli_malformed_fixture_file_is_a_config_error(tmp_path, capsys, edit):
+    fixture = tmp_path / "rd.csv"
+    if edit is not None:
+        dump_rd_fixtures(load_rd_fixtures(), fixture)
+        fixture.write_text(edit(fixture.read_text()))
+    cfg_path = _write_cfg(tmp_path, fixture_path=str(fixture))
+    assert main(["validate", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", [

@@ -122,6 +122,14 @@ def test_rdparams_validation():
         RdParams(alpha=-100.0, beta=0.0, theta=1.0, q_min_db=32.0, q_max_db=40.0)
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta", "theta", "q_min_db", "q_max_db"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_rdparams_rejects_non_finite_fields(field, value):
+    # theta=nan, for one, used to construct with a NaN rate_min
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(REF, **{field: value})
+
+
 def test_rdpoint_validation():
     with pytest.raises(ValueError):
         RdPoint(rate_bps=-1.0, mse=1.0)
