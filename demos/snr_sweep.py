@@ -17,7 +17,8 @@ print(f"{len(result.records)} records, {len(result.exclusions)} infeasible "
       f"instances excluded\n")
 print(f"{'snr_db':>7s} {'scheme':>10s} {'mean avg PSNR':>14s} {'n':>5s}")
 for snr, scheme, grouping, mean, n, excl in aggregate(result)["mean_psnr"]:
-    print(f"{snr:7.1f} {scheme:>10s} {mean:14.3f} {n:5d}")
+    shown = "-" if mean is None else f"{mean:.3f}"  # None: all excluded
+    print(f"{snr:7.1f} {scheme:>10s} {shown:>14s} {n:5d}")
 
 print("\nweaker-UE share of the allocated power (power-domain schemes):")
 for snr, group, scheme, coeff, n in aggregate(result)["weak_coeff"]:

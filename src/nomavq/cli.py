@@ -114,18 +114,21 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_grouping_compare(args) -> int:
     cfg = _load(args)
-    records, exclusions = [], []
-    for strategy in (
-        GroupingStrategy.WLBH, GroupingStrategy.WRBR, GroupingStrategy.WHBL
-    ):
-        res = harness.run_scenario(dataclasses.replace(cfg, grouping=strategy))
-        records.extend(res.records)
-        exclusions.extend(res.exclusions)
-    combined = harness.ScenarioResult(records, exclusions, cfg)
-    tables = harness.aggregate(combined)
-    paths = harness.write_aggregates(
-        {k: tables[k] for k in ("grouping_psnr", "mean_psnr")}, cfg.out_dir
-    )
+    runs = [
+        harness.aggregate(harness.run_scenario(
+            dataclasses.replace(cfg, grouping=strategy)))
+        for strategy in (
+            GroupingStrategy.WLBH, GroupingStrategy.WRBR, GroupingStrategy.WHBL
+        )
+    ]
+    # each run counts only its own exclusions; the first three columns hold
+    # the grouping, and each run's rows are already sorted past them
+    tables = {
+        name: sorted((row for t in runs for row in t[name]),
+                     key=lambda row: row[:3])
+        for name in ("grouping_psnr", "mean_psnr")
+    }
+    paths = harness.write_aggregates(tables, cfg.out_dir)
     print(f"grouping comparison -> {paths['grouping_psnr']}")
     return EXIT_OK
 

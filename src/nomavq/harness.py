@@ -12,6 +12,7 @@ plus seed produces byte-identical CSV output.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -129,27 +130,52 @@ def _numbers(d, key, cast, default):
     return vals
 
 
-def config_from_dict(d: dict) -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from parsed YAML."""
-    if not isinstance(d, dict):
-        raise ConfigurationError("config root must be a mapping")
+def _ue(u) -> UserEquipment:
+    """One UE entry of the config, its numbers read like top-level keys."""
+    if not isinstance(u, dict):
+        raise ConfigurationError(f"UE entry must be a mapping: {u!r}")
     try:
-        ues = tuple(
-            UserEquipment(
-                id=int(u["id"]),
-                distance_m=float(u["distance_m"]),
-                requested_stream=str(u["stream"]),
-                quality_req=QualityReq(u.get("quality_req", "QualitySensitive")),
-                content_complexity=Complexity(u.get("complexity", "Low")),
-            )
-            for u in d["ues"]
+        return UserEquipment(
+            id=_number(u, "id", int, allow_zero=True),
+            distance_m=_number(u, "distance_m"),
+            requested_stream=str(u["stream"]),
+            quality_req=QualityReq(u.get("quality_req", "QualitySensitive")),
+            content_complexity=Complexity(u.get("complexity", "Low")),
         )
     except KeyError as e:
         raise ConfigurationError(f"UE entry missing field {e}")
     except ValueError as e:
         raise ConfigurationError(f"bad UE entry: {e}")
+
+
+def _path(d, key, default):
+    """Read a file or directory path from the config."""
+    v = d.get(key, default)
+    if v is not None and not isinstance(v, (str, os.PathLike)):
+        raise ConfigurationError(f"config key {key} must be a path: {v!r}")
+    return v
+
+
+def config_from_dict(d: dict) -> ScenarioConfig:
+    """Build and validate a ScenarioConfig from parsed YAML."""
+    if not isinstance(d, dict):
+        raise ConfigurationError("config root must be a mapping")
+    if not isinstance(d.get("ues"), list) or not d["ues"]:
+        raise ConfigurationError(
+            f"config key ues must be a nonempty list of UE entries: {d.get('ues')!r}")
+    ues = tuple(_ue(u) for u in d["ues"])
     if len({u.id for u in ues}) != len(ues):
         raise ConfigurationError("UE ids must be unique")
+    path_loss_exp = _number(d, "path_loss_exp", default=2.0)
+    for u in ues:
+        # channel_gain divides by sqrt(1 + d^eta), which must stay finite
+        try:
+            finite = np.isfinite(1.0 + u.distance_m ** path_loss_exp)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigurationError(
+                f"UE {u.id}: path loss at distance_m {u.distance_m} overflows")
 
     n_zones = _number(d, "n_zones", int)
     if len(ues) % n_zones != 0:
@@ -194,14 +220,14 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     if any(w <= 0 for w in mgs):
         raise ConfigurationError("mgs_weights must be positive")
 
-    fixture_path = d.get("fixture_path")
+    fixture_path = _path(d, "fixture_path", None)
     return ScenarioConfig(
         ues=ues,
         n_zones=n_zones,
         snr_db=snr_db,
         bandwidth_hz=_number(d, "bandwidth_hz"),
         power_budget_w=_number(d, "power_budget_w"),
-        path_loss_exp=_number(d, "path_loss_exp", default=2.0),
+        path_loss_exp=path_loss_exp,
         p_rtp=p_rtp,
         gops_per_trial=_number(d, "gops_per_trial", int, default=1),
         grouping=grouping,
@@ -212,7 +238,7 @@ def config_from_dict(d: dict) -> ScenarioConfig:
         fixture_path=None if fixture_path in (None, "") else Path(fixture_path),
         n_trials=_number(d, "n_trials", int, default=200),
         seed=_number(d, "seed", int, default=0, allow_zero=True),
-        out_dir=Path(d.get("out_dir", "results")),
+        out_dir=Path(_path(d, "out_dir", "results")),
         mgs_weights=mgs,
         n_enh_layers=_number(
             d, "n_enh_layers", int, default=DEFAULT_ENH_LAYERS, allow_zero=True
@@ -468,12 +494,18 @@ def aggregate(result: ScenarioResult) -> dict:
     """Summaries keyed the way the comparison tables are usually read.
 
     Returns three row lists:
-      mean_psnr:  (snr_db, scheme, grouping) -> mean average PSNR + counts
+      mean_psnr:  (snr_db, scheme, grouping) -> mean average PSNR + counts;
+                  a pair whose instances were all excluded keeps its row,
+                  with no mean (None) and 0 records
       weak_coeff: (snr_db, group, scheme) -> mean allocation share of the
                   weakest-channel UE
       grouping_psnr: (grouping, snr_db, stream) -> mean per-UE PSNR
+
+    ``result`` is one run, so every row carries the run's grouping; runs
+    under other groupings are aggregated one by one and their rows merged.
     """
     excl = result.exclusion_counts()
+    grouping = result.config.grouping.value
 
     def mean_over(keyfunc, valfunc):
         acc = {}
@@ -481,14 +513,12 @@ def aggregate(result: ScenarioResult) -> dict:
             acc.setdefault(keyfunc(r), []).append(valfunc(r))
         return acc
 
-    mean_psnr = [
-        (snr, scheme, grouping, float(np.mean(v)), len(v),
-         excl.get((snr, scheme), 0))
-        for (snr, scheme, grouping), v in sorted(mean_over(
-            lambda r: (r.snr_db, r.scheme, r.grouping),
-            lambda r: r.avg_psnr_db,
-        ).items())
-    ]
+    psnr = mean_over(lambda r: (r.snr_db, r.scheme), lambda r: r.avg_psnr_db)
+    mean_psnr = []
+    for snr, scheme in sorted(psnr.keys() | excl.keys()):
+        v = psnr.get((snr, scheme), [])
+        mean_psnr.append((snr, scheme, grouping, float(np.mean(v)) if v else None,
+                          len(v), excl.get((snr, scheme), 0)))
     weak_coeff = [
         (snr, group, scheme, float(np.mean(v)), len(v))
         for (snr, group, scheme), v in sorted(mean_over(

@@ -55,9 +55,6 @@ class Vertex:
 @dataclass
 class Polyblock:
     vertices: list
-    iteration: int = 0
-    best_feasible: tuple | None = None  # (power, psi)
-    upper_bound: float = math.inf
 
 
 @dataclass
@@ -94,20 +91,14 @@ def _dinkelbach_lp(fset: FeasiblePowerSet, v, lam):
     return opt, x[:n]
 
 
-def project(
-    v,
-    fset: FeasiblePowerSet,
-    cfg: SolverConfig,
-    lam0: float = 0.0,
-    history: list | None = None,
-):
+def project(v, fset: FeasiblePowerSet, cfg: SolverConfig, lam0: float = 0.0):
     """Radial projection of vertex v onto the boundary of the normal set.
 
     Returns (lam, power) where lam = max{a > 0 | a v is dominated by some
     achievable SINR vector} and ``power`` achieves it. Dinkelbach iteration:
     the lam sequence is non-decreasing from ``lam0`` (a valid warm start is
     any lower bound on the answer) and stops when the subproblem value drops
-    to the ``delta`` tolerance.
+    to the ``delta`` tolerance. Each step solves one ``_dinkelbach_lp``.
     """
     v = np.asarray(v, dtype=float)
     if np.any(v <= 0):
@@ -121,8 +112,6 @@ def project(
         with np.errstate(over="ignore"):
             new_lam = float(np.min(gammas / v))
         power = p
-        if history is not None:
-            history.append((lam, val))
         if val <= cfg.delta:
             # new_lam is always achievable: the argmax P dominates new_lam * v
             return new_lam, power
@@ -153,7 +142,7 @@ def prune_vertices(block: Polyblock, gamma_min=None) -> Polyblock:
         if gamma_min is not None:
             keep &= ~(z < gamma_min - 1e-12).any(axis=1)
         kept = [vx for vx, k in zip(verts, keep) if k]
-    return Polyblock(kept, block.iteration, block.best_feasible, block.upper_bound)
+    return Polyblock(kept)
 
 
 def solve_polyblock(
@@ -162,19 +151,17 @@ def solve_polyblock(
     amc: AmcParams,
     b_hz: float,
     cfg: SolverConfig | None = None,
-    prune: bool = True,
-    bound_prune: bool = True,
-    initial_vertex=None,
-    on_iteration=None,
 ) -> PolyblockResult:
     """Run the polyblock outer-approximation solver to global optimality.
 
-    Terminates when the selected vertex is within relative distance
-    ``cfg.epsilon`` of its own projection; the returned ``bound_gap_db``
-    certifies how far the incumbent can be from the true optimum.
-    ``initial_vertex`` overrides the default outer box corner (any
-    componentwise upper bound on the achievable SINRs is valid);
-    ``on_iteration`` is called with the live Polyblock each iteration.
+    The search starts from the box [0, v1], with v1 the interference-free
+    SINR at full power capped at gamma_max. Each iteration drops the boxes
+    whose bound cannot beat the incumbent, splits the selected vertex at its
+    radial projection (``project``) and passes the vertices through
+    ``prune_vertices``. It terminates when the selected vertex is within
+    relative distance ``cfg.epsilon`` of its own projection and the
+    returned ``bound_gap_db``, which certifies how far the incumbent can be
+    from the true optimum, is within ``cfg.gap_tol_db``.
     """
     cfg = cfg or SolverConfig()
     ch = fset.channel
@@ -205,14 +192,12 @@ def solve_polyblock(
             )
         return vx
 
-    if initial_vertex is None:
-        v1 = ch.gains_sq * ch.power_budget_w / ch.noise_var
-    else:
-        v1 = np.asarray(initial_vertex, dtype=float)
+    v1 = ch.gains_sq * ch.power_budget_w / ch.noise_var
     block = Polyblock([make_vertex(v1, 0.0)])
     trace = []
 
-    best: tuple | None = None
+    best: tuple | None = None  # (power, psi) of the incumbent
+    upper_bound = math.inf
     last_rel = math.inf
 
     def result(it):
@@ -227,38 +212,33 @@ def solve_polyblock(
             per_user_psnr_db=_psnrs(streams, rates),
             avg_psnr_db=psi_star,
             iterations=it,
-            bound_gap_db=max(0.0, block.upper_bound - psi_star),
+            bound_gap_db=max(0.0, upper_bound - psi_star),
             rel_gap=last_rel if last_rel < math.inf else 0.0,
             trace=trace,
         )
 
     for it in range(1, cfg.max_iterations + 1):
-        block.iteration = it
         for vx in block.vertices:
             if vx.sel_value > -math.inf and (best is None or vx.sel_value > best[1]):
                 best = (vx.power, vx.sel_value)
         if best is not None:
-            block.best_feasible = best
-            if bound_prune:
-                # a box whose optimistic value cannot beat the incumbent
-                # holds no improvement; dropping it narrows the polyblock to
-                # the still-optimal region without affecting the optimum
-                block.vertices = [
-                    vx for vx in block.vertices if vx.ub_value > best[1] + 1e-9
-                ]
+            # a box whose optimistic value cannot beat the incumbent holds no
+            # improvement; dropping it narrows the polyblock to the
+            # still-optimal region without affecting the optimum
+            block.vertices = [
+                vx for vx in block.vertices if vx.ub_value > best[1] + 1e-9
+            ]
         incumbent = best[1] if best else -math.inf
         if not block.vertices:
             if best is None:
                 raise Infeasible("polyblock emptied without a feasible point")
-            block.upper_bound = incumbent
+            upper_bound = incumbent
             last_rel = 0.0
-            trace.append((it, 0, block.upper_bound, incumbent, 0.0))
+            trace.append((it, 0, upper_bound, incumbent, 0.0))
             return result(it)
-        block.upper_bound = max(vx.ub_value for vx in block.vertices)
-        gap = block.upper_bound - incumbent
-        trace.append((it, len(block.vertices), block.upper_bound, incumbent, gap))
-        if on_iteration is not None:
-            on_iteration(block)
+        upper_bound = max(vx.ub_value for vx in block.vertices)
+        gap = upper_bound - incumbent
+        trace.append((it, len(block.vertices), upper_bound, incumbent, gap))
 
         # Select the vertex whose projection scores best; ties (and the case
         # where no projection reaches the conormal set) fall back to the
@@ -285,8 +265,7 @@ def solve_polyblock(
                 continue
             children.append(make_vertex(z, lam0=sel.lam))
         block.vertices = [vx for vx in block.vertices if vx is not sel] + children
-        if prune:
-            block = prune_vertices(block, gamma_min=g_min)
+        block = prune_vertices(block, gamma_min=g_min)
 
     raise NonConvergence(
         "polyblock solver hit the iteration cap",

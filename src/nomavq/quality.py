@@ -26,6 +26,9 @@ PEAK_DB = 20.0 * math.log10(255.0)
 
 DEFAULT_FIXTURE_PATH = Path(__file__).parent / "fixtures" / "rd_params.csv"
 
+# how far (dB) a PSNR may sit outside its stream's band in ``rate_of_psnr``
+BAND_TOL_DB = 1e-9
+
 
 def _mse_of_psnr(q_db: float):
     return PEAK_SQ * 10.0 ** (-q_db / 10.0)
@@ -105,14 +108,15 @@ def end_to_end_distortion(d_enc: float, d_tran: float) -> float:
     return d_enc + d_tran
 
 
-def rate_of_psnr(params: RdParams, q_db: float, tol: float = 1e-9):
+def rate_of_psnr(params: RdParams, q_db: float):
     """Rate (bits/s) needed to reach ``q_db`` on this stream.
 
-    ``q_db`` must lie on [q_min_db, q_max_db]; callers clamp explicitly.
-    Accepts scalars or arrays.
+    ``q_db`` must lie on [q_min_db, q_max_db], up to ``BAND_TOL_DB``;
+    callers clamp explicitly. Accepts scalars or arrays.
     """
     q = np.asarray(q_db, dtype=float)
-    if np.any(q < params.q_min_db - tol) or np.any(q > params.q_max_db + tol):
+    if (np.any(q < params.q_min_db - BAND_TOL_DB)
+            or np.any(q > params.q_max_db + BAND_TOL_DB)):
         raise ValueError(
             f"PSNR {q_db} outside band [{params.q_min_db}, {params.q_max_db}]"
         )
@@ -215,7 +219,10 @@ _FIXTURE_FIELDS = [
 
 
 def load_rd_fixtures(path=DEFAULT_FIXTURE_PATH, p_rtp: float = 0.05):
-    """Read the shipped R-D parameter table, keyed by stream id."""
+    """Read the shipped R-D parameter table, keyed by stream id.
+
+    Each stream may have one row per ``p_rtp``; a repeat is a ValueError.
+    """
     table = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -232,6 +239,9 @@ def load_rd_fixtures(path=DEFAULT_FIXTURE_PATH, p_rtp: float = 0.05):
                 raise ValueError(f"fixture line {reader.line_num}: p_rtp {row_p_rtp}")
             if abs(row_p_rtp - p_rtp) > 1e-12:
                 continue
+            if row["stream_id"] in table:
+                raise ValueError(f"fixture line {reader.line_num}: repeats stream "
+                                 f"{row['stream_id']!r} at p_rtp {row_p_rtp}")
             table[row["stream_id"]] = RdParams(
                 alpha=float(row["alpha"]),
                 beta=float(row["beta"]),

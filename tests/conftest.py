@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from nomavq import (
     own_sinrs,
     solve_lp,
 )
+from nomavq import polyblock
 
 B_HZ = 140000.0
 P_MAX_W = 1.0
@@ -47,6 +51,18 @@ def make_instance(rng, table, snr_db=20.0, weak_stream="Foreman",
     )
     pair = [table[weak_stream], table[strong_stream]]
     streams = [pair[i] for i in order]
+    return ch, streams
+
+
+def make_three_user_instance(rng, table, snr_db=22.0):
+    """One random three-user instance at fixed distances: (channel, streams)."""
+    noise = 1.0 / 10 ** (snr_db / 10.0)
+    dists = np.array([3.5, 2.0, 0.9])
+    raw = rng.standard_normal(3) ** 2 + rng.standard_normal(3) ** 2
+    gains = np.sort(raw / 2.0 / (1.0 + dists**2))
+    ch = ChannelState(gains_sq=gains, noise_var=noise,
+                      power_budget_w=1.0)
+    streams = [table["Foreman"], table["Ice"], table["Soccer"]]
     return ch, streams
 
 
@@ -122,6 +138,77 @@ def same_bits(a, b):
     """True when both values have the same shape and the same bytes."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _solve_square_fraction(rows, rhs):
+    """Solve a square rational system by Gaussian elimination; None if singular."""
+    n = len(rhs)
+    m = [list(r) + [v] for r, v in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        inv = Fraction(1, 1) / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return [m[r][n] for r in range(n)]
+
+
+def oracle_lp(c, a, b):
+    """Exact rational LP optimum by brute-force vertex enumeration.
+
+    Constraints: a x <= b plus x >= 0; the instances are generated bounded,
+    so the optimum is attained at a vertex (an intersection of n active
+    constraints).
+    """
+    m, n = len(a), len(c)
+    rows = [[Fraction(v) for v in row] for row in a]
+    rows += [[Fraction(-1 if j == i else 0) for j in range(n)] for i in range(n)]
+    rhs = [Fraction(v) for v in b] + [Fraction(0)] * n
+    best = None
+    for active in itertools.combinations(range(m + n), n):
+        x = _solve_square_fraction([rows[i] for i in active],
+                                   [rhs[i] for i in active])
+        if x is None:
+            continue
+        if all(sum(r * v for r, v in zip(rows[i], x)) <= rhs[i]
+               for i in range(m + n)):
+            val = sum(Fraction(ci) * xi for ci, xi in zip(c, x))
+            if best is None or val > best:
+                best = val
+    return best
+
+
+def record_dinkelbach(monkeypatch):
+    """Record ``(lam, value)`` of every Dinkelbach subproblem that
+    ``project`` solves, in call order; returns the live list."""
+    calls = []
+    inner = polyblock._dinkelbach_lp
+
+    def recording(fset, v, lam):
+        val, p = inner(fset, v, lam)
+        calls.append((lam, val))
+        return val, p
+
+    monkeypatch.setattr(polyblock, "_dinkelbach_lp", recording)
+    return calls
+
+
+def observe_prune(monkeypatch, check):
+    """Call ``check(block)`` on the polyblock that every ``prune_vertices``
+    call of the solver returns, once per outer iteration that splits."""
+    inner = polyblock.prune_vertices
+
+    def observed(block, gamma_min=None):
+        out = inner(block, gamma_min=gamma_min)
+        check(out)
+        return out
+
+    monkeypatch.setattr(polyblock, "prune_vertices", observed)
 
 
 # acceptance criteria report: one line per criterion, printed at session end

@@ -32,9 +32,8 @@ from nomavq import (
 )
 from nomavq.quality import PEAK_SQ, rate_of_psnr
 
-from conftest import B_HZ, contains, make_instance, verify_sic_elimination
-from test_greedy import _three_user
-from test_lp import _oracle_lp
+from conftest import (B_HZ, contains, make_instance, make_three_user_instance,
+                      oracle_lp, record_dinkelbach, verify_sic_elimination)
 
 CONFIG_PATH = "configs/default.yaml"
 
@@ -254,8 +253,9 @@ def test_criterion_6_weakest_ue_fairness(scenario_run, default_cfg,
 
 
 def test_criterion_7_solver_certification(streams_table, amc,
-                                          acceptance_report):
+                                          acceptance_report, monkeypatch):
     cfg = SolverConfig()
+    history = record_dinkelbach(monkeypatch)
     rng = np.random.default_rng(103)
     done = 0
     ok = True
@@ -264,9 +264,9 @@ def test_criterion_7_solver_certification(streams_table, amc,
         fset = build_feasible_set(ch, bounds_from_quality(streams, amc, B_HZ))
         try:
             res = solve_polyblock(fset, streams, amc, B_HZ)
-            history = []
+            history.clear()
             v = ch.gains_sq * ch.power_budget_w / ch.noise_var
-            project(v, fset, cfg, history=history)
+            project(v, fset, cfg)
         except Infeasible:
             continue
         ubs = [row[2] for row in res.trace]
@@ -288,7 +288,7 @@ def test_criterion_7_solver_certification(streams_table, amc,
         b = np.concatenate([rng.integers(0, 10, size=m).astype(float), [10.0]])
         c = rng.integers(-4, 6, size=5).astype(float)
         opt, _ = solve_lp(c, a, b)
-        want = _oracle_lp(c.astype(int), a.astype(int), b.astype(int))
+        want = oracle_lp(c.astype(int), a.astype(int), b.astype(int))
         lp_worst = max(lp_worst, abs(opt - float(want)))
     ok &= lp_worst <= 1e-8
     acceptance_report(
@@ -341,7 +341,7 @@ def test_criterion_9_greedy_complexity(streams_table, amc, acceptance_report):
     worst = 0.0
     for n_blocks in (10, 100):
         for make in (lambda: make_instance(rng, streams_table),
-                     lambda: _three_user(rng, streams_table)):
+                     lambda: make_three_user_instance(rng, streams_table)):
             done = 0
             while done < 10:
                 ch, streams = make()

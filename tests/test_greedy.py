@@ -22,18 +22,8 @@ import nomavq.greedy
 from nomavq.greedy import GreedyResult
 from nomavq.phy import build_feasible_set, power_shares
 
-from conftest import B_HZ, make_instance, outcome, same_bits, small_instances
-
-
-def _three_user(rng, table, snr_db=22.0):
-    noise = 1.0 / 10 ** (snr_db / 10.0)
-    dists = np.array([3.5, 2.0, 0.9])
-    raw = rng.standard_normal(3) ** 2 + rng.standard_normal(3) ** 2
-    gains = np.sort(raw / 2.0 / (1.0 + dists**2))
-    ch = ChannelState(gains_sq=gains, noise_var=noise,
-                      power_budget_w=1.0)
-    streams = [table["Foreman"], table["Ice"], table["Soccer"]]
-    return ch, streams
+from conftest import (B_HZ, make_instance, make_three_user_instance, outcome,
+                      same_bits, small_instances)
 
 
 def test_single_user_stops_at_saturation(streams_table, amc):
@@ -102,7 +92,7 @@ def test_deterministic(streams_table, amc):
 def test_complexity_counters_within_bounds(streams_table, amc, n_blocks):
     rng = np.random.default_rng(9)
     for make in (lambda: make_instance(rng, streams_table),
-                 lambda: _three_user(rng, streams_table)):
+                 lambda: make_three_user_instance(rng, streams_table)):
         done = 0
         while done < 10:
             ch, streams = make()
@@ -122,7 +112,7 @@ def test_three_user_feasible_runs(streams_table, amc):
     rng = np.random.default_rng(15)
     done = 0
     while done < 10:
-        ch, streams = _three_user(rng, streams_table)
+        ch, streams = make_three_user_instance(rng, streams_table)
         try:
             res = solve_greedy(ch, streams, amc, B_HZ)
         except Infeasible:

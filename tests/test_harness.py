@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -94,6 +95,20 @@ def test_config_parses_and_derives(tmp_path):
     {"solvers": ["oma", "oma"]},
     {"snr_db": [15, 15]},
     {"solvers": "oma"},
+    # UE entries and paths: NaN gains, a crash in channel_gain, a truncated
+    # id, or a raw TypeError
+    {"ues": [{"id": 1, "distance_m": float("nan"), "stream": "Foreman"},
+             {"id": 2, "distance_m": 1.0, "stream": "Soccer"}]},
+    {"ues": [{"id": 1, "distance_m": float("inf"), "stream": "Foreman"},
+             {"id": 2, "distance_m": 1.0, "stream": "Soccer"}]},
+    {"ues": [{"id": 1, "distance_m": 1e200, "stream": "Foreman"},
+             {"id": 2, "distance_m": 1.0, "stream": "Soccer"}]},
+    {"ues": [{"id": 1.5, "distance_m": 3.0, "stream": "Foreman"},
+             {"id": 2, "distance_m": 1.0, "stream": "Soccer"}]},
+    {"ues": 5},
+    {"ues": [5]},
+    {"fixture_path": 5},
+    {"out_dir": 5},
 ])
 def test_config_validation_errors(broken):
     with pytest.raises(ConfigurationError):
@@ -268,8 +283,9 @@ def test_cli_validate_ok_and_config_error(tmp_path, capsys):
     lambda text: text + "Extra,Low,0.05,1.0\n",  # short row
     lambda text: text + "Extra,Low,0.05,1.0,1.0,1.0,30.0,40.0,,surplus\n",
     None,  # no file at fixture_path
+    lambda text: text + text.splitlines()[1] + "\n",  # a stream twice
 ], ids=["non-numeric", "columns", "nan-alpha", "nan-theta", "inf-q-max",
-        "nan-p-rtp", "short-row", "long-row", "missing"])
+        "nan-p-rtp", "short-row", "long-row", "missing", "repeated-row"])
 def test_cli_malformed_fixture_file_is_a_config_error(tmp_path, capsys, edit):
     fixture = tmp_path / "rd.csv"
     if edit is not None:
@@ -326,7 +342,12 @@ def test_cli_solver_and_blocks_overrides(tmp_path, capsys):
         assert "scheme=polyblock" not in captured
 
 
-def test_cli_all_excluded_run_writes_header_only_aggregates(tmp_path):
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_cli_all_excluded_run_keeps_exclusion_counts(tmp_path):
     raw = read_config("configs/default.yaml")
     raw.update(n_trials=1, snr_db=[0], solvers=["greedy", "oma", "noma-mt"])
     cfg_path = tmp_path / "scenario.yaml"
@@ -335,21 +356,39 @@ def test_cli_all_excluded_run_writes_header_only_aggregates(tmp_path):
         out = tmp_path / command
         assert main([command, "--config", str(cfg_path),
                      "--out", str(out)]) == EXIT_OK
-        for name in ("mean_psnr", "grouping_psnr"):
-            assert len((out / f"{name}.csv").read_text().splitlines()) == 1
-    lines = {name: (tmp_path / "simulate" / name).read_text().splitlines()
-             for name in ("trials.csv", "exclusions.csv")}
-    assert len(lines["trials.csv"]) == 1 and len(lines["exclusions.csv"]) > 1
+        assert _csv_rows(out / "grouping_psnr.csv") == []
+        rows = _csv_rows(out / "mean_psnr.csv")
+        groupings = 1 if command == "simulate" else 3
+        assert len(rows) == 3 * groupings  # one per (scheme, grouping)
+        for row in rows:
+            # 3 groups in one trial, all excluded
+            assert (row["mean_avg_psnr_db"], row["n_records"],
+                    row["n_excluded"]) == ("", "0", "3")
+    assert _csv_rows(tmp_path / "simulate" / "trials.csv") == []
+    assert len(_csv_rows(tmp_path / "simulate" / "exclusions.csv")) == 9
 
 
 def test_cli_grouping_compare(tmp_path):
-    cfg_path = _write_cfg(tmp_path, n_trials=2, snr_db=[15.0, 25.0])
-    out = tmp_path / "results"
+    # every grouping's rows equal those of its own simulate run, exclusion
+    # counts included
+    cfg_path = _write_cfg(tmp_path, n_trials=20, snr_db=[10.0, 20.0])
     assert main(["grouping-compare", "--config", str(cfg_path),
-                 "--out", str(out)]) == EXIT_OK
-    text = (out / "grouping_psnr.csv").read_text()
+                 "--out", str(tmp_path / "compare")]) == EXIT_OK
+    want = {"mean_psnr": [], "grouping_psnr": []}
     for strategy in ("WLBH", "WRBR", "WHBL"):
-        assert strategy in text
+        cfg_path = _write_cfg(tmp_path, n_trials=20, snr_db=[10.0, 20.0],
+                              grouping=strategy)
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / strategy)]) == EXIT_OK
+        for name in want:
+            want[name] += _csv_rows(tmp_path / strategy / f"{name}.csv")
+    merged = _csv_rows(tmp_path / "compare" / "mean_psnr.csv")
+    assert merged == sorted(want["mean_psnr"], key=lambda row: (
+        float(row["snr_db"]), row["scheme"], row["grouping"]))
+    assert any(int(row["n_excluded"]) > 0 for row in merged)
+    assert _csv_rows(tmp_path / "compare" / "grouping_psnr.csv") == sorted(
+        want["grouping_psnr"], key=lambda row: (
+            row["grouping"], float(row["snr_db"]), row["scheme"], row["stream"]))
 
 
 def test_cli_fit_rd_round_trip(tmp_path, capsys):

@@ -1,5 +1,3 @@
-import itertools
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -19,7 +17,7 @@ from nomavq import (
 )
 from nomavq.polyblock import SolverConfig, _dinkelbach_lp, project
 
-from conftest import B_HZ, outcome, small_instances
+from conftest import B_HZ, oracle_lp, outcome, small_instances
 
 
 def test_single_variable_bound():
@@ -85,49 +83,6 @@ def test_negative_rhs_needs_phase_one():
     assert x[0] == pytest.approx(1.0)
 
 
-def _solve_square_fraction(rows, rhs):
-    """Solve a square rational system by Gaussian elimination; None if singular."""
-    n = len(rhs)
-    m = [list(r) + [v] for r, v in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1, 1) / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
-
-
-def _oracle_lp(c, a, b):
-    """Exact rational LP optimum by brute-force vertex enumeration.
-
-    Constraints: a x <= b plus x >= 0; the instances are generated bounded,
-    so the optimum is attained at a vertex (an intersection of n active
-    constraints).
-    """
-    m, n = len(a), len(c)
-    rows = [[Fraction(v) for v in row] for row in a]
-    rows += [[Fraction(-1 if j == i else 0) for j in range(n)] for i in range(n)]
-    rhs = [Fraction(v) for v in b] + [Fraction(0)] * n
-    best = None
-    for active in itertools.combinations(range(m + n), n):
-        x = _solve_square_fraction([rows[i] for i in active],
-                                   [rhs[i] for i in active])
-        if x is None:
-            continue
-        if all(sum(r * v for r, v in zip(rows[i], x)) <= rhs[i]
-               for i in range(m + n)):
-            val = sum(Fraction(ci) * xi for ci, xi in zip(c, x))
-            if best is None or val > best:
-                best = val
-    return best
-
-
 def test_random_lps_match_rational_vertex_oracle():
     rng = np.random.default_rng(42)
     n = 5
@@ -140,7 +95,7 @@ def test_random_lps_match_rational_vertex_oracle():
         ])
         c = rng.integers(-4, 6, size=n).astype(float)
         opt, x = solve_lp(c, a, b)
-        want = _oracle_lp(c.astype(int), a.astype(int), b.astype(int))
+        want = oracle_lp(c.astype(int), a.astype(int), b.astype(int))
         assert want is not None
         assert abs(opt - float(want)) < 1e-8
         assert np.all(a @ x <= b + 1e-8) and np.all(x >= -1e-12)

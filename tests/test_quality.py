@@ -208,3 +208,16 @@ def test_fixture_missing_loss_rate_raises(tmp_path, streams_table):
     dump_rd_fixtures(streams_table, out, p_rtp=0.05)
     with pytest.raises(ValueError):
         load_rd_fixtures(out, p_rtp=0.10)
+
+
+def test_fixture_repeated_stream_raises_naming_the_line(tmp_path, streams_table):
+    out = tmp_path / "rd.csv"
+    dump_rd_fixtures(streams_table, out, p_rtp=0.05)
+    lines = out.read_text().splitlines()
+    foreman = next(line for line in lines if line.startswith("Foreman,"))
+    # a repeat at another loss rate is a separate record
+    out.write_text("\n".join(lines + [foreman.replace(",0.05,", ",0.1,", 1)]) + "\n")
+    assert load_rd_fixtures(out)["Foreman"] == streams_table["Foreman"]
+    out.write_text("\n".join(lines + [foreman.replace(",3.0,", ",2.0,", 1)]) + "\n")
+    with pytest.raises(ValueError, match=f"line {len(lines) + 1}: repeats stream 'Foreman'"):
+        load_rd_fixtures(out)

@@ -17,6 +17,7 @@ from nomavq import (
     psnr_of_sinr,
     solve_polyblock,
 )
+from nomavq import polyblock
 from nomavq.polyblock import (
     Polyblock,
     Vertex,
@@ -26,7 +27,7 @@ from nomavq.polyblock import (
 )
 from nomavq.quality import PEAK_SQ
 
-from conftest import B_HZ, make_instance
+from conftest import B_HZ, make_instance, observe_prune, record_dinkelbach
 
 CFG = SolverConfig()
 
@@ -180,16 +181,18 @@ def test_projection_of_boundary_point_is_identity(streams_table, amc):
         done += 1
 
 
-def test_dinkelbach_iterates_monotone_with_small_residual(streams_table, amc):
+def test_dinkelbach_iterates_monotone_with_small_residual(streams_table, amc,
+                                                         monkeypatch):
+    history = record_dinkelbach(monkeypatch)
     rng = np.random.default_rng(17)
     done = 0
     while done < 10:
         ch, streams = make_instance(rng, streams_table)
         fset = _fset(ch, streams, amc)
         v = ch.gains_sq * ch.power_budget_w / ch.noise_var
-        history = []
+        history.clear()
         try:
-            project(v, fset, CFG, history=history)
+            project(v, fset, CFG)
         except Infeasible:
             continue
         lams = [lam for lam, _ in history]
@@ -253,15 +256,18 @@ def test_returned_power_satisfies_constraints(streams_table, amc):
         done += 1
 
 
-def test_pruning_does_not_change_result(streams_table, amc):
+def test_pruning_does_not_change_result(streams_table, amc, monkeypatch):
     rng = np.random.default_rng(37)
     done = 0
     while done < 20:
         ch, streams = make_instance(rng, streams_table)
         fset = _fset(ch, streams, amc)
         try:
-            a = solve_polyblock(fset, streams, amc, B_HZ, prune=True)
-            b = solve_polyblock(fset, streams, amc, B_HZ, prune=False)
+            a = solve_polyblock(fset, streams, amc, B_HZ)
+            with monkeypatch.context() as m:
+                m.setattr(polyblock, "prune_vertices",
+                          lambda block, gamma_min=None: block)
+                b = solve_polyblock(fset, streams, amc, B_HZ)
         except Infeasible:
             continue
         assert a.avg_psnr_db == pytest.approx(b.avg_psnr_db, abs=1e-9)
@@ -303,12 +309,10 @@ def _pruning_inputs(draw):
 @settings(max_examples=500, deadline=None)
 def test_prune_vertices_matches_pairwise_oracle(inputs):
     rows, gamma_min = inputs
-    block = Polyblock([Vertex(z=np.array(r, dtype=float)) for r in rows],
-                      iteration=4, best_feasible=None, upper_bound=7.0)
+    block = Polyblock([Vertex(z=np.array(r, dtype=float)) for r in rows])
     out = prune_vertices(block, gamma_min=gamma_min)
     want = _prune_oracle(block, gamma_min)
     assert [id(vx) for vx in out.vertices] == [id(vx) for vx in want]
-    assert (out.iteration, out.upper_bound) == (4, 7.0)
 
 
 def test_prune_vertices_empty_block():
@@ -316,85 +320,95 @@ def test_prune_vertices_empty_block():
         assert prune_vertices(Polyblock([]), gamma_min=gamma_min).vertices == []
 
 
-def test_initial_vertex_rescaling_insensitive(streams_table, amc):
+def _achievable_sinrs(rng, ch, fset, n):
+    # own-SINR vectors of n powers drawn uniformly from the feasible polytope
+    pts = []
+    while len(pts) < n:
+        p = rng.uniform(0, 1.0, (4000, 2))
+        ok = p[(fset.a_ub @ p.T <= fset.b_ub[:, None] + 1e-12).all(axis=0)]
+        pts.extend(own_sinrs(ch, q) for q in ok)
+    return np.array(pts[:n])
+
+
+def test_nested_polyblocks_contain_feasible_region(streams_table, amc,
+                                                   monkeypatch):
+    # each split polyblock lies inside the one before it, and until the
+    # incumbent first cuts a box (pure outer approximation) its box union
+    # covers every achievable SINR vector
+    blocks = []
+    observe_prune(monkeypatch, lambda block: blocks.append(
+        np.array([vx.z for vx in block.vertices]).reshape(-1, 2)))
     rng = np.random.default_rng(41)
-    done = 0
-    while done < 10:
-        ch, streams = make_instance(rng, streams_table)
-        fset = _fset(ch, streams, amc)
-        v1 = ch.gains_sq * ch.power_budget_w / ch.noise_var
-        try:
-            a = solve_polyblock(fset, streams, amc, B_HZ)
-            b = solve_polyblock(fset, streams, amc, B_HZ, initial_vertex=3.0 * v1)
-        except Infeasible:
-            continue
-        # both runs certify their incumbent within the bound-gap tolerance
-        assert abs(a.avg_psnr_db - b.avg_psnr_db) <= 2 * CFG.gap_tol_db
-        done += 1
-
-
-def test_nested_polyblocks_contain_feasible_region(streams_table, amc):
-    # pure outer approximation (no incumbent pruning): the box union must
-    # cover every achievable SINR vector at every iteration
-    rng = np.random.default_rng(43)
     done = 0
     while done < 3:
         ch, streams = make_instance(rng, streams_table)
         fset = _fset(ch, streams, amc)
-        pts = []
-        while len(pts) < 10000:
-            p = rng.uniform(0, 1.0, (4000, 2))
-            ok = p[(fset.a_ub @ p.T <= fset.b_ub[:, None] + 1e-12).all(axis=0)]
-            pts.extend(own_sinrs(ch, q) for q in ok)
-        z = np.array(pts[:10000])
-
-        failures = []
-
-        def check(block):
-            verts = np.array([vx.z for vx in block.vertices])
-            covered = (z[:, None, :] <= verts[None, :, :] + 1e-9).all(-1).any(-1)
-            if not covered.all():
-                failures.append(block.iteration)
-
+        blocks.clear()
         try:
-            solve_polyblock(fset, streams, amc, B_HZ, bound_prune=False,
-                            on_iteration=check)
+            res = solve_polyblock(fset, streams, amc, B_HZ)
         except Infeasible:
             continue
-        assert not failures
+        if not blocks:
+            continue  # finished before its first split
+        v1 = np.minimum(ch.gains_sq * ch.power_budget_w / ch.noise_var,
+                        fset.bounds.gamma_max)
+        outer = v1[None, :]
+        for verts in blocks:
+            inside = (verts[:, None, :] <= outer[None, :, :] + 1e-12).all(-1).any(-1)
+            assert inside.all()
+            outer = verts
+        uncut, n_before = [], 1
+        for verts, (_, n_after, _, _, _) in zip(blocks, res.trace):
+            if n_after < n_before:
+                break  # the incumbent cut boxes before this split
+            uncut.append(verts)
+            n_before = len(verts)
+        if not uncut:
+            continue
+        z = _achievable_sinrs(rng, ch, fset, 10000)
+        for k, verts in enumerate(uncut, 1):
+            covered = (z[:, None, :] <= verts[None, :, :] + 1e-9).all(-1).any(-1)
+            assert covered.all(), f"split {k}"
         done += 1
 
 
-def test_incumbent_pruning_keeps_improving_region(streams_table, amc):
-    # with incumbent-based pruning, boxes that cannot beat the incumbent may
-    # be dropped; every feasible point better than the incumbent stays covered
-    rng = np.random.default_rng(47)
-    ch, streams = make_instance(rng, streams_table)
-    fset = _fset(ch, streams, amc)
-    g_min, g_max = fset.bounds.gamma_min, fset.bounds.gamma_max
-    pts = []
-    while len(pts) < 4000:
-        p = rng.uniform(0, 1.0, (4000, 2))
-        ok = p[(fset.a_ub @ p.T <= fset.b_ub[:, None] + 1e-12).all(axis=0)]
-        pts.extend(own_sinrs(ch, q) for q in ok)
-    z = np.array(pts[:4000])
-    psi = np.array([mean_psnr(np.clip(v, g_min, g_max), streams, amc, B_HZ)
-                    for v in z])
-
-    failures = []
-
-    def check(block):
-        inc = block.best_feasible[1] if block.best_feasible else -np.inf
-        better = z[psi > inc + 1e-9]
-        if len(better) == 0 or not block.vertices:
-            return
-        verts = np.array([vx.z for vx in block.vertices])
-        covered = (better[:, None, :] <= verts[None, :, :] + 1e-9).all(-1).any(-1)
-        if not covered.all():
-            failures.append(block.iteration)
-
-    solve_polyblock(fset, streams, amc, B_HZ, on_iteration=check)
-    assert not failures
+def test_incumbent_pruning_keeps_improving_region(streams_table, amc,
+                                                  monkeypatch):
+    # after every split, the box union must cover every achievable SINR
+    # vector better than the incumbent the polyblock was last cut against;
+    # before the first cut that is every achievable vector (pure outer
+    # approximation)
+    blocks = []
+    observe_prune(monkeypatch, lambda block: blocks.append(
+        np.array([vx.z for vx in block.vertices]).reshape(-1, 2)))
+    rng = np.random.default_rng(43)
+    observed = 0
+    while observed < 4:
+        ch, streams = make_instance(rng, streams_table)
+        fset = _fset(ch, streams, amc)
+        blocks.clear()
+        try:
+            res = solve_polyblock(fset, streams, amc, B_HZ)
+        except Infeasible:
+            continue
+        if not blocks:
+            continue  # finished before its first split
+        # every iteration but the last calls prune_vertices once; its trace
+        # row holds the vertex count and incumbent after the incumbent cut
+        assert len(blocks) == len(res.trace) - 1
+        g_min, g_max = fset.bounds.gamma_min, fset.bounds.gamma_max
+        z = _achievable_sinrs(rng, ch, fset, 10000)
+        psi = np.array([mean_psnr(np.clip(v, g_min, g_max), streams, amc, B_HZ)
+                        for v in z])
+        cut, n_before = -np.inf, 1
+        for verts, (it, n_after, _, incumbent, _) in zip(blocks, res.trace):
+            if n_after < n_before:
+                cut = incumbent
+            better = z[psi > cut + 1e-9]
+            covered = (better[:, None, :] <= verts[None, :, :] + 1e-9).all(-1).any(-1)
+            assert covered.all(), f"iteration {it}"
+            n_before = len(verts)
+        observed += 1
 
 
 def test_trace_csv_emission(tmp_path, streams_table, amc):
