@@ -20,6 +20,8 @@ from .phy import (Allocation, AmcParams, SinrBounds, amc_rate,
                   bounds_from_quality, power_shares)
 from .quality import RdParams, psnr_of_rate
 
+GRID_STEP = 0.01  # bandwidth-fraction resolution of the OMA split search
+
 
 def solve_noma_mt(
     ch: ChannelState,
@@ -80,7 +82,6 @@ def solve_oma_simple(
     streams: list[RdParams],
     amc: AmcParams,
     b_hz: float,
-    step: float = 0.01,
 ) -> Allocation:
     """Orthogonal-access baseline: bandwidth fractions on a simplex grid.
 
@@ -94,7 +95,7 @@ def solve_oma_simple(
     full_rate = amc_rate(b_hz, snr, amc)
     r_min = np.array([s.rate_min for s in streams])
 
-    grid = np.array(list(_simplex_grid(n, step)))
+    grid = np.array(list(_simplex_grid(n, GRID_STEP)))
     all_rates = grid * full_rate
     feasible = ~np.any(all_rates < r_min * (1.0 - 1e-12), axis=1)
     if not feasible.any():

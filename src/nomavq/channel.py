@@ -86,7 +86,7 @@ def sample_channel(ue: UserEquipment, rng, path_loss_exp: float = 2.0) -> comple
     ``rng`` is a ``numpy.random.Generator`` (or an int seed). The small-scale
     coefficient g is circularly symmetric complex Gaussian with unit variance.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)  # a Generator passes through unchanged
     re, im = rng.standard_normal(2) * np.sqrt(0.5)
     return channel_gain(complex(re, im), ue.distance_m, path_loss_exp)
 

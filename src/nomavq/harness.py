@@ -130,22 +130,55 @@ def _numbers(d, key, cast, default):
     return vals
 
 
-def _ue(u) -> UserEquipment:
-    """One UE entry of the config, its numbers read like top-level keys."""
+# every key a scenario file may set, at the top level and in a UE entry
+CONFIG_KEYS = frozenset({
+    "ues", "n_zones", "snr_db", "bandwidth_hz", "power_budget_w",
+    "path_loss_exp", "p_rtp", "gops_per_trial", "grouping", "solvers",
+    "epsilon", "delta", "n_blocks", "amc_c1", "amc_c2", "mgs_weights",
+    "n_enh_layers", "fixture_path", "n_trials", "seed", "out_dir",
+})
+UE_KEYS = frozenset({"id", "distance_m", "stream", "quality_req", "complexity"})
+
+
+def _known_keys(d, keys):
+    """Refuse a key that nothing reads, so that a misspelt one is not ignored."""
+    for key in d:
+        if key not in keys:
+            raise ConfigurationError(f"unknown config key {key!r}")
+
+
+def _ue(k, u, path_loss_exp) -> UserEquipment:
+    """UE entry ``k`` (counted from 1), its numbers read like top-level keys.
+
+    Every error names the entry and, once it has been read, the UE id.
+    """
+    where = f"UE entry {k}"
     if not isinstance(u, dict):
-        raise ConfigurationError(f"UE entry must be a mapping: {u!r}")
+        raise ConfigurationError(f"{where} must be a mapping: {u!r}")
     try:
-        return UserEquipment(
-            id=_number(u, "id", int, allow_zero=True),
+        ue_id = _number(u, "id", int, allow_zero=True)
+        where += f" (id {ue_id})"
+        _known_keys(u, UE_KEYS)
+        ue = UserEquipment(
+            id=ue_id,
             distance_m=_number(u, "distance_m"),
             requested_stream=str(u["stream"]),
             quality_req=QualityReq(u.get("quality_req", "QualitySensitive")),
             content_complexity=Complexity(u.get("complexity", "Low")),
         )
+        # channel_gain divides by sqrt(1 + d^eta), which must stay finite
+        try:
+            finite = np.isfinite(1.0 + ue.distance_m ** path_loss_exp)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigurationError(
+                f"path loss at distance_m {ue.distance_m} overflows")
     except KeyError as e:
-        raise ConfigurationError(f"UE entry missing field {e}")
-    except ValueError as e:
-        raise ConfigurationError(f"bad UE entry: {e}")
+        raise ConfigurationError(f"{where}: missing config key: {e.args[0]}")
+    except (ConfigurationError, ValueError) as e:
+        raise ConfigurationError(f"{where}: {e}")
+    return ue
 
 
 def _path(d, key, default):
@@ -160,22 +193,14 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     """Build and validate a ScenarioConfig from parsed YAML."""
     if not isinstance(d, dict):
         raise ConfigurationError("config root must be a mapping")
+    _known_keys(d, CONFIG_KEYS)
     if not isinstance(d.get("ues"), list) or not d["ues"]:
         raise ConfigurationError(
             f"config key ues must be a nonempty list of UE entries: {d.get('ues')!r}")
-    ues = tuple(_ue(u) for u in d["ues"])
+    path_loss_exp = _number(d, "path_loss_exp", default=2.0)
+    ues = tuple(_ue(k, u, path_loss_exp) for k, u in enumerate(d["ues"], 1))
     if len({u.id for u in ues}) != len(ues):
         raise ConfigurationError("UE ids must be unique")
-    path_loss_exp = _number(d, "path_loss_exp", default=2.0)
-    for u in ues:
-        # channel_gain divides by sqrt(1 + d^eta), which must stay finite
-        try:
-            finite = np.isfinite(1.0 + u.distance_m ** path_loss_exp)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ConfigurationError(
-                f"UE {u.id}: path loss at distance_m {u.distance_m} overflows")
 
     n_zones = _number(d, "n_zones", int)
     if len(ues) % n_zones != 0:
@@ -188,6 +213,13 @@ def config_from_dict(d: dict) -> ScenarioConfig:
         grouping = GroupingStrategy(d.get("grouping", "ByIndex"))
     except ValueError:
         raise ConfigurationError(f"unknown grouping strategy: {d.get('grouping')!r}")
+    if grouping in (GroupingStrategy.WLBH, GroupingStrategy.WHBL):
+        # group_users maps whole zones to one complexity class
+        n_low = sum(u.content_complexity is Complexity.LOW for u in ues)
+        if n_low % (len(ues) // n_zones) != 0:
+            raise ConfigurationError(
+                f"{grouping.value} needs a number of Low-complexity UEs that is a"
+                f" multiple of the zone size {len(ues) // n_zones}, got {n_low}")
     solvers = d.get("solvers", list(SCHEMES))
     if not isinstance(solvers, (list, tuple)) or not solvers:
         raise ConfigurationError(f"config key solvers must be a nonempty list: {solvers!r}")

@@ -12,7 +12,6 @@ to s lost packets. No Galois-field arithmetic is involved.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -145,10 +144,3 @@ def erasure_recoverability(
         layer: n_lost_cols <= s for layer, _, _, s in tsb.layer_rows
     }
 
-
-def dump_schedule_csv(tb: TransmissionBlock, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timeslot", "tsb_a_col", "tsb_b_col", "bytes"])
-        for row in tb.schedule:
-            w.writerow(row)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,19 +27,19 @@ from .phy import (Allocation, AmcParams, FeasiblePowerSet, amc_rate,
                   check_feasible, power_shares, sinr_rows)
 from .quality import RdParams, psnr_of_rate
 
+# cap on the outer loop and on the Dinkelbach loop of each projection
+MAX_ITERATIONS = 10_000
+
 
 @dataclass
 class SolverConfig:
     epsilon: float = 1e-3  # relative termination tolerance in SINR space
     delta: float = 1e-6  # Dinkelbach residual tolerance
-    max_iterations: int = 10_000
-    gap_tol_db: float = 0.02  # required certificate: upper bound - incumbent
+    gap_tol_db: ClassVar[float] = 0.02  # required certificate: upper bound - incumbent
 
     def __post_init__(self):
         if not (self.epsilon > 0 and self.delta > 0):  # also rejects NaN
             raise ValueError("tolerances must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -106,7 +107,7 @@ def project(v, fset: FeasiblePowerSet, cfg: SolverConfig, lam0: float = 0.0):
     ch = fset.channel
     lam = lam0
     power = None
-    for _ in range(cfg.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         val, p = _dinkelbach_lp(fset, v, lam)
         gammas = own_sinrs(ch, p)
         with np.errstate(over="ignore"):
@@ -122,7 +123,7 @@ def project(v, fset: FeasiblePowerSet, cfg: SolverConfig, lam0: float = 0.0):
     )
 
 
-def prune_vertices(block: Polyblock, gamma_min=None) -> Polyblock:
+def prune_vertices(block: Polyblock, gamma_min) -> Polyblock:
     """Drop dominated vertices and vertices whose box misses the conormal set.
 
     A vertex is dominated when another vertex is componentwise >= it; a box
@@ -139,8 +140,7 @@ def prune_vertices(block: Polyblock, gamma_min=None) -> Polyblock:
         gt = (z[None, :, :] > z[:, None, :]).any(axis=2)
         earlier = np.tri(len(verts), k=-1, dtype=bool)  # j < i
         keep = ~(geq & (gt | earlier)).any(axis=1)
-        if gamma_min is not None:
-            keep &= ~(z < gamma_min - 1e-12).any(axis=1)
+        keep &= ~(z < gamma_min - 1e-12).any(axis=1)
         kept = [vx for vx, k in zip(verts, keep) if k]
     return Polyblock(kept)
 
@@ -217,7 +217,7 @@ def solve_polyblock(
             trace=trace,
         )
 
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         for vx in block.vertices:
             if vx.sel_value > -math.inf and (best is None or vx.sel_value > best[1]):
                 best = (vx.power, vx.sel_value)
@@ -269,7 +269,7 @@ def solve_polyblock(
 
     raise NonConvergence(
         "polyblock solver hit the iteration cap",
-        {"iterations": cfg.max_iterations, "best": best},
+        {"iterations": MAX_ITERATIONS, "best": best},
     )
 
 

@@ -92,22 +92,6 @@ class RdPoint:
         return cls(rate_bps, _mse_of_psnr(psnr_db))
 
 
-def psnr_from_mse(mse: float) -> float:
-    """PSNR in dB for a mean-squared error (8-bit peak)."""
-    if mse <= 0:
-        raise ValueError("mse must be positive")
-    return 10.0 * math.log10(PEAK_SQ / mse)
-
-
-def end_to_end_distortion(d_enc: float, d_tran: float) -> float:
-    """Total distortion: encoder distortion plus (uncorrelated) transmission distortion."""
-    if d_enc <= 0:
-        raise ValueError("d_enc must be positive")
-    if d_tran < 0:
-        raise ValueError("d_tran must be nonnegative")
-    return d_enc + d_tran
-
-
 def rate_of_psnr(params: RdParams, q_db: float):
     """Rate (bits/s) needed to reach ``q_db`` on this stream.
 

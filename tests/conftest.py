@@ -68,7 +68,7 @@ def make_three_user_instance(rng, table, snr_db=22.0):
 
 @st.composite
 def small_instances(draw):
-    """A random 2- or 3-user group: (channel, streams, n_blocks, OMA step).
+    """A random 2- or 3-user group: (channel, streams, n_blocks).
 
     Gains and SNR span feasible and infeasible groups alike.
     """
@@ -81,8 +81,7 @@ def small_instances(draw):
                       power_budget_w=P_MAX_W)
     streams = [_TABLE[name] for name in names]
     n_blocks = draw(st.integers(min_value=1, max_value=200))
-    step = draw(st.sampled_from([0.01, 0.05]))
-    return ch, streams, n_blocks, step
+    return ch, streams, n_blocks
 
 
 def contains(fset, p, tol=1e-9):
@@ -203,7 +202,7 @@ def observe_prune(monkeypatch, check):
     call of the solver returns, once per outer iteration that splits."""
     inner = polyblock.prune_vertices
 
-    def observed(block, gamma_min=None):
+    def observed(block, gamma_min):
         out = inner(block, gamma_min=gamma_min)
         check(out)
         return out

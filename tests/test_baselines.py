@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nomavq import (
     Allocation,
@@ -14,6 +15,7 @@ from nomavq import (
     solve_noma_mt,
     solve_oma_simple,
 )
+from nomavq import baselines
 from nomavq.baselines import _simplex_grid
 
 from conftest import B_HZ, make_instance, outcome, same_bits, small_instances
@@ -145,11 +147,13 @@ def _oma_oracle(ch, streams, amc, b_hz, step):
     return Allocation(None, rho, snr, rates, per_user, score)
 
 
-@given(small_instances())
+@given(small_instances(), st.sampled_from([baselines.GRID_STEP, 0.05]))
 @settings(max_examples=100, deadline=None)
-def test_orthogonal_baseline_matches_pointwise_oracle_bitwise(amc, instance):
-    ch, streams, _, step = instance
-    got = outcome(solve_oma_simple, ch, streams, amc, B_HZ, step)
+def test_orthogonal_baseline_matches_pointwise_oracle_bitwise(amc, instance, step):
+    ch, streams, _ = instance
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(baselines, "GRID_STEP", step)
+        got = outcome(solve_oma_simple, ch, streams, amc, B_HZ)
     want = outcome(_oma_oracle, ch, streams, amc, B_HZ, step)
     if isinstance(got, type) or isinstance(want, type):
         assert got is want

@@ -225,7 +225,7 @@ def _greedy_oracle(ch, streams, amc, b_hz, cfg):
 @given(small_instances())
 @settings(max_examples=150, deadline=None)
 def test_greedy_matches_per_candidate_oracle_bitwise(amc, instance):
-    ch, streams, n_blocks, _ = instance
+    ch, streams, n_blocks = instance
     cfg = GreedyConfig(n_blocks=n_blocks)
     got = outcome(solve_greedy, ch, streams, amc, B_HZ, cfg)
     want = outcome(_greedy_oracle, ch, streams, amc, B_HZ, cfg)
@@ -257,7 +257,7 @@ def test_row_wise_reductions_match_per_row_bitwise(a):
 @settings(max_examples=150, deadline=None)
 def test_phase_two_ties_go_to_the_lowest_open_ue(amc, instance):
     # random draws never tie, so a flat PSNR makes every phase-II step a tie
-    ch, streams, n_blocks, _ = instance
+    ch, streams, n_blocks = instance
     cfg = GreedyConfig(n_blocks=n_blocks)
     calls = []
 

@@ -8,12 +8,14 @@ import yaml
 from nomavq import (
     AmcParams,
     ConfigurationError,
+    NonConvergence,
     config_from_dict,
     discrete_rate_set,
     load_config,
     run_scenario,
     snap_rate,
 )
+from nomavq import polyblock
 from nomavq.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from nomavq.harness import aggregate, read_config, write_trial_csv
 from nomavq.polyblock import SolverConfig
@@ -109,10 +111,41 @@ def test_config_parses_and_derives(tmp_path):
     {"ues": [5]},
     {"fixture_path": 5},
     {"out_dir": 5},
+    # misspelt keys, at the top level and in a UE entry, would be ignored
+    {"n_trial": 3},
+    {"solver": ["greedy"]},
+    {"ues": [{"id": 1, "distance_m": 3.0, "distnce_m": 2.0, "stream": "Foreman"},
+             {"id": 2, "distance_m": 1.0, "stream": "Soccer"}]},
+    # WLBH maps whole zones to one complexity: 3 Low UEs cannot fill zones of 2
+    {"ues": [{"id": k, "distance_m": float(k), "stream": "Foreman",
+              "complexity": "Low" if k < 4 else "High"} for k in range(1, 5)]},
 ])
 def test_config_validation_errors(broken):
     with pytest.raises(ConfigurationError):
         config_from_dict(_cfg_dict(**broken))
+
+
+def _default_with_ue(k, **fields):
+    raw = read_config("configs/default.yaml")
+    raw["ues"][k - 1].update(fields)
+    return raw
+
+
+@pytest.mark.parametrize("k, fields, message", [
+    (3, {"distance_m": float("nan")},
+     "UE entry 3 (id 3): config key distance_m must be finite and positive, got nan"),
+    (2, {"distnce_m": 3.0}, "UE entry 2 (id 2): unknown config key 'distnce_m'"),
+    (1, {"id": 1.5}, "UE entry 1: config key id is not a whole number: 1.5"),
+    (4, {"distance_m": 1e200},
+     "UE entry 4 (id 4): path loss at distance_m 1e+200 overflows"),
+    (5, {"complexity": "Medium"},
+     "UE entry 5 (id 5): 'Medium' is not a valid Complexity"),
+], ids=["nan-distance", "misspelt-key", "fractional-id", "path-loss-overflow",
+        "unknown-complexity"])
+def test_ue_entry_errors_name_the_entry_and_id(k, fields, message):
+    with pytest.raises(ConfigurationError) as err:
+        config_from_dict(_default_with_ue(k, **fields))
+    assert str(err.value) == message
 
 
 def test_config_accepts_base_layer_only_and_seed_zero():
@@ -210,17 +243,21 @@ def test_run_scenario_csv_byte_identical(tmp_path):
     assert p1.read_text().count("\n") > 1
 
 
-def test_run_scenario_survives_solver_nonconvergence():
+def test_run_scenario_survives_solver_nonconvergence(monkeypatch):
     # one trial of the default scenario at SNRs where every polyblock instance
-    # is feasible; a single Dinkelbach step from lam = 0 can never certify the
-    # projection, so every polyblock instance must hit the cap
+    # is feasible, so every instance reaches a radial projection; each one
+    # fails to converge, and every polyblock instance must be excluded
     cfg = dataclasses.replace(
         load_config("configs/default.yaml"), n_trials=1,
         snr_db=(20.0, 25.0, 30.0), solvers=("polyblock", "greedy", "oma"),
     )
-    capped = run_scenario(dataclasses.replace(
-        cfg, solver_cfg=SolverConfig(max_iterations=1)))
     reference = run_scenario(dataclasses.replace(cfg, solvers=("greedy", "oma")))
+
+    def diverge(*args, **kwargs):
+        raise NonConvergence("Dinkelbach projection hit the iteration cap")
+
+    monkeypatch.setattr(polyblock, "project", diverge)
+    capped = run_scenario(cfg)
 
     assert not [r for r in capped.records if r.scheme == "polyblock"]
     reasons = [e[5] for e in capped.exclusions if e[3] == "polyblock"]
@@ -235,6 +272,23 @@ def test_run_scenario_survives_solver_nonconvergence():
 
     assert others(capped) == others(reference)
     assert reference.records
+
+
+def test_run_scenario_survives_both_iteration_caps(monkeypatch):
+    # at this draw and a cap of 40, one three-user group stops inside a
+    # radial projection and the other in the outer polyblock loop
+    raw = read_config("configs/default.yaml")
+    raw.update(n_trials=1, snr_db=[30], n_zones=3, grouping="ByIndex",
+               solvers=["polyblock"])
+    cfg = config_from_dict(raw)
+    assert cfg.seed == 20260825
+    monkeypatch.setattr(polyblock, "MAX_ITERATIONS", 40)
+    result = run_scenario(cfg)
+    assert not result.records
+    assert sorted(e[5] for e in result.exclusions) == [
+        "NonConvergence: Dinkelbach projection hit the iteration cap",
+        "NonConvergence: polyblock solver hit the iteration cap",
+    ]
 
 
 def test_run_scenario_seed_changes_outcomes():
@@ -271,6 +325,23 @@ def test_cli_validate_ok_and_config_error(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
     assert main(["validate", "--config", str(tmp_path / "missing.yaml")]) \
         == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda raw: raw.update(n_trial=3), "'n_trial'"),
+    (lambda raw: raw["ues"][3].update(complexity="Low"), "WLBH"),
+], ids=["misspelt-key", "wlbh-complexity-counts"])
+def test_cli_validate_rejects_what_simulate_rejects(tmp_path, capsys, edit, named):
+    # a misspelt key, or 4 Low UEs in zones of 3, fails both commands alike
+    raw = read_config("configs/default.yaml")
+    edit(raw)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    for command in (["validate"], ["simulate", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("edit", [

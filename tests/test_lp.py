@@ -308,7 +308,7 @@ def test_solve_lp_matches_the_oracle_bitwise(lp):
 def _dinkelbach_inputs(draw):
     """A 1- to 3-user power set, a vertex inside its SINR box and the share
     of the vertex's projection at which to build one more epigraph LP."""
-    ch, streams, _, _ = draw(small_instances())
+    ch, streams, _ = draw(small_instances())
     k = draw(st.integers(min_value=1, max_value=ch.n_users))
     ch = ChannelState(gains_sq=ch.gains_sq[:k], noise_var=ch.noise_var,
                       power_budget_w=ch.power_budget_w)

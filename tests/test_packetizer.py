@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from nomavq import (
     erasure_recoverability,
     layout_tsb,
 )
-from nomavq.packetizer import dump_schedule_csv
 
 
 def _profile(*classes, codeword_len=255):
@@ -96,18 +94,6 @@ def test_assemble_overflow_boundary():
     c = layout_tsb([(0, 255 * 701)], prof)  # stacked height 1401
     with pytest.raises(PayloadOverflow):
         assemble_tb(a, c, rtp_payload_bytes=1400)
-
-
-def test_schedule_round_trip_csv(tmp_path):
-    prof = _profile((0, 55))
-    tb = assemble_tb(layout_tsb([(0, 900)], prof), layout_tsb([(0, 500)], prof))
-    path = tmp_path / "schedule.csv"
-    dump_schedule_csv(tb, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["timeslot", "tsb_a_col", "tsb_b_col", "bytes"]
-    got = [tuple(int(v) for v in r) for r in rows[1:]]
-    assert got == list(tb.schedule)  # transpose-read reproduces column order
 
 
 def test_recoverability_boundary():

@@ -246,7 +246,7 @@ def test_sic_decodability_implied_on_feasible_points(amc, streams_table):
                 checked += 1
 
 
-def _allocate(scheme, ch, streams, amc, n_blocks, step):
+def _allocate(scheme, ch, streams, amc, n_blocks):
     bounds = bounds_from_quality(streams, amc, B_HZ)
     if scheme == "polyblock":
         return solve_polyblock(build_feasible_set(ch, bounds), streams, amc, B_HZ)
@@ -254,13 +254,13 @@ def _allocate(scheme, ch, streams, amc, n_blocks, step):
         return solve_greedy(ch, streams, amc, B_HZ, GreedyConfig(n_blocks), bounds)
     if scheme == "noma-mt":
         return solve_noma_mt(ch, streams, amc, B_HZ, bounds)
-    return solve_oma_simple(ch, streams, amc, B_HZ, step)
+    return solve_oma_simple(ch, streams, amc, B_HZ)
 
 
 def _check_allocation_contract(scheme, amc, instance):
-    ch, streams, n_blocks, step = instance
+    ch, streams, n_blocks = instance
     try:
-        res = _allocate(scheme, ch, streams, amc, n_blocks, step)
+        res = _allocate(scheme, ch, streams, amc, n_blocks)
     except (Infeasible, InfeasibleRate, NonConvergence):
         return
     band_rates = amc_rate(B_HZ, res.sinrs, amc)

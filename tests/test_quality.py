@@ -17,31 +17,10 @@ from nomavq import (
     psnr_of_rate,
     rate_of_psnr,
 )
-from nomavq.quality import (
-    PEAK_SQ,
-    dump_rd_fixtures,
-    end_to_end_distortion,
-    psnr_from_mse,
-)
+from nomavq.quality import PEAK_SQ, dump_rd_fixtures
 
 REF = RdParams(alpha=3.0, beta=6770.388457026085, theta=1551089.3836871097,
                q_min_db=32.0, q_max_db=40.0, stream_id="Foreman")
-
-
-def test_psnr_from_mse_peak():
-    assert psnr_from_mse(PEAK_SQ) == pytest.approx(0.0)
-    assert psnr_from_mse(1.0) == pytest.approx(10 * math.log10(PEAK_SQ))
-    with pytest.raises(ValueError):
-        psnr_from_mse(0.0)
-
-
-def test_end_to_end_distortion_is_additive():
-    assert end_to_end_distortion(10.0, 2.5) == 12.5
-    assert end_to_end_distortion(10.0, 0.0) == 10.0
-    with pytest.raises(ValueError):
-        end_to_end_distortion(0.0, 1.0)
-    with pytest.raises(ValueError):
-        end_to_end_distortion(1.0, -1.0)
 
 
 def test_rate_of_psnr_matches_direct_formula():
@@ -139,7 +118,7 @@ def test_rdpoint_validation():
         with pytest.raises(ValueError):
             RdPoint(rate_bps=rate, mse=mse)
     p = RdPoint.from_psnr(1e5, 35.0)
-    assert psnr_from_mse(p.mse) == pytest.approx(35.0)
+    assert 10.0 * math.log10(PEAK_SQ / p.mse) == pytest.approx(35.0)
 
 
 def test_fit_recovers_exact_curve():

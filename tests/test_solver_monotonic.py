@@ -266,7 +266,7 @@ def test_pruning_does_not_change_result(streams_table, amc, monkeypatch):
             a = solve_polyblock(fset, streams, amc, B_HZ)
             with monkeypatch.context() as m:
                 m.setattr(polyblock, "prune_vertices",
-                          lambda block, gamma_min=None: block)
+                          lambda block, gamma_min: block)
                 b = solve_polyblock(fset, streams, amc, B_HZ)
         except Infeasible:
             continue
@@ -274,12 +274,12 @@ def test_pruning_does_not_change_result(streams_table, amc, monkeypatch):
         done += 1
 
 
-def _prune_oracle(block, gamma_min=None):
+def _prune_oracle(block, gamma_min):
     """Reference pairwise pruning loop; returns the kept vertices in order."""
     kept = []
     verts = block.vertices
     for i, a in enumerate(verts):
-        if gamma_min is not None and np.any(a.z < gamma_min - 1e-12):
+        if np.any(a.z < gamma_min - 1e-12):
             continue
         dominated = False
         for j, b in enumerate(verts):
@@ -297,12 +297,13 @@ def _prune_oracle(block, gamma_min=None):
 
 @st.composite
 def _pruning_inputs(draw):
-    # small integer coordinates make ties and equal vertices common
+    # small integer coordinates make ties and equal vertices common; a zero
+    # gamma_min filters nothing, so dominance alone decides
     n = draw(st.integers(min_value=1, max_value=3))
     coord = st.integers(min_value=0, max_value=3)
     rows = draw(st.lists(st.lists(coord, min_size=n, max_size=n), max_size=12))
-    gamma_min = draw(st.none() | st.lists(coord, min_size=n, max_size=n))
-    return rows, None if gamma_min is None else np.array(gamma_min, dtype=float)
+    gamma_min = draw(st.just([0] * n) | st.lists(coord, min_size=n, max_size=n))
+    return rows, np.array(gamma_min, dtype=float)
 
 
 @given(_pruning_inputs())
@@ -316,7 +317,7 @@ def test_prune_vertices_matches_pairwise_oracle(inputs):
 
 
 def test_prune_vertices_empty_block():
-    for gamma_min in (None, np.array([1.0, 2.0])):
+    for gamma_min in (np.zeros(2), np.array([1.0, 2.0])):
         assert prune_vertices(Polyblock([]), gamma_min=gamma_min).vertices == []
 
 
