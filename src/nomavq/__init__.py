@@ -61,7 +61,6 @@ from .phy import (
     build_feasible_set,
     check_feasible,
     min_power,
-    psnr_of_sinr,
     sinr_bound_of_psnr,
 )
 from .polyblock import (

@@ -32,38 +32,20 @@ EXIT_INFEASIBLE = 3
 
 def _add_common(p):
     p.add_argument("--config", required=True, help="scenario config file (YAML)")
-    p.add_argument("--seed", type=int, default=None, help="override master seed")
-    p.add_argument(
-        "--solver",
-        choices=list(harness.SCHEMES) + ["all"],
-        default=None,
-        help="restrict to one scheme (default: the config's list)",
-    )
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="override solver termination tolerance")
-    p.add_argument("--blocks", type=int, default=None, metavar="L",
-                   help="override greedy power-block count")
-    p.add_argument("--out", default=None, metavar="DIR", help="output directory")
+    p.add_argument("--out", default=None, metavar="DIR",
+                   help="output directory (default: the config's out_dir)")
 
 
-def _load(args) -> harness.ScenarioConfig:
-    """The config, with the flags put under their keys before validation so
-    that they pass the same checks as the file."""
+def _read(args):
+    """The parsed config file, with ``--out`` put under ``out_dir``."""
     raw = harness.read_config(args.config)
-    flags = {
-        "seed": args.seed,
-        "epsilon": args.epsilon,
-        "n_blocks": args.blocks,
-        "out_dir": args.out,
-        "solvers": None if args.solver in (None, "all") else [args.solver],
-    }
-    if isinstance(raw, dict):
-        raw.update((k, v) for k, v in flags.items() if v is not None)
-    return harness.config_from_dict(raw)
+    if args.out is not None and isinstance(raw, dict):
+        raw["out_dir"] = args.out
+    return raw
 
 
 def _cmd_solve(args) -> int:
-    cfg = _load(args)
+    cfg = harness.config_from_dict(_read(args))
     cfg = dataclasses.replace(
         cfg, n_trials=1, gops_per_trial=1, snr_db=cfg.snr_db[:1]
     )
@@ -104,7 +86,7 @@ def _write_all(result, out_dir) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load(args)
+    cfg = harness.config_from_dict(_read(args))
     result = harness.run_scenario(cfg)
     _write_all(result, cfg.out_dir)
     print(f"{len(result.records)} records, {len(result.exclusions)} excluded"
@@ -113,14 +95,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_grouping_compare(args) -> int:
-    cfg = _load(args)
-    runs = [
-        harness.aggregate(harness.run_scenario(
-            dataclasses.replace(cfg, grouping=strategy)))
+    raw = _read(args)
+    cfg = harness.config_from_dict(raw)
+    # every variant passes the load-time checks before any of them runs
+    variants = [
+        harness.config_from_dict({**raw, "grouping": strategy.value})
         for strategy in (
             GroupingStrategy.WLBH, GroupingStrategy.WRBR, GroupingStrategy.WHBL
         )
     ]
+    runs = [harness.aggregate(harness.run_scenario(v)) for v in variants]
     # each run counts only its own exclusions; the first three columns hold
     # the grouping, and each run's rows are already sorted past them
     tables = {

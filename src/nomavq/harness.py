@@ -68,10 +68,6 @@ class ScenarioConfig:
     mgs_weights: tuple = DEFAULT_MGS_WEIGHTS
     n_enh_layers: int = DEFAULT_ENH_LAYERS
 
-    @property
-    def ues_per_zone(self) -> int:
-        return len(self.ues) // self.n_zones
-
     def noise_var(self, snr_db: float) -> float:
         # scenario SNR definition: 10 log10(P / sigma^2) with P the group budget
         return self.power_budget_w / 10.0 ** (snr_db / 10.0)
@@ -82,10 +78,19 @@ class ScenarioConfig:
             table = load_rd_fixtures(path, p_rtp=self.p_rtp)
         except (OSError, ValueError) as e:  # unreadable or malformed file
             raise ConfigurationError(f"bad R-D fixture file: {e}") from e
-        for u in self.ues:
+        for k, u in enumerate(self.ues, 1):
             if u.requested_stream not in table:
                 raise ConfigurationError(
                     f"UE {u.id} requests unknown stream {u.requested_stream!r}"
+                )
+            # WLBH and WHBL place streams by the UE's label, so it must
+            # agree with the fixture's
+            fixture = table[u.requested_stream].complexity
+            if u.content_complexity.value != fixture:
+                raise ConfigurationError(
+                    f"UE entry {k} (id {u.id}): complexity"
+                    f" {u.content_complexity.value} differs from stream"
+                    f" {u.requested_stream!r}'s fixture complexity {fixture}"
                 )
         return table
 
@@ -115,6 +120,13 @@ def _number(d, key, cast=float, default=None, allow_zero=False):
         kind = "nonnegative" if allow_zero else "positive"
         raise ConfigurationError(f"config key {key} must be finite and {kind}, got {v}")
     return v
+
+
+def _set_numbers(d, fields, cast=float) -> dict:
+    """``{field: number}`` over the ``key: field`` pairs of ``fields`` that
+    ``d`` sets. A key the file leaves out is not passed on, so it takes the
+    default of the type that owns the field."""
+    return {field: _number(d, key, cast) for key, field in fields.items() if key in d}
 
 
 def _numbers(d, key, cast, default):
@@ -163,8 +175,10 @@ def _ue(k, u, path_loss_exp) -> UserEquipment:
             id=ue_id,
             distance_m=_number(u, "distance_m"),
             requested_stream=str(u["stream"]),
-            quality_req=QualityReq(u.get("quality_req", "QualitySensitive")),
-            content_complexity=Complexity(u.get("complexity", "Low")),
+            **{field: kind(u[key]) for key, field, kind in (
+                ("quality_req", "quality_req", QualityReq),
+                ("complexity", "content_complexity", Complexity),
+            ) if key in u},
         )
         # channel_gain divides by sqrt(1 + d^eta), which must stay finite
         try:
@@ -205,6 +219,7 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     n_zones = _number(d, "n_zones", int)
     if len(ues) % n_zones != 0:
         raise ConfigurationError("UE count must be a multiple of n_zones")
+    zone_size = len(ues) // n_zones
     snr_db = _numbers(d, "snr_db", float, [15.0])
     if len(set(snr_db)) != len(snr_db):
         raise ConfigurationError(f"config key snr_db repeats a value: {list(snr_db)}")
@@ -216,10 +231,10 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     if grouping in (GroupingStrategy.WLBH, GroupingStrategy.WHBL):
         # group_users maps whole zones to one complexity class
         n_low = sum(u.content_complexity is Complexity.LOW for u in ues)
-        if n_low % (len(ues) // n_zones) != 0:
+        if n_low % zone_size != 0:
             raise ConfigurationError(
                 f"{grouping.value} needs a number of Low-complexity UEs that is a"
-                f" multiple of the zone size {len(ues) // n_zones}, got {n_low}")
+                f" multiple of the zone size {zone_size}, got {n_low}")
     solvers = d.get("solvers", list(SCHEMES))
     if not isinstance(solvers, (list, tuple)) or not solvers:
         raise ConfigurationError(f"config key solvers must be a nonempty list: {solvers!r}")
@@ -234,14 +249,9 @@ def config_from_dict(d: dict) -> ScenarioConfig:
 
     try:
         solver_cfg = SolverConfig(
-            epsilon=_number(d, "epsilon", default=1e-3),
-            delta=_number(d, "delta", default=1e-6),
-        )
-        greedy_cfg = GreedyConfig(n_blocks=_number(d, "n_blocks", int, default=100))
-        amc = AmcParams(
-            c1=_number(d, "amc_c1", default=0.905),
-            c2=_number(d, "amc_c2", default=1.34),
-        )
+            **_set_numbers(d, {"epsilon": "epsilon", "delta": "delta"}))
+        greedy_cfg = GreedyConfig(**_set_numbers(d, {"n_blocks": "n_blocks"}, int))
+        amc = AmcParams(**_set_numbers(d, {"amc_c1": "c1", "amc_c2": "c2"}))
     except ValueError as e:
         raise ConfigurationError(str(e))
 

@@ -28,11 +28,8 @@ class UxpProfile:
 
     parity_per_class: tuple  # ((layer_id, s), ...)
     codeword_len: int = 255
-    rtp_payload_bytes: int = 1400
 
     def __post_init__(self):
-        if self.rtp_payload_bytes <= 0:
-            raise ValueError("rtp_payload_bytes must be positive")
         for layer, s in self.parity_per_class:
             if not 0 <= s < self.codeword_len:
                 raise ValueError(f"layer {layer}: parity {s} not in [0, {self.codeword_len})")
@@ -107,6 +104,8 @@ def assemble_tb(
     Packet t carries column t of TSB-A on top of column t of TSB-B; the
     stacked height must fit in one RTP payload.
     """
+    if rtp_payload_bytes <= 0:
+        raise ValueError("rtp_payload_bytes must be positive")
     stacked = tsb_a.n_rows + tsb_b.n_rows
     if stacked > rtp_payload_bytes:
         raise PayloadOverflow(
@@ -132,8 +131,10 @@ def erasure_recoverability(
 
     A lost packet erases one column of each codeword; a row with parity s is
     recoverable iff at most s of its columns were lost, and a layer is intact
-    iff all its rows are.
+    iff all its rows are. ``which`` names the TSB, ``"a"`` or ``"b"``.
     """
+    if which not in ("a", "b"):
+        raise ValueError(f"which must be 'a' or 'b', got {which!r}")
     tsb = tb.tsb_a if which == "a" else tb.tsb_b
     lost = set(lost_packets)
     for t in lost:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import ChannelState
 from .errors import Infeasible
-from .quality import RdParams, psnr_of_rate, rate_of_psnr
+from .quality import RdParams, rate_of_psnr
 
 
 @dataclass(frozen=True)
@@ -81,14 +81,6 @@ class Allocation:
     avg_psnr_db: float
     iterations: int = 0
     bound_gap_db: float = 0.0
-
-
-def psnr_of_sinr(params: RdParams, amc: AmcParams, b_hz: float, gamma: float) -> float:
-    """Decoded PSNR when the stream is received at SINR ``gamma``.
-
-    Saturates at q_max for SINR beyond the band; raises InfeasibleRate below.
-    """
-    return psnr_of_rate(params, float(amc_rate(b_hz, gamma, amc)))
 
 
 def sinr_bound_of_psnr(params: RdParams, amc: AmcParams, b_hz: float, q_db: float) -> float:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from nomavq import (
     run_scenario,
     snap_rate,
 )
-from nomavq import polyblock
-from nomavq.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from nomavq import harness, polyblock
+from nomavq.cli import EXIT_CONFIG, EXIT_OK, main
 from nomavq.harness import aggregate, read_config, write_trial_csv
 from nomavq.polyblock import SolverConfig
 from nomavq.quality import dump_rd_fixtures, load_rd_fixtures, psnr_of_rate
@@ -53,7 +54,6 @@ def _write_cfg(tmp_path, **over):
 
 def test_config_parses_and_derives(tmp_path):
     cfg = load_config(_write_cfg(tmp_path))
-    assert cfg.ues_per_zone == 1
     assert cfg.noise_var(20.0) == pytest.approx(0.01)
     assert cfg.noise_var(0.0) == pytest.approx(1.0)
     table = cfg.load_streams()
@@ -119,6 +119,9 @@ def test_config_parses_and_derives(tmp_path):
     # WLBH maps whole zones to one complexity: 3 Low UEs cannot fill zones of 2
     {"ues": [{"id": k, "distance_m": float(k), "stream": "Foreman",
               "complexity": "Low" if k < 4 else "High"} for k in range(1, 5)]},
+    # a negative tolerance, no power blocks
+    {"epsilon": -1.0},
+    {"n_blocks": 0},
 ])
 def test_config_validation_errors(broken):
     with pytest.raises(ConfigurationError):
@@ -261,7 +264,8 @@ def test_run_scenario_survives_solver_nonconvergence(monkeypatch):
 
     assert not [r for r in capped.records if r.scheme == "polyblock"]
     reasons = [e[5] for e in capped.exclusions if e[3] == "polyblock"]
-    assert len(reasons) == cfg.ues_per_zone * len(cfg.snr_db)  # one per group
+    # one per group
+    assert len(reasons) == len(cfg.ues) // cfg.n_zones * len(cfg.snr_db)
     assert all(r.startswith("NonConvergence: ") for r in reasons)
 
     def others(result):
@@ -327,12 +331,25 @@ def test_cli_validate_ok_and_config_error(tmp_path, capsys):
         == EXIT_CONFIG
 
 
+def _omit_complexity(raw):
+    for u in raw["ues"]:
+        del u["complexity"]
+
+
 @pytest.mark.parametrize("edit, named", [
     (lambda raw: raw.update(n_trial=3), "'n_trial'"),
     (lambda raw: raw["ues"][3].update(complexity="Low"), "WLBH"),
-], ids=["misspelt-key", "wlbh-complexity-counts"])
+    (_omit_complexity, "UE entry 4 (id 4): complexity Low differs from stream"
+                       " 'Football''s fixture complexity High"),
+    (lambda raw: raw.update(grouping="ByIndex")
+     or raw["ues"][5].update(complexity="Low"),
+     "UE entry 6 (id 6): complexity Low differs from stream"
+     " 'Soccer''s fixture complexity High"),
+], ids=["misspelt-key", "wlbh-complexity-counts", "complexity-omitted",
+        "complexity-mislabelled"])
 def test_cli_validate_rejects_what_simulate_rejects(tmp_path, capsys, edit, named):
-    # a misspelt key, or 4 Low UEs in zones of 3, fails both commands alike
+    # a misspelt key, 4 Low UEs in zones of 3, or a UE complexity that
+    # differs from its stream's fixture row fails both commands alike
     raw = read_config("configs/default.yaml")
     edit(raw)
     path = tmp_path / "scenario.yaml"
@@ -370,13 +387,17 @@ def test_cli_malformed_fixture_file_is_a_config_error(tmp_path, capsys, edit):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", [
-    ["--epsilon", "nan"], ["--epsilon", "-1"], ["--blocks", "0"], ["--seed", "-1"],
-])
-def test_cli_overrides_pass_the_config_checks(tmp_path, capsys, flag):
-    code = main(["solve", "--config", str(_write_cfg(tmp_path)), *flag])
-    assert code == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+@pytest.mark.parametrize("command, options", [
+    ("solve", {"--config", "--out", "--trace"}),
+    ("simulate", {"--config", "--out"}),
+    ("grouping-compare", {"--config", "--out"}),
+], ids=["solve", "simulate", "grouping-compare"])
+def test_cli_run_commands_take_only_config_and_out(capsys, command, options):
+    # every other run value is a config key, set only in the file
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == EXIT_OK
+    assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == {"--help", *options}
 
 
 def test_cli_simulate_writes_outputs(tmp_path):
@@ -394,23 +415,21 @@ def test_cli_solve_and_trace(tmp_path, capsys):
     out = tmp_path / "results"
     code = main(["solve", "--config", str(cfg_path), "--trace",
                  "--out", str(out)])
-    captured = capsys.readouterr().out
-    assert code in (EXIT_OK, EXIT_INFEASIBLE)
-    if code == EXIT_OK:
-        assert "avg_psnr_db=" in captured
-        assert (out / "solver_trace.csv").exists()
+    assert code == EXIT_OK
+    assert "avg_psnr_db=" in capsys.readouterr().out
+    header, *rows = (out / "solver_trace.csv").read_text().splitlines()
+    assert header == "iteration,n_vertices,upper_bound_db,incumbent_db,gap_db"
+    assert rows
 
 
-def test_cli_solver_and_blocks_overrides(tmp_path, capsys):
-    cfg_path = _write_cfg(tmp_path, solvers=["polyblock", "greedy", "oma"])
-    out = tmp_path / "results"
-    code = main(["solve", "--config", str(cfg_path), "--solver", "greedy",
-                 "--blocks", "50", "--out", str(out)])
+def test_cli_solve_runs_the_config_schemes(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, solvers=["greedy"])
+    code = main(["solve", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "results")])
     captured = capsys.readouterr().out
-    assert code in (EXIT_OK, EXIT_INFEASIBLE)
-    if code == EXIT_OK:
-        assert "scheme=greedy" in captured
-        assert "scheme=polyblock" not in captured
+    assert code == EXIT_OK
+    assert "scheme=greedy" in captured
+    assert "scheme=oma" not in captured
 
 
 def _csv_rows(path):
@@ -460,6 +479,27 @@ def test_cli_grouping_compare(tmp_path):
     assert _csv_rows(tmp_path / "compare" / "grouping_psnr.csv") == sorted(
         want["grouping_psnr"], key=lambda row: (
             row["grouping"], float(row["snr_db"]), row["scheme"], row["stream"]))
+
+
+def test_cli_grouping_compare_checks_every_grouping_first(tmp_path, capsys,
+                                                         monkeypatch):
+    # 4 Low UEs in zones of 3 are fine under ByIndex, not under WLBH/WHBL
+    raw = read_config("configs/default.yaml")
+    raw["grouping"] = "ByIndex"
+    raw["ues"][3].update(stream="Ice", complexity="Low")
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["validate", "--config", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(harness, "run_scenario",
+                        lambda cfg: pytest.fail("a scenario ran"))
+    out = tmp_path / "compare"
+    assert main(["grouping-compare", "--config", str(path),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: WLBH needs a number of Low-complexity UEs that is a"
+        " multiple of the zone size 3, got 4\n")
+    assert not out.exists()
 
 
 def test_cli_fit_rd_round_trip(tmp_path, capsys):

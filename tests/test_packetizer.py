@@ -21,8 +21,6 @@ def test_profile_validation():
         _profile((0, 255))
     with pytest.raises(ValueError):
         _profile((0, -1))
-    with pytest.raises(ValueError):
-        UxpProfile(parity_per_class=((0, 10),), rtp_payload_bytes=0)
     with pytest.raises(KeyError):
         _profile((0, 10)).parity_of(1)
 
@@ -94,6 +92,8 @@ def test_assemble_overflow_boundary():
     c = layout_tsb([(0, 255 * 701)], prof)  # stacked height 1401
     with pytest.raises(PayloadOverflow):
         assemble_tb(a, c, rtp_payload_bytes=1400)
+    with pytest.raises(ValueError):
+        assemble_tb(a, b, rtp_payload_bytes=0)
 
 
 def test_recoverability_boundary():
@@ -104,6 +104,19 @@ def test_recoverability_boundary():
     assert erasure_recoverability(tb, range(56), "a") == {0: False}
     with pytest.raises(ValueError):
         erasure_recoverability(tb, [255], "a")
+
+
+def test_recoverability_reads_the_named_tsb():
+    # TSB B is 100 columns wide, so losing packets 100..254 erases none of it
+    a = layout_tsb([(0, 2000)], _profile((0, 55)))
+    b = layout_tsb([(1, 500)], _profile((1, 20), codeword_len=100))
+    tb = assemble_tb(a, b)
+    assert erasure_recoverability(tb, range(100, 255), "a") == {0: False}
+    assert erasure_recoverability(tb, range(100, 255), "b") == {1: True}
+    assert erasure_recoverability(tb, range(20), "b") == {1: True}
+    assert erasure_recoverability(tb, range(21), "b") == {1: False}
+    with pytest.raises(ValueError):
+        erasure_recoverability(tb, [], "A")
 
 
 def test_recoverability_monotone_in_losses():

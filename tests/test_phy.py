@@ -19,7 +19,6 @@ from nomavq import (
     check_feasible,
     min_power,
     own_sinrs,
-    psnr_of_sinr,
     sinr_bound_of_psnr,
     solve_greedy,
     solve_noma_mt,
@@ -51,18 +50,12 @@ def test_amc_rate_reference_value(amc):
     assert got[1] == pytest.approx(AMC_RATE_AT_10, rel=1e-12)
 
 
-def test_psnr_of_sinr_is_rate_composition(amc, streams_table):
-    s = streams_table["Ice"]
-    gamma = 3.0
-    want = psnr_of_rate(s, float(amc_rate(B_HZ, gamma, amc)))
-    assert psnr_of_sinr(s, amc, B_HZ, gamma) == want
-
-
 def test_sinr_bound_round_trip(amc, streams_table):
     for s in streams_table.values():
         for q in np.linspace(s.q_min_db, s.q_max_db, 17):
             g = sinr_bound_of_psnr(s, amc, B_HZ, float(q))
-            assert psnr_of_sinr(s, amc, B_HZ, g) == pytest.approx(q, abs=1e-9)
+            assert psnr_of_rate(s, float(amc_rate(B_HZ, g, amc))) == pytest.approx(
+                q, abs=1e-9)
 
 
 def test_bounds_from_quality_ordering(amc, streams_table):

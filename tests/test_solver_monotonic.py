@@ -10,11 +10,11 @@ from nomavq import (
     Infeasible,
     SinrBounds,
     SolverConfig,
+    amc_rate,
     bounds_from_quality,
     build_feasible_set,
     own_sinrs,
     project,
-    psnr_of_sinr,
     solve_polyblock,
 )
 from nomavq import polyblock
@@ -25,7 +25,7 @@ from nomavq.polyblock import (
     prune_vertices,
     write_trace_csv,
 )
-from nomavq.quality import PEAK_SQ
+from nomavq.quality import PEAK_SQ, psnr_of_rate
 
 from conftest import B_HZ, make_instance, observe_prune, record_dinkelbach
 
@@ -69,7 +69,7 @@ def test_psi_single_user_collapse(streams_table, amc):
     for frac in (0.0, 0.4, 1.0):
         gamma = float(b.gamma_min[0] + frac * (b.gamma_max[0] - b.gamma_min[0]))
         assert objective_psi([gamma], [s], amc, B_HZ) == pytest.approx(
-            psnr_of_sinr(s, amc, B_HZ, gamma), abs=1e-9
+            psnr_of_rate(s, float(amc_rate(B_HZ, gamma, amc))), abs=1e-9
         )
 
 
@@ -78,7 +78,7 @@ def test_psi_symmetry_identical_streams(streams_table, amc):
     b = bounds_from_quality([s], amc, B_HZ)
     g = float(0.5 * (b.gamma_min[0] + b.gamma_max[0]))
     assert objective_psi([g, g], [s, s], amc, B_HZ) == pytest.approx(
-        psnr_of_sinr(s, amc, B_HZ, g), abs=1e-9
+        psnr_of_rate(s, float(amc_rate(B_HZ, g, amc))), abs=1e-9
     )
 
 
