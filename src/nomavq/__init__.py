@@ -10,7 +10,6 @@ Monte Carlo scenario loop with CSV output.
 from .baselines import solve_noma_mt, solve_oma_simple
 from .channel import (
     ChannelState,
-    Complexity,
     GroupingStrategy,
     QualityReq,
     UserEquipment,
@@ -18,7 +17,6 @@ from .channel import (
     own_sinrs,
     partition_zones,
     sample_channel,
-    sinr,
 )
 from .errors import (
     ConfigurationError,

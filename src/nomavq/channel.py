@@ -21,11 +21,6 @@ class QualityReq(Enum):
     QUALITY_SENSITIVE = "QualitySensitive"
 
 
-class Complexity(Enum):
-    LOW = "Low"
-    HIGH = "High"
-
-
 class GroupingStrategy(Enum):
     WLBH = "WLBH"  # weak UEs get Low-complexity streams, better UEs High
     WHBL = "WHBL"  # the inverse
@@ -44,7 +39,6 @@ class UserEquipment:
     distance_m: float
     requested_stream: str
     quality_req: QualityReq = QualityReq.QUALITY_SENSITIVE
-    content_complexity: Complexity = Complexity.LOW
     zone: int = 0  # assigned by partition_zones, 1-based
 
     def __post_init__(self):
@@ -119,42 +113,34 @@ def partition_zones(ues: list[UserEquipment], n_zones: int) -> list[UserEquipmen
     ]
 
 
-def _assign_streams(zoned, strategy, rng):
+def _assign_streams(zoned, strategy, streams, rng):
     """Re-map requested streams across UEs per the grouping strategy."""
     if strategy is GroupingStrategy.BY_INDEX:
         return zoned
-    streams = [(u.requested_stream, u.content_complexity) for u in zoned]
+    sids = [u.requested_stream for u in zoned]
     if strategy is GroupingStrategy.WRBR:
-        perm = rng.permutation(len(streams))
-        shuffled = [streams[i] for i in perm]
-        return [
-            replace(u, requested_stream=s, content_complexity=c)
-            for u, (s, c) in zip(zoned, shuffled)
-        ]
-    # WLBH: low-complexity streams to low-index (weaker) zones; WHBL inverse
-    low = sorted(s for s in streams if s[1] is Complexity.LOW)
-    high = sorted(s for s in streams if s[1] is Complexity.HIGH)
-    ordered = low + high if strategy is GroupingStrategy.WLBH else high + low
-    if len(ordered) != len(zoned):
-        raise ConfigurationError("stream complexity counts do not cover all UEs")
-    # zoned is sorted farthest-first, i.e. weakest zone first
-    return [
-        replace(u, requested_stream=s, content_complexity=c)
-        for u, (s, c) in zip(zoned, ordered)
-    ]
+        ordered = [sids[i] for i in rng.permutation(len(sids))]
+    else:
+        # WLBH: low-complexity streams to low-index (weaker) zones; WHBL
+        # inverse. zoned is sorted farthest-first, i.e. weakest zone first
+        first = "Low" if strategy is GroupingStrategy.WLBH else "High"
+        ordered = sorted(sids, key=lambda s: (streams[s].complexity != first, s))
+    return [replace(u, requested_stream=s) for u, s in zip(zoned, ordered)]
 
 
 def group_users(
     zoned: list[UserEquipment],
+    streams: dict,
     strategy: GroupingStrategy = GroupingStrategy.BY_INDEX,
     seed: int | None = 0,
 ) -> list[list[UserEquipment]]:
     """Form NOMA groups: one UE per zone, ordered weakest zone first.
 
-    ``zoned`` is the output of partition_zones. Groups pair rank-matched UEs
-    across zones (the k-th farthest of each zone). WLBH/WHBL first re-map
-    which streams the UEs request; WLBH requires that the count of
-    Low-complexity streams equals the weak-zone capacity.
+    ``zoned`` is the output of partition_zones and ``streams`` maps each
+    stream id to its ``RdParams``, whose ``complexity`` WLBH/WHBL read.
+    Groups pair rank-matched UEs across zones (the k-th farthest of each
+    zone). WLBH/WHBL first re-map which streams the UEs request; they require
+    that the count of Low-complexity streams fills whole zones.
     """
     zones = {}
     for u in zoned:
@@ -166,7 +152,7 @@ def group_users(
     n_zones = len(zones)
 
     if strategy in (GroupingStrategy.WLBH, GroupingStrategy.WHBL):
-        n_low = sum(1 for u in zoned if u.content_complexity is Complexity.LOW)
+        n_low = sum(streams[u.requested_stream].complexity == "Low" for u in zoned)
         if n_low % per_zone != 0:
             raise ConfigurationError(
                 "WLBH/WHBL need stream complexity counts matching zone sizes"
@@ -174,25 +160,11 @@ def group_users(
 
     rng = np.random.default_rng(seed)
     flat = [u for z in sorted(zones) for u in sorted(zones[z], key=lambda u: -u.distance_m)]
-    flat = _assign_streams(flat, strategy, rng)
+    flat = _assign_streams(flat, strategy, streams, rng)
     groups = []
     for k in range(per_zone):
         groups.append([flat[z * per_zone + k] for z in range(n_zones)])
     return groups
-
-
-def sinr(ch: ChannelState, p: np.ndarray, detector: int, target: int) -> float:
-    """SINR at UE ``detector`` when decoding the signal of UE ``target``.
-
-    Indices are 0-based with weakest channel first; requires target <= detector
-    (SIC decodes weaker-indexed signals only).
-    """
-    n, t = detector, target
-    if t > n:
-        raise ValueError("SIC cannot decode a stronger-indexed user's signal")
-    g = ch.gains_sq[n]
-    interference = g * float(np.sum(p[t + 1:]))
-    return g * p[t] / (interference + ch.noise_var)
 
 
 def own_sinrs(ch: ChannelState, p: np.ndarray) -> np.ndarray:

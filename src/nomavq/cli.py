@@ -23,7 +23,7 @@ from . import harness
 from .channel import GroupingStrategy
 from .errors import ConfigurationError, Infeasible, InfeasibleRate, NomavqError
 from .polyblock import write_trace_csv
-from .quality import RdPoint, dump_rd_fixtures, fit_rd_params
+from .quality import COMPLEXITIES, RdPoint, dump_rd_fixtures, fit_rd_params
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -157,7 +157,6 @@ def _cmd_fit_rd(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = harness.load_config(args.config)
-    cfg.load_streams()  # stream references must resolve
     n = len(cfg.ues)
     print(
         f"config ok: {n} UEs in {cfg.n_zones} zones, "
@@ -195,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-min", type=float, required=True, dest="q_min")
     p.add_argument("--q-max", type=float, required=True, dest="q_max")
     p.add_argument("--stream", default="")
-    p.add_argument("--complexity", choices=["Low", "High"], default="Low")
+    p.add_argument("--complexity", choices=COMPLEXITIES, default="Low")
     p.add_argument("--out", default=None, help="write a fixture CSV here")
     p.set_defaults(func=_cmd_fit_rd)
 

@@ -22,7 +22,6 @@ import yaml
 from .baselines import solve_noma_mt, solve_oma_simple
 from .channel import (
     ChannelState,
-    Complexity,
     GroupingStrategy,
     QualityReq,
     UserEquipment,
@@ -78,19 +77,10 @@ class ScenarioConfig:
             table = load_rd_fixtures(path, p_rtp=self.p_rtp)
         except (OSError, ValueError) as e:  # unreadable or malformed file
             raise ConfigurationError(f"bad R-D fixture file: {e}") from e
-        for k, u in enumerate(self.ues, 1):
+        for u in self.ues:
             if u.requested_stream not in table:
                 raise ConfigurationError(
                     f"UE {u.id} requests unknown stream {u.requested_stream!r}"
-                )
-            # WLBH and WHBL place streams by the UE's label, so it must
-            # agree with the fixture's
-            fixture = table[u.requested_stream].complexity
-            if u.content_complexity.value != fixture:
-                raise ConfigurationError(
-                    f"UE entry {k} (id {u.id}): complexity"
-                    f" {u.content_complexity.value} differs from stream"
-                    f" {u.requested_stream!r}'s fixture complexity {fixture}"
                 )
         return table
 
@@ -175,10 +165,8 @@ def _ue(k, u, path_loss_exp) -> UserEquipment:
             id=ue_id,
             distance_m=_number(u, "distance_m"),
             requested_stream=str(u["stream"]),
-            **{field: kind(u[key]) for key, field, kind in (
-                ("quality_req", "quality_req", QualityReq),
-                ("complexity", "content_complexity", Complexity),
-            ) if key in u},
+            **({"quality_req": QualityReq(u["quality_req"])}
+               if "quality_req" in u else {}),
         )
         # channel_gain divides by sqrt(1 + d^eta), which must stay finite
         try:
@@ -228,13 +216,6 @@ def config_from_dict(d: dict) -> ScenarioConfig:
         grouping = GroupingStrategy(d.get("grouping", "ByIndex"))
     except ValueError:
         raise ConfigurationError(f"unknown grouping strategy: {d.get('grouping')!r}")
-    if grouping in (GroupingStrategy.WLBH, GroupingStrategy.WHBL):
-        # group_users maps whole zones to one complexity class
-        n_low = sum(u.content_complexity is Complexity.LOW for u in ues)
-        if n_low % zone_size != 0:
-            raise ConfigurationError(
-                f"{grouping.value} needs a number of Low-complexity UEs that is a"
-                f" multiple of the zone size {zone_size}, got {n_low}")
     solvers = d.get("solvers", list(SCHEMES))
     if not isinstance(solvers, (list, tuple)) or not solvers:
         raise ConfigurationError(f"config key solvers must be a nonempty list: {solvers!r}")
@@ -263,7 +244,7 @@ def config_from_dict(d: dict) -> ScenarioConfig:
         raise ConfigurationError("mgs_weights must be positive")
 
     fixture_path = _path(d, "fixture_path", None)
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         ues=ues,
         n_zones=n_zones,
         snr_db=snr_db,
@@ -286,6 +267,31 @@ def config_from_dict(d: dict) -> ScenarioConfig:
             d, "n_enh_layers", int, default=DEFAULT_ENH_LAYERS, allow_zero=True
         ),
     )
+    for snr in snr_db:
+        try:
+            noise = cfg.noise_var(snr)
+        except (OverflowError, ZeroDivisionError):
+            noise = 0.0
+        if not 0 < noise < np.inf:
+            raise ConfigurationError(
+                f"config key snr_db value {snr} gives no finite positive noise power")
+
+    # a stream's complexity is its fixture row's; a UE entry may restate it
+    table = cfg.load_streams()
+    for k, (u, ue) in enumerate(zip(d["ues"], ues), 1):
+        fixture = table[ue.requested_stream].complexity
+        if "complexity" in u and u["complexity"] != fixture:
+            raise ConfigurationError(
+                f"UE entry {k} (id {ue.id}): complexity {u['complexity']} differs"
+                f" from stream {ue.requested_stream!r}'s fixture complexity {fixture}")
+    if grouping in (GroupingStrategy.WLBH, GroupingStrategy.WHBL):
+        # group_users maps whole zones to one complexity class
+        n_low = sum(table[u.requested_stream].complexity == "Low" for u in ues)
+        if n_low % zone_size != 0:
+            raise ConfigurationError(
+                f"{grouping.value} needs a number of Low-complexity UEs that is a"
+                f" multiple of the zone size {zone_size}, got {n_low}")
+    return cfg
 
 
 def read_config(path):
@@ -428,7 +434,7 @@ def run_scenario(cfg: ScenarioConfig, trace_sink: list | None = None) -> Scenari
             group_seed = int(
                 _instance_seed(cfg, trial, gop, 1).generate_state(1)[0]
             )
-            groups = group_users(zoned, cfg.grouping, seed=group_seed)
+            groups = group_users(zoned, table, cfg.grouping, seed=group_seed)
             for g_idx, group in enumerate(groups):
                 # SIC ordering follows the realized gains, not the zones
                 members = sorted(group, key=lambda u: fading[u.id])

@@ -29,6 +29,9 @@ DEFAULT_FIXTURE_PATH = Path(__file__).parent / "fixtures" / "rd_params.csv"
 # how far (dB) a PSNR may sit outside its stream's band in ``rate_of_psnr``
 BAND_TOL_DB = 1e-9
 
+# content complexity labels of a stream; WLBH and WHBL group streams by them
+COMPLEXITIES = ("Low", "High")
+
 
 def _mse_of_psnr(q_db: float):
     return PEAK_SQ * 10.0 ** (-q_db / 10.0)
@@ -49,12 +52,15 @@ class RdParams:
     q_min_db: float
     q_max_db: float
     stream_id: str = ""
-    complexity: str = "Low"  # "Low" or "High"
+    complexity: str = "Low"  # one of COMPLEXITIES
 
     def __post_init__(self):
         values = (self.alpha, self.beta, self.theta, self.q_min_db, self.q_max_db)
         if not all(map(math.isfinite, values)):
             raise ValueError(f"R-D parameters must be finite, got {values}")
+        if self.complexity not in COMPLEXITIES:
+            raise ValueError(f"complexity must be one of {COMPLEXITIES}, "
+                             f"got {self.complexity!r}")
         if not self.q_min_db < self.q_max_db:
             raise ValueError("q_min_db must be below q_max_db")
         if self.theta <= 0:

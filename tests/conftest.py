@@ -11,6 +11,7 @@ from nomavq import (
     Infeasible,
     load_rd_fixtures,
     own_sinrs,
+    psnr_of_rate,
     solve_lp,
 )
 from nomavq import polyblock
@@ -106,6 +107,21 @@ def lp_check_feasible(fset):
     return x[:n]
 
 
+def sinr(ch, p, detector, target):
+    """SINR at UE ``detector`` when decoding the signal of UE ``target``.
+
+    Indices are 0-based with weakest channel first; requires target <= detector
+    (SIC decodes weaker-indexed signals only). With detector == target this
+    is the UE's own SINR, the oracle of ``own_sinrs``.
+    """
+    n, t = detector, target
+    if t > n:
+        raise ValueError("SIC cannot decode a stronger-indexed user's signal")
+    g = ch.gains_sq[n]
+    interference = g * float(np.sum(p[t + 1:]))
+    return g * p[t] / (interference + ch.noise_var)
+
+
 def verify_sic_elimination(fset, p, tol=1e-9):
     """Check that cross-decoding SINRs dominate own SINRs for a feasible p.
 
@@ -116,13 +132,34 @@ def verify_sic_elimination(fset, p, tol=1e-9):
     ch = fset.channel
     own = own_sinrs(ch, p)
     p = np.asarray(p, dtype=float)
-    for n in range(ch.n_users):
-        for t in range(n):
-            g = ch.gains_sq[n]
-            cross = g * p[t] / (g * np.sum(p[t + 1:]) + ch.noise_var)
-            if cross < own[t] - tol:
-                return False
-    return True
+    return all(sinr(ch, p, n, t) >= own[t] - tol
+               for n in range(ch.n_users) for t in range(n))
+
+
+def exact_mgs_optimum(ch, streams, rate_sets, amc, b_hz):
+    """Best mean PSNR over every combination of discrete rate levels that
+    fits the power budget; None when no combination fits.
+
+    ``rate_sets[n]`` holds the levels of ``streams[n]`` (UE n, weakest
+    channel first). A combination fits when the least SIC power that reaches
+    its SINRs, by back-substitution from the strongest UE down, totals at
+    most the budget times 1 + 1e-9.
+    """
+    # one row per combination: the level index of each UE
+    combos = np.array(list(itertools.product(*map(range, map(len, rate_sets)))))
+    users = range(ch.n_users)
+    rates = np.stack([rate_sets[n][combos[:, n]] for n in users], axis=1)
+    gamma = amc.c2 * (2.0 ** (rates / (amc.c1 * b_hz)) - 1.0)
+    tail = np.zeros(len(combos))  # running sum of the stronger UEs' powers
+    for n in reversed(users):
+        tail += gamma[:, n] * (tail + ch.noise_var / ch.gains_sq[n])
+    fits = tail <= ch.power_budget_w * (1.0 + 1e-9)
+    if not fits.any():
+        return None
+    psnr = [np.array([psnr_of_rate(s, float(r)) for r in rs])
+            for s, rs in zip(streams, rate_sets)]
+    quality = np.mean([psnr[n][combos[:, n]] for n in users], axis=0)
+    return float(quality[fits].max())
 
 
 def outcome(fn, *args):

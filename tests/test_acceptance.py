@@ -20,6 +20,7 @@ from nomavq import (
     assemble_tb,
     bounds_from_quality,
     build_feasible_set,
+    discrete_rate_set,
     layout_tsb,
     load_config,
     own_sinrs,
@@ -30,10 +31,12 @@ from nomavq import (
     solve_lp,
     solve_polyblock,
 )
+from nomavq import harness
 from nomavq.quality import PEAK_SQ, rate_of_psnr
 
-from conftest import (B_HZ, contains, make_instance, make_three_user_instance,
-                      oracle_lp, record_dinkelbach, verify_sic_elimination)
+from conftest import (B_HZ, contains, exact_mgs_optimum, make_instance,
+                      make_three_user_instance, oracle_lp, record_dinkelbach,
+                      verify_sic_elimination)
 
 CONFIG_PATH = "configs/default.yaml"
 
@@ -43,10 +46,38 @@ def default_cfg():
     return load_config(CONFIG_PATH)
 
 
+def run_recording_channels(cfg, budget_scale=1.0):
+    """``run_scenario(cfg)`` and the channel of each of its records, in order.
+
+    Each scheme call that returns an allocation yields one record, so the
+    channels line up with ``result.records``. The schemes solve with
+    ``budget_scale`` times the budget; the recorded channels keep the real one.
+    """
+    channels = []
+    inner = harness._run_scheme
+
+    def recording(scheme, ch, *args):
+        scaled = dataclasses.replace(
+            ch, power_budget_w=ch.power_budget_w * budget_scale)
+        res = inner(scheme, scaled, *args)
+        channels.append(ch)
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_run_scheme", recording)
+        return run_scenario(cfg), channels
+
+
 @pytest.fixture(scope="session")
-def scenario_run(default_cfg):
-    """The full default scenario: 200 trials, 5 SNR points, all schemes."""
-    return run_scenario(default_cfg)
+def scenario_solved(default_cfg):
+    """The full default scenario (200 trials, 5 SNR points, all schemes),
+    with the channel of each record."""
+    return run_recording_channels(default_cfg)
+
+
+@pytest.fixture(scope="session")
+def scenario_run(scenario_solved):
+    return scenario_solved[0]
 
 
 @pytest.fixture(scope="session")
@@ -250,6 +281,42 @@ def test_criterion_6_weakest_ue_fairness(scenario_run, default_cfg,
         f"{max(mt_dev):.4f} dB), proposed above it on "
         f"{fracs['polyblock']:.0%}/{fracs['greedy']:.0%} of trials",
     )
+
+
+# the exact optimum of the reported (snapped) quality bounds every SIC scheme;
+# oma splits the band instead of superposing, so it is exempt
+
+
+def _records_above_exact_optimum(cfg, result, channels):
+    """The SIC records whose snapped average beats the enumerated optimum."""
+    table = cfg.load_streams()
+    rate_sets = {sid: discrete_rate_set(p, cfg.mgs_weights, cfg.n_enh_layers)
+                 for sid, p in table.items()}
+    above = []
+    for r, ch in zip(result.records, channels, strict=True):
+        if r.scheme == "oma":
+            continue
+        best = exact_mgs_optimum(ch, [table[s] for s in r.streams],
+                                 [rate_sets[s] for s in r.streams],
+                                 cfg.amc, cfg.bandwidth_hz)
+        if best is None or r.avg_psnr_db > best + 1e-9:
+            above.append(r)
+    return above
+
+
+def test_exact_mgs_optimum_bounds_every_sic_record(default_cfg, scenario_solved):
+    result, channels = scenario_solved
+    assert {"polyblock", "greedy", "noma-mt"} <= {r.scheme for r in result.records}
+    above = _records_above_exact_optimum(default_cfg, result, channels)
+    assert not above, f"{len(above)} records above the exact optimum"
+
+
+def test_exact_mgs_optimum_catches_budget_overspend(default_cfg):
+    # greedy spending 1% over the budget beats the optimum on some records
+    cfg = dataclasses.replace(default_cfg, solvers=("greedy",))
+    result, channels = run_recording_channels(cfg, budget_scale=1.01)
+    assert result.records
+    assert _records_above_exact_optimum(cfg, result, channels)
 
 
 def test_criterion_7_solver_certification(streams_table, amc,

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from nomavq import (
     ChannelState,
-    Complexity,
     ConfigurationError,
     GroupingStrategy,
     QualityReq,
@@ -14,14 +13,15 @@ from nomavq import (
     own_sinrs,
     partition_zones,
     sample_channel,
-    sinr,
 )
 from nomavq.channel import channel_gain
 
+from conftest import sinr
 
-def _ue(i, d, stream="Foreman", cx=Complexity.LOW, req=QualityReq.QUALITY_SENSITIVE):
+
+def _ue(i, d, stream="Foreman", req=QualityReq.QUALITY_SENSITIVE):
     return UserEquipment(id=i, distance_m=d, requested_stream=stream,
-                         quality_req=req, content_complexity=cx)
+                         quality_req=req)
 
 
 def test_channel_gain_attenuation():
@@ -82,58 +82,60 @@ def test_partition_zones_edge_swap_for_latency_sensitive():
     assert by_id[3] == 2 and by_id[2] == 1
 
 
-def test_group_users_rank_pairs_across_zones():
+def test_group_users_rank_pairs_across_zones(streams_table):
     ues = [_ue(i, d) for i, d in enumerate([4.0, 3.0, 2.5, 2.0, 1.0, 0.5], 1)]
     zoned = partition_zones(ues, 2)
-    groups = group_users(zoned, GroupingStrategy.BY_INDEX)
+    groups = group_users(zoned, streams_table, GroupingStrategy.BY_INDEX)
     assert [[u.id for u in g] for g in groups] == [[1, 4], [2, 5], [3, 6]]
     for g in groups:
         assert [u.zone for u in g] == [1, 2]
 
 
-def test_group_users_wlbh_and_whbl_mapping():
+def test_group_users_wlbh_and_whbl_mapping(streams_table):
+    # Football and Mobile are High-complexity streams, Foreman and Ice Low
     ues = [
-        _ue(1, 4.0, "Football", Complexity.HIGH),
-        _ue(2, 3.0, "Mobile", Complexity.HIGH),
-        _ue(3, 2.0, "Foreman", Complexity.LOW),
-        _ue(4, 1.0, "Ice", Complexity.LOW),
+        _ue(1, 4.0, "Football"),
+        _ue(2, 3.0, "Mobile"),
+        _ue(3, 2.0, "Foreman"),
+        _ue(4, 1.0, "Ice"),
     ]
     zoned = partition_zones(ues, 2)
-    wlbh = group_users(zoned, GroupingStrategy.WLBH)
-    flat = {u.id: u for g in wlbh for u in g}
-    assert flat[1].content_complexity is Complexity.LOW
-    assert flat[2].content_complexity is Complexity.LOW
-    assert flat[3].content_complexity is Complexity.HIGH
-    whbl = group_users(zoned, GroupingStrategy.WHBL)
-    flat = {u.id: u for g in whbl for u in g}
-    assert flat[1].content_complexity is Complexity.HIGH
-    assert flat[4].content_complexity is Complexity.LOW
+
+    def complexity(groups):
+        return {u.id: streams_table[u.requested_stream].complexity
+                for g in groups for u in g}
+
+    wlbh = complexity(group_users(zoned, streams_table, GroupingStrategy.WLBH))
+    assert (wlbh[1], wlbh[2], wlbh[3]) == ("Low", "Low", "High")
+    whbl = complexity(group_users(zoned, streams_table, GroupingStrategy.WHBL))
+    assert (whbl[1], whbl[4]) == ("High", "Low")
 
 
-def test_group_users_wrbr_seed_determinism():
+def test_group_users_wrbr_seed_determinism(streams_table):
     ues = [
-        _ue(1, 4.0, "Football", Complexity.HIGH),
-        _ue(2, 3.0, "Mobile", Complexity.HIGH),
-        _ue(3, 2.0, "Foreman", Complexity.LOW),
-        _ue(4, 1.0, "Ice", Complexity.LOW),
+        _ue(1, 4.0, "Football"),
+        _ue(2, 3.0, "Mobile"),
+        _ue(3, 2.0, "Foreman"),
+        _ue(4, 1.0, "Ice"),
     ]
     zoned = partition_zones(ues, 2)
-    a = group_users(zoned, GroupingStrategy.WRBR, seed=11)
-    b = group_users(zoned, GroupingStrategy.WRBR, seed=11)
+    a = group_users(zoned, streams_table, GroupingStrategy.WRBR, seed=11)
+    b = group_users(zoned, streams_table, GroupingStrategy.WRBR, seed=11)
     assert [[u.requested_stream for u in g] for g in a] == \
         [[u.requested_stream for u in g] for g in b]
 
 
-def test_group_users_complexity_count_mismatch():
+def test_group_users_complexity_count_mismatch(streams_table):
+    # three High-complexity streams and one Low cannot fill zones of two
     ues = [
-        _ue(1, 4.0, "Football", Complexity.HIGH),
-        _ue(2, 3.0, "Mobile", Complexity.HIGH),
-        _ue(3, 2.0, "Soccer", Complexity.HIGH),
-        _ue(4, 1.0, "Ice", Complexity.LOW),
+        _ue(1, 4.0, "Football"),
+        _ue(2, 3.0, "Mobile"),
+        _ue(3, 2.0, "Soccer"),
+        _ue(4, 1.0, "Ice"),
     ]
     zoned = partition_zones(ues, 2)
     with pytest.raises(ConfigurationError):
-        group_users(zoned, GroupingStrategy.WLBH)
+        group_users(zoned, streams_table, GroupingStrategy.WLBH)
 
 
 def _random_channel(rng, n):

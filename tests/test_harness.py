@@ -116,12 +116,16 @@ def test_config_parses_and_derives(tmp_path):
     {"solver": ["greedy"]},
     {"ues": [{"id": 1, "distance_m": 3.0, "distnce_m": 2.0, "stream": "Foreman"},
              {"id": 2, "distance_m": 1.0, "stream": "Soccer"}]},
-    # WLBH maps whole zones to one complexity: 3 Low UEs cannot fill zones of 2
-    {"ues": [{"id": k, "distance_m": float(k), "stream": "Foreman",
-              "complexity": "Low" if k < 4 else "High"} for k in range(1, 5)]},
+    # WLBH maps whole zones to one complexity: 3 Low streams cannot fill
+    # zones of 2
+    {"ues": [{"id": k, "distance_m": float(k), "stream": stream} for k, stream
+             in enumerate(("Foreman", "Ice", "Crew", "Football"), 1)]},
     # a negative tolerance, no power blocks
     {"epsilon": -1.0},
     {"n_blocks": 0},
+    # the noise power 10^(-SNR/10) overflows, or underflows to zero
+    {"snr_db": [4000]},
+    {"snr_db": [-4000]},
 ])
 def test_config_validation_errors(broken):
     with pytest.raises(ConfigurationError):
@@ -142,7 +146,8 @@ def _default_with_ue(k, **fields):
     (4, {"distance_m": 1e200},
      "UE entry 4 (id 4): path loss at distance_m 1e+200 overflows"),
     (5, {"complexity": "Medium"},
-     "UE entry 5 (id 5): 'Medium' is not a valid Complexity"),
+     "UE entry 5 (id 5): complexity Medium differs from stream 'Mobile''s"
+     " fixture complexity High"),
 ], ids=["nan-distance", "misspelt-key", "fractional-id", "path-loss-overflow",
         "unknown-complexity"])
 def test_ue_entry_errors_name_the_entry_and_id(k, fields, message):
@@ -173,12 +178,11 @@ def test_constructors_reject_nan(build):
 
 
 def test_config_unknown_stream_detected():
-    cfg = config_from_dict(_cfg_dict(
-        ues=[{"id": 1, "distance_m": 3.0, "stream": "NoSuchClip"},
-             {"id": 2, "distance_m": 1.0, "stream": "Soccer"}],
-    ))
-    with pytest.raises(ConfigurationError):
-        cfg.load_streams()
+    with pytest.raises(ConfigurationError, match="unknown stream 'NoSuchClip'"):
+        config_from_dict(_cfg_dict(
+            ues=[{"id": 1, "distance_m": 3.0, "stream": "NoSuchClip"},
+                 {"id": 2, "distance_m": 1.0, "stream": "Soccer"}],
+        ))
 
 
 def test_config_rejects_broken_yaml(tmp_path):
@@ -332,33 +336,61 @@ def test_cli_validate_ok_and_config_error(tmp_path, capsys):
 
 
 def _omit_complexity(raw):
-    for u in raw["ues"]:
-        del u["complexity"]
+    # the default file leaves every complexity to the fixture; one short run
+    assert not any("complexity" in u for u in raw["ues"])
+    raw.update(n_trials=1, solvers=["greedy"])
 
 
 @pytest.mark.parametrize("edit, named", [
     (lambda raw: raw.update(n_trial=3), "'n_trial'"),
-    (lambda raw: raw["ues"][3].update(complexity="Low"), "WLBH"),
-    (_omit_complexity, "UE entry 4 (id 4): complexity Low differs from stream"
-                       " 'Football''s fixture complexity High"),
+    (lambda raw: raw["ues"][3].update(stream="Ice"), "WLBH"),
+    (_omit_complexity, None),
     (lambda raw: raw.update(grouping="ByIndex")
      or raw["ues"][5].update(complexity="Low"),
      "UE entry 6 (id 6): complexity Low differs from stream"
      " 'Soccer''s fixture complexity High"),
+    (lambda raw: raw.update(snr_db=[4000]), "snr_db value 4000.0 "),
+    (lambda raw: raw.update(snr_db=[-4000]), "snr_db value -4000.0 "),
 ], ids=["misspelt-key", "wlbh-complexity-counts", "complexity-omitted",
-        "complexity-mislabelled"])
+        "complexity-mislabelled", "snr-overflow", "snr-underflow"])
 def test_cli_validate_rejects_what_simulate_rejects(tmp_path, capsys, edit, named):
-    # a misspelt key, 4 Low UEs in zones of 3, or a UE complexity that
-    # differs from its stream's fixture row fails both commands alike
+    # a misspelt key, 4 Low streams in zones of 3, a UE complexity that
+    # differs from its stream's fixture row, or an SNR point without a finite
+    # positive noise power fails both commands alike; without complexity
+    # labels (named None) both pass
     raw = read_config("configs/default.yaml")
     edit(raw)
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump(raw))
     for command in (["validate"], ["simulate", "--out", str(tmp_path / "out")]):
-        assert main([*command, "--config", str(path)]) == EXIT_CONFIG
+        code = main([*command, "--config", str(path)])
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and named in err
-    assert not (tmp_path / "out").exists()
+        if named is None:
+            assert (code, err) == (EXIT_OK, "")
+        else:
+            assert code == EXIT_CONFIG
+            assert err.startswith("config error: ") and named in err
+    assert (tmp_path / "out").exists() == (named is None)
+
+
+@pytest.mark.parametrize("grouping", ["WLBH", "WHBL", "WRBR", "ByIndex"])
+def test_complexity_labels_do_not_change_trials(tmp_path, grouping):
+    # each stream's complexity comes from its fixture row, so restating it
+    # in every UE entry leaves the run as it was
+    table = load_rd_fixtures()
+    raw = read_config("configs/default.yaml")
+    raw.update(n_trials=3, grouping=grouping, solvers=["greedy", "oma"])
+    for labelled in (False, True):
+        if labelled:
+            for u in raw["ues"]:
+                u["complexity"] = table[u["stream"]].complexity
+        path = tmp_path / f"labelled-{labelled}.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / str(labelled))]) == EXIT_OK
+    trials = [(tmp_path / str(labelled) / "trials.csv").read_bytes()
+              for labelled in (False, True)]
+    assert trials[0] == trials[1] and trials[0].count(b"\n") > 1
 
 
 @pytest.mark.parametrize("edit", [
@@ -372,8 +404,10 @@ def test_cli_validate_rejects_what_simulate_rejects(tmp_path, capsys, edit, name
     lambda text: text + "Extra,Low,0.05,1.0,1.0,1.0,30.0,40.0,,surplus\n",
     None,  # no file at fixture_path
     lambda text: text + text.splitlines()[1] + "\n",  # a stream twice
+    lambda text: text.replace("Foreman,Low,", "Foreman,Medium,", 1),
 ], ids=["non-numeric", "columns", "nan-alpha", "nan-theta", "inf-q-max",
-        "nan-p-rtp", "short-row", "long-row", "missing", "repeated-row"])
+        "nan-p-rtp", "short-row", "long-row", "missing", "repeated-row",
+        "medium-complexity"])
 def test_cli_malformed_fixture_file_is_a_config_error(tmp_path, capsys, edit):
     fixture = tmp_path / "rd.csv"
     if edit is not None:
@@ -486,7 +520,7 @@ def test_cli_grouping_compare_checks_every_grouping_first(tmp_path, capsys,
     # 4 Low UEs in zones of 3 are fine under ByIndex, not under WLBH/WHBL
     raw = read_config("configs/default.yaml")
     raw["grouping"] = "ByIndex"
-    raw["ues"][3].update(stream="Ice", complexity="Low")
+    raw["ues"][3].update(stream="Ice")
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump(raw))
     assert main(["validate", "--config", str(path)]) == EXIT_OK

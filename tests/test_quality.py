@@ -99,6 +99,10 @@ def test_rdparams_validation():
     with pytest.raises(ValueError):
         # alpha so negative the model diverges inside the band
         RdParams(alpha=-100.0, beta=0.0, theta=1.0, q_min_db=32.0, q_max_db=40.0)
+    with pytest.raises(ValueError, match="complexity"):
+        # WLBH and WHBL know only Low and High
+        RdParams(alpha=1.0, beta=0.0, theta=1.0, q_min_db=32.0, q_max_db=40.0,
+                 complexity="Medium")
 
 
 @pytest.mark.parametrize("field", ["alpha", "beta", "theta", "q_min_db", "q_max_db"])
