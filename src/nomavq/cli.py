@@ -95,11 +95,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_grouping_compare(args) -> int:
-    raw = _read(args)
-    cfg = harness.config_from_dict(raw)
-    # every variant passes the load-time checks before any of them runs
+    cfg = harness.config_from_dict(_read(args))
+    # every variant passes the construction checks before any of them runs
     variants = [
-        harness.config_from_dict({**raw, "grouping": strategy.value})
+        dataclasses.replace(cfg, grouping=strategy)
         for strategy in (
             GroupingStrategy.WLBH, GroupingStrategy.WRBR, GroupingStrategy.WHBL
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,44 +45,105 @@ DEFAULT_ENH_LAYERS = 3
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario description (normally parsed from a YAML file)."""
+    """A checked scenario; a field's default is that of a key the file leaves
+    out. Every rule that spans fields is checked on construction, so a config
+    derived with ``dataclasses.replace`` is checked like a parsed one, and the
+    stream table is read then, once, into ``streams``."""
 
     ues: tuple  # UserEquipment, zone unset
     n_zones: int
-    snr_db: tuple
     bandwidth_hz: float
     power_budget_w: float
-    path_loss_exp: float
-    p_rtp: float
-    gops_per_trial: int
-    grouping: GroupingStrategy
-    solvers: tuple
-    solver_cfg: SolverConfig
-    greedy_cfg: GreedyConfig
-    amc: AmcParams
-    fixture_path: Path | None
-    n_trials: int
-    seed: int
-    out_dir: Path
+    snr_db: tuple = (15.0,)
+    path_loss_exp: float = 2.0
+    p_rtp: float = 0.05
+    gops_per_trial: int = 1
+    grouping: GroupingStrategy = GroupingStrategy.BY_INDEX
+    solvers: tuple = SCHEMES
+    solver_cfg: SolverConfig = field(default_factory=SolverConfig)
+    greedy_cfg: GreedyConfig = GreedyConfig()
+    amc: AmcParams = AmcParams()
+    fixture_path: Path = DEFAULT_FIXTURE_PATH
+    n_trials: int = 200
+    seed: int = 0
+    out_dir: Path = Path("results")
     mgs_weights: tuple = DEFAULT_MGS_WEIGHTS
     n_enh_layers: int = DEFAULT_ENH_LAYERS
+    streams: dict = field(init=False, repr=False, compare=False)  # id -> RdParams
+
+    def __post_init__(self):
+        if len({u.id for u in self.ues}) != len(self.ues):
+            raise ConfigurationError("UE ids must be unique")
+        if len(self.ues) % self.n_zones != 0:
+            raise ConfigurationError("UE count must be a multiple of n_zones")
+        for k, u in enumerate(self.ues, 1):
+            # channel_gain divides by sqrt(1 + d^eta), which must stay finite
+            try:
+                finite = np.isfinite(1.0 + u.distance_m ** self.path_loss_exp)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ConfigurationError(f"UE entry {k} (id {u.id}): path loss"
+                                         f" at distance_m {u.distance_m} overflows")
+
+        for s in self.solvers:
+            if s not in SCHEMES:
+                raise ConfigurationError(f"unknown scheme {s!r}; choose from {SCHEMES}")
+        if len(set(self.solvers)) != len(self.solvers):
+            raise ConfigurationError(
+                f"config key solvers repeats a scheme: {list(self.solvers)}")
+        if "noma-mt" in self.solvers and self.n_zones != 2:
+            raise ConfigurationError(
+                "the noma-mt reference scheme needs exactly 2 zones")
+
+        if len(set(self.snr_db)) != len(self.snr_db):
+            raise ConfigurationError(
+                f"config key snr_db repeats a value: {list(self.snr_db)}")
+        for snr in self.snr_db:
+            try:
+                noise = self.noise_var(snr)
+            except (OverflowError, ZeroDivisionError):
+                noise = 0.0
+            if not 0 < noise < np.inf:
+                raise ConfigurationError(f"config key snr_db value {snr} gives"
+                                         " no finite positive noise power")
+
+        try:
+            table = load_rd_fixtures(self.fixture_path, p_rtp=self.p_rtp)
+        except (OSError, ValueError) as e:  # unreadable or malformed file
+            raise ConfigurationError(f"bad R-D fixture file: {e}") from e
+        object.__setattr__(self, "streams", table)
+        for u in self.ues:
+            if u.requested_stream not in table:
+                raise ConfigurationError(
+                    f"UE {u.id} requests unknown stream {u.requested_stream!r}")
+        try:
+            requested = [table[u.requested_stream] for u in self.ues]
+            bounds = bounds_from_quality(requested, self.amc, self.bandwidth_hz)
+            finite = np.all(np.isfinite(bounds.gamma_max))
+        except (OverflowError, ValueError):  # overflow, or gamma_min == gamma_max
+            finite = False
+        if not finite:
+            raise ConfigurationError(
+                f"bandwidth_hz {self.bandwidth_hz} with amc_c1 {self.amc.c1} and"
+                f" amc_c2 {self.amc.c2} gives a requested stream an empty or"
+                " overflowing SINR band")
+        if self.grouping in (GroupingStrategy.WLBH, GroupingStrategy.WHBL):
+            # group_users maps whole zones to one complexity class
+            zone_size = len(self.ues) // self.n_zones
+            n_low = sum(table[u.requested_stream].complexity == "Low" for u in self.ues)
+            if n_low % zone_size != 0:
+                raise ConfigurationError(
+                    f"{self.grouping.value} needs a number of Low-complexity UEs"
+                    f" that is a multiple of the zone size {zone_size}, got {n_low}")
 
     def noise_var(self, snr_db: float) -> float:
         # scenario SNR definition: 10 log10(P / sigma^2) with P the group budget
         return self.power_budget_w / 10.0 ** (snr_db / 10.0)
 
     def load_streams(self) -> dict:
-        path = self.fixture_path or DEFAULT_FIXTURE_PATH
-        try:
-            table = load_rd_fixtures(path, p_rtp=self.p_rtp)
-        except (OSError, ValueError) as e:  # unreadable or malformed file
-            raise ConfigurationError(f"bad R-D fixture file: {e}") from e
-        for u in self.ues:
-            if u.requested_stream not in table:
-                raise ConfigurationError(
-                    f"UE {u.id} requests unknown stream {u.requested_stream!r}"
-                )
-        return table
+        """The stream table read on construction."""
+        return self.streams
 
 
 def _cast(x, cast):
@@ -93,12 +154,9 @@ def _cast(x, cast):
     return v
 
 
-def _number(d, key, cast=float, default=None, allow_zero=False):
+def _number(d, key, cast=float, allow_zero=False):
     """Read a finite positive number (nonnegative with ``allow_zero``) from
-    the config. A missing key takes ``default``; without one it is required.
-    """
-    if key not in d and default is not None:
-        return default
+    the config; the key is required."""
     try:
         v = _cast(d[key], cast)
     except KeyError:
@@ -112,16 +170,17 @@ def _number(d, key, cast=float, default=None, allow_zero=False):
     return v
 
 
-def _set_numbers(d, fields, cast=float) -> dict:
-    """``{field: number}`` over the ``key: field`` pairs of ``fields`` that
-    ``d`` sets. A key the file leaves out is not passed on, so it takes the
-    default of the type that owns the field."""
-    return {field: _number(d, key, cast) for key, field in fields.items() if key in d}
+def _set_numbers(d, keys, cast=float, allow_zero=False, prefix="") -> dict:
+    """``{field: number}`` over the ``keys`` that ``d`` sets, each key being
+    ``prefix`` and the field name. A key the file leaves out is not passed
+    on, so it takes the default of the type that owns the field."""
+    return {key.removeprefix(prefix): _number(d, key, cast, allow_zero)
+            for key in keys if key in d}
 
 
-def _numbers(d, key, cast, default):
+def _numbers(d, key, cast):
     """Read a nonempty list of finite numbers from the config."""
-    v = d.get(key, default)
+    v = d[key]
     try:
         vals = tuple(_cast(x, cast) for x in v) if isinstance(v, (list, tuple)) else ()
     except (TypeError, ValueError, OverflowError):
@@ -130,6 +189,17 @@ def _numbers(d, key, cast, default):
         kind = "whole number" if cast is int else "number"
         raise ConfigurationError(f"config key {key} must be a nonempty {kind} list: {v!r}")
     return vals
+
+
+def _set_paths(d) -> dict:
+    """``{key: Path}`` over the path keys that ``d`` sets; null leaves a key
+    unset, like leaving it out."""
+    paths = {key: d[key] for key in ("fixture_path", "out_dir")
+             if d.get(key) is not None}
+    for key, v in paths.items():
+        if not isinstance(v, (str, os.PathLike)) or v == "":
+            raise ConfigurationError(f"config key {key} must be a path: {v!r}")
+    return {key: Path(v) for key, v in paths.items()}
 
 
 # every key a scenario file may set, at the top level and in a UE entry
@@ -149,7 +219,7 @@ def _known_keys(d, keys):
             raise ConfigurationError(f"unknown config key {key!r}")
 
 
-def _ue(k, u, path_loss_exp) -> UserEquipment:
+def _ue(k, u) -> UserEquipment:
     """UE entry ``k`` (counted from 1), its numbers read like top-level keys.
 
     Every error names the entry and, once it has been read, the UE id.
@@ -161,136 +231,72 @@ def _ue(k, u, path_loss_exp) -> UserEquipment:
         ue_id = _number(u, "id", int, allow_zero=True)
         where += f" (id {ue_id})"
         _known_keys(u, UE_KEYS)
-        ue = UserEquipment(
+        return UserEquipment(
             id=ue_id,
             distance_m=_number(u, "distance_m"),
             requested_stream=str(u["stream"]),
             **({"quality_req": QualityReq(u["quality_req"])}
                if "quality_req" in u else {}),
         )
-        # channel_gain divides by sqrt(1 + d^eta), which must stay finite
-        try:
-            finite = np.isfinite(1.0 + ue.distance_m ** path_loss_exp)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ConfigurationError(
-                f"path loss at distance_m {ue.distance_m} overflows")
     except KeyError as e:
         raise ConfigurationError(f"{where}: missing config key: {e.args[0]}")
     except (ConfigurationError, ValueError) as e:
         raise ConfigurationError(f"{where}: {e}")
-    return ue
-
-
-def _path(d, key, default):
-    """Read a file or directory path from the config."""
-    v = d.get(key, default)
-    if v is not None and not isinstance(v, (str, os.PathLike)):
-        raise ConfigurationError(f"config key {key} must be a path: {v!r}")
-    return v
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from parsed YAML."""
+    """Read each key of parsed YAML and build the ScenarioConfig, which checks
+    the rules that span keys. Only the keys the file sets are passed on."""
     if not isinstance(d, dict):
         raise ConfigurationError("config root must be a mapping")
     _known_keys(d, CONFIG_KEYS)
     if not isinstance(d.get("ues"), list) or not d["ues"]:
         raise ConfigurationError(
             f"config key ues must be a nonempty list of UE entries: {d.get('ues')!r}")
-    path_loss_exp = _number(d, "path_loss_exp", default=2.0)
-    ues = tuple(_ue(k, u, path_loss_exp) for k, u in enumerate(d["ues"], 1))
-    if len({u.id for u in ues}) != len(ues):
-        raise ConfigurationError("UE ids must be unique")
-
-    n_zones = _number(d, "n_zones", int)
-    if len(ues) % n_zones != 0:
-        raise ConfigurationError("UE count must be a multiple of n_zones")
-    zone_size = len(ues) // n_zones
-    snr_db = _numbers(d, "snr_db", float, [15.0])
-    if len(set(snr_db)) != len(snr_db):
-        raise ConfigurationError(f"config key snr_db repeats a value: {list(snr_db)}")
-
+    kw = {
+        "ues": tuple(_ue(k, u) for k, u in enumerate(d["ues"], 1)),
+        "n_zones": _number(d, "n_zones", int),
+        "bandwidth_hz": _number(d, "bandwidth_hz"),
+        "power_budget_w": _number(d, "power_budget_w"),
+        **_set_numbers(d, ("path_loss_exp",)),
+        **_set_numbers(d, ("p_rtp",), allow_zero=True),
+        **_set_numbers(d, ("gops_per_trial", "n_trials"), int),
+        **_set_numbers(d, ("seed", "n_enh_layers"), int, allow_zero=True),
+        **{key: _numbers(d, key, cast)
+           for key, cast in (("snr_db", float), ("mgs_weights", int)) if key in d},
+        **_set_paths(d),
+    }
+    if "p_rtp" in kw and not kw["p_rtp"] < 1:
+        raise ConfigurationError("p_rtp must be in [0, 1)")
+    if any(w <= 0 for w in kw.get("mgs_weights", ())):
+        raise ConfigurationError("mgs_weights must be positive")
+    if "grouping" in d:
+        try:
+            kw["grouping"] = GroupingStrategy(d["grouping"])
+        except ValueError:
+            raise ConfigurationError(f"unknown grouping strategy: {d['grouping']!r}")
+    if "solvers" in d:
+        if not isinstance(d["solvers"], (list, tuple)) or not d["solvers"]:
+            raise ConfigurationError(
+                f"config key solvers must be a nonempty list: {d['solvers']!r}")
+        kw["solvers"] = tuple(d["solvers"])
     try:
-        grouping = GroupingStrategy(d.get("grouping", "ByIndex"))
-    except ValueError:
-        raise ConfigurationError(f"unknown grouping strategy: {d.get('grouping')!r}")
-    solvers = d.get("solvers", list(SCHEMES))
-    if not isinstance(solvers, (list, tuple)) or not solvers:
-        raise ConfigurationError(f"config key solvers must be a nonempty list: {solvers!r}")
-    for s in solvers:
-        if s not in SCHEMES:
-            raise ConfigurationError(f"unknown scheme {s!r}; choose from {SCHEMES}")
-    if len(set(solvers)) != len(solvers):
-        raise ConfigurationError(f"config key solvers repeats a scheme: {solvers}")
-    solvers = tuple(solvers)
-    if "noma-mt" in solvers and n_zones != 2:
-        raise ConfigurationError("the noma-mt reference scheme needs exactly 2 zones")
-
-    try:
-        solver_cfg = SolverConfig(
-            **_set_numbers(d, {"epsilon": "epsilon", "delta": "delta"}))
-        greedy_cfg = GreedyConfig(**_set_numbers(d, {"n_blocks": "n_blocks"}, int))
-        amc = AmcParams(**_set_numbers(d, {"amc_c1": "c1", "amc_c2": "c2"}))
+        kw.update(
+            solver_cfg=SolverConfig(**_set_numbers(d, ("epsilon", "delta"))),
+            greedy_cfg=GreedyConfig(**_set_numbers(d, ("n_blocks",), int)),
+            amc=AmcParams(**_set_numbers(d, ("amc_c1", "amc_c2"), prefix="amc_")),
+        )
     except ValueError as e:
         raise ConfigurationError(str(e))
 
-    p_rtp = _number(d, "p_rtp", default=0.05, allow_zero=True)
-    if not p_rtp < 1:
-        raise ConfigurationError("p_rtp must be in [0, 1)")
-    mgs = _numbers(d, "mgs_weights", int, DEFAULT_MGS_WEIGHTS)
-    if any(w <= 0 for w in mgs):
-        raise ConfigurationError("mgs_weights must be positive")
-
-    fixture_path = _path(d, "fixture_path", None)
-    cfg = ScenarioConfig(
-        ues=ues,
-        n_zones=n_zones,
-        snr_db=snr_db,
-        bandwidth_hz=_number(d, "bandwidth_hz"),
-        power_budget_w=_number(d, "power_budget_w"),
-        path_loss_exp=path_loss_exp,
-        p_rtp=p_rtp,
-        gops_per_trial=_number(d, "gops_per_trial", int, default=1),
-        grouping=grouping,
-        solvers=solvers,
-        solver_cfg=solver_cfg,
-        greedy_cfg=greedy_cfg,
-        amc=amc,
-        fixture_path=None if fixture_path in (None, "") else Path(fixture_path),
-        n_trials=_number(d, "n_trials", int, default=200),
-        seed=_number(d, "seed", int, default=0, allow_zero=True),
-        out_dir=Path(_path(d, "out_dir", "results")),
-        mgs_weights=mgs,
-        n_enh_layers=_number(
-            d, "n_enh_layers", int, default=DEFAULT_ENH_LAYERS, allow_zero=True
-        ),
-    )
-    for snr in snr_db:
-        try:
-            noise = cfg.noise_var(snr)
-        except (OverflowError, ZeroDivisionError):
-            noise = 0.0
-        if not 0 < noise < np.inf:
-            raise ConfigurationError(
-                f"config key snr_db value {snr} gives no finite positive noise power")
-
+    cfg = ScenarioConfig(**kw)
     # a stream's complexity is its fixture row's; a UE entry may restate it
-    table = cfg.load_streams()
-    for k, (u, ue) in enumerate(zip(d["ues"], ues), 1):
-        fixture = table[ue.requested_stream].complexity
+    for k, (u, ue) in enumerate(zip(d["ues"], cfg.ues), 1):
+        fixture = cfg.streams[ue.requested_stream].complexity
         if "complexity" in u and u["complexity"] != fixture:
             raise ConfigurationError(
                 f"UE entry {k} (id {ue.id}): complexity {u['complexity']} differs"
                 f" from stream {ue.requested_stream!r}'s fixture complexity {fixture}")
-    if grouping in (GroupingStrategy.WLBH, GroupingStrategy.WHBL):
-        # group_users maps whole zones to one complexity class
-        n_low = sum(table[u.requested_stream].complexity == "Low" for u in ues)
-        if n_low % zone_size != 0:
-            raise ConfigurationError(
-                f"{grouping.value} needs a number of Low-complexity UEs that is a"
-                f" multiple of the zone size {zone_size}, got {n_low}")
     return cfg
 
 
@@ -398,9 +404,7 @@ def _run_scheme(scheme, ch, streams, bounds, cfg):
         return solve_greedy(ch, streams, amc, b, cfg.greedy_cfg, bounds)
     if scheme == "noma-mt":
         return solve_noma_mt(ch, streams, amc, b, bounds)
-    if scheme == "oma":
-        return solve_oma_simple(ch, streams, amc, b)
-    raise ConfigurationError(f"unknown scheme {scheme!r}")
+    return solve_oma_simple(ch, streams, amc, b)  # "oma", the last of SCHEMES
 
 
 def _instance_seed(cfg, trial, gop, salt):
@@ -416,7 +420,7 @@ def run_scenario(cfg: ScenarioConfig, trace_sink: list | None = None) -> Scenari
     ``NonConvergence: ``), are recorded in ``exclusions`` and skipped, never
     fatal. ``trace_sink`` collects every polyblock iteration trace.
     """
-    table = cfg.load_streams()
+    table = cfg.streams
     zoned = partition_zones(list(cfg.ues), cfg.n_zones)
     rate_sets = {
         sid: discrete_rate_set(p, cfg.mgs_weights, cfg.n_enh_layers)

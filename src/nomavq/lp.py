@@ -25,6 +25,7 @@ import numpy as np
 from .errors import Infeasible, NonConvergence, Unbounded
 
 TOL = 1e-9  # pivot, ratio-test and optimality tolerance
+MAX_PIVOTS = 20000  # per phase; more raise NonConvergence
 
 
 def _pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int):
@@ -37,12 +38,13 @@ def _pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int):
     basis[row] = col
 
 
-def _run_simplex(t, basis, cost, n_cols, max_iter):
+def _run_simplex(t, basis, cost, n_cols):
     """Maximize over the tableau in place; ``cost`` is the objective row.
 
-    Optimality is tested before each of at most ``max_iter`` pivots and once
-    more after the last one.
+    Optimality is tested before each of at most ``MAX_PIVOTS`` pivots and
+    once more after the last one.
     """
+    max_iter = MAX_PIVOTS
     body = t[:, :n_cols]
     cost_n = cost[:n_cols]
     for pivots in range(max_iter + 1):
@@ -69,18 +71,12 @@ def _run_simplex(t, basis, cost, n_cols, max_iter):
     )
 
 
-def solve_lp(
-    c,
-    a_ub,
-    b_ub,
-    free_vars: tuple = (),
-    max_iter: int = 20000,
-):
+def solve_lp(c, a_ub, b_ub, free_vars: tuple = ()):
     """Solve max c.x s.t. a_ub x <= b_ub, x >= 0 (x_j free for j in free_vars).
 
     Returns ``(optimum, x)`` with x an optimal basic solution. Raises
     Infeasible or Unbounded, and NonConvergence when either phase hits
-    ``max_iter`` pivots. Deterministic: repeated calls with the same
+    ``MAX_PIVOTS`` pivots. Deterministic: repeated calls with the same
     input produce the same vertex.
     """
     c = np.asarray(c, dtype=float)
@@ -112,7 +108,7 @@ def solve_lp(
 
         phase1 = np.zeros(n_cols)
         phase1[n_std:] = -1.0
-        _run_simplex(tableau, basis, phase1, n_cols, max_iter)
+        _run_simplex(tableau, basis, phase1, n_cols)
         if -float(phase1[basis] @ tableau[:, -1]) > 1e-7:
             raise Infeasible("no point satisfies the constraint system")
         # pivot any artificial variable out of the basis where possible
@@ -127,7 +123,7 @@ def solve_lp(
     cost = np.zeros(n_cols)
     cost[:n] = c
     cost[n:n_ext] = -c[free]
-    _run_simplex(tableau, basis, cost, n_std, max_iter)
+    _run_simplex(tableau, basis, cost, n_std)
 
     x_ext = np.zeros(n_ext)
     structural = basis < n_ext

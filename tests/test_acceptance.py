@@ -354,9 +354,10 @@ def test_criterion_7_solver_certification(streams_table, amc,
                        np.ones(5)])
         b = np.concatenate([rng.integers(0, 10, size=m).astype(float), [10.0]])
         c = rng.integers(-4, 6, size=5).astype(float)
-        opt, _ = solve_lp(c, a, b)
+        opt, x = solve_lp(c, a, b)
         want = oracle_lp(c.astype(int), a.astype(int), b.astype(int))
         lp_worst = max(lp_worst, abs(opt - float(want)))
+        ok &= bool(np.all(a @ x <= b + 1e-8) and np.all(x >= -1e-12))
     ok &= lp_worst <= 1e-8
     acceptance_report(
         7, ok,

@@ -9,7 +9,10 @@ import yaml
 from nomavq import (
     AmcParams,
     ConfigurationError,
+    GroupingStrategy,
     NonConvergence,
+    ScenarioConfig,
+    UserEquipment,
     config_from_dict,
     discrete_rate_set,
     load_config,
@@ -126,10 +129,77 @@ def test_config_parses_and_derives(tmp_path):
     # the noise power 10^(-SNR/10) overflows, or underflows to zero
     {"snr_db": [4000]},
     {"snr_db": [-4000]},
+    # a stream's SINR band overflows, or collapses to gamma_min == gamma_max
+    {"bandwidth_hz": 1.0e-3},
+    {"amc_c1": 1.0e-300},
+    {"bandwidth_hz": 1.0e300},
+    {"amc_c2": 1.0e308},  # gamma_max is inf
+    # an empty path would name the working directory
+    {"fixture_path": ""},
+    {"out_dir": ""},
 ])
 def test_config_validation_errors(broken):
     with pytest.raises(ConfigurationError):
         config_from_dict(_cfg_dict(**broken))
+
+
+def _ue4_requests_ice(cfg):
+    return {"ues": tuple(dataclasses.replace(u, requested_stream="Ice")
+                         if u.id == 4 else u for u in cfg.ues)}
+
+
+@pytest.mark.parametrize("changes, message", [
+    (lambda cfg: {"snr_db": (4000.0,)},
+     "config key snr_db value 4000.0 gives no finite positive noise power"),
+    (lambda cfg: {"solvers": ("noma-mt",), "n_zones": 3,
+                  "grouping": GroupingStrategy.BY_INDEX},
+     "the noma-mt reference scheme needs exactly 2 zones"),
+    (_ue4_requests_ice,
+     "WLBH needs a number of Low-complexity UEs that is a multiple of the"
+     " zone size 3, got 4"),
+], ids=["snr-overflow", "noma-mt-3-zones", "wlbh-4-low-in-zones-of-3"])
+def test_derived_config_is_checked_at_replace(changes, message):
+    # a config derived with dataclasses.replace fails where a parsed one would
+    cfg = load_config("configs/default.yaml")
+    with pytest.raises(ConfigurationError) as err:
+        dataclasses.replace(cfg, **changes(cfg))
+    assert str(err.value) == message
+
+
+def test_config_defaults_live_on_the_config_type():
+    # a file that sets only the required keys gets ScenarioConfig's defaults
+    required = {"n_zones": 2, "bandwidth_hz": B_HZ, "power_budget_w": 1.0}
+    entries = [{"id": 1, "distance_m": 3.0, "stream": "Foreman"},
+               {"id": 2, "distance_m": 1.0, "stream": "Soccer"}]
+    ues = tuple(UserEquipment(id=u["id"], distance_m=u["distance_m"],
+                              requested_stream=u["stream"]) for u in entries)
+    assert ScenarioConfig(ues=ues, **required) == config_from_dict(
+        {"ues": entries, **required})
+
+
+def test_config_and_run_read_the_fixture_once(monkeypatch):
+    # the stream table checked on construction is the one that runs
+    reads = []
+    load = harness.load_rd_fixtures
+
+    def counting(*args, **kwargs):
+        reads.append(args)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "load_rd_fixtures", counting)
+    raw = read_config("configs/default.yaml")
+    raw.update(n_trials=1, solvers=["greedy"])
+    assert run_scenario(config_from_dict(raw)).records
+    assert len(reads) == 1
+
+
+def test_null_path_keys_take_their_defaults(tmp_path, monkeypatch, capsys):
+    cfg_path = _write_cfg(tmp_path, n_trials=1, fixture_path=None, out_dir=None)
+    assert main(["validate", "--config", str(cfg_path)]) == EXIT_OK
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", str(cfg_path)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "results" / "trials.csv").read_text().count("\n") > 1
 
 
 def _default_with_ue(k, **fields):
@@ -351,13 +421,17 @@ def _omit_complexity(raw):
      " 'Soccer''s fixture complexity High"),
     (lambda raw: raw.update(snr_db=[4000]), "snr_db value 4000.0 "),
     (lambda raw: raw.update(snr_db=[-4000]), "snr_db value -4000.0 "),
+    (lambda raw: raw.update(bandwidth_hz=1.0e300),
+     "bandwidth_hz 1e+300 with amc_c1 0.905 and amc_c2 1.34 gives a requested"
+     " stream an empty or overflowing SINR band"),
 ], ids=["misspelt-key", "wlbh-complexity-counts", "complexity-omitted",
-        "complexity-mislabelled", "snr-overflow", "snr-underflow"])
+        "complexity-mislabelled", "snr-overflow", "snr-underflow", "sinr-band"])
 def test_cli_validate_rejects_what_simulate_rejects(tmp_path, capsys, edit, named):
     # a misspelt key, 4 Low streams in zones of 3, a UE complexity that
-    # differs from its stream's fixture row, or an SNR point without a finite
-    # positive noise power fails both commands alike; without complexity
-    # labels (named None) both pass
+    # differs from its stream's fixture row, an SNR point without a finite
+    # positive noise power, or a bandwidth that leaves a stream no SINR band
+    # fails both commands alike; without complexity labels (named None) both
+    # pass
     raw = read_config("configs/default.yaml")
     edit(raw)
     path = tmp_path / "scenario.yaml"
