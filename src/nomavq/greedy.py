@@ -7,8 +7,12 @@ Phase II hands out the remaining blocks one at a time to whichever UE
 improves the average PSNR most, rejecting any award that would break a
 quality bound. Complexity is O(N^2 L + 2 N L) PSNR evaluations.
 
-Each phase-II step scores all N awards in one batch. PSNR stays the scalar
-``psnr_of_rate``, as vectorized ``np.log10`` can differ in the last bit.
+Phase II runs on Python floats. An award to UE k leaves every UE stronger
+than k at its current SINR, so each award recomputes only the SINRs of UE k
+and the weaker UEs, in ``own_sinrs``'s order of operations, and each
+(UE, SINR) pair's PSNR is computed once per instance. A lone passing award
+is taken unscored. PSNR stays the scalar ``psnr_of_rate``, as vectorized
+``np.log10`` can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -50,6 +54,48 @@ class GreedyResult(Allocation):
         return self.iterations
 
 
+def _sinrs_below(gains, power, noise, k, tail):
+    """Own SINRs of UEs k, k-1, ..., 0 of the power list ``power``, and the
+    interference each sees, given ``tail``, the power of the UEs stronger
+    than k. The operations are ``own_sinrs``'s, so ``_sinrs_below(gains, p,
+    noise, n - 1, 0.0)[0]`` equals ``own_sinrs`` of ``p`` bit for bit."""
+    sinrs, tails = [0.0] * (k + 1), [0.0] * (k + 1)
+    for j in range(k, -1, -1):
+        g = gains[j]
+        sinrs[j] = g * power[j] / (g * tail + noise)
+        tails[j] = tail
+        tail += power[j]  # suffix sums accumulate from the strongest UE down
+    return sinrs, tails
+
+
+def _mean(values):
+    """``np.mean`` of a short list, bit for bit: a left-to-right float sum
+    from 0.0 (so a lone -0.0 sums to 0.0, as in numpy), divided by the count.
+    The builtin ``sum`` is not used, as newer Pythons compensate it."""
+    total = 0.0
+    for q in values:
+        total += q
+    return total / len(values)
+
+
+def _open_awards(gains, noise, block, g_min, g_max, power, sinrs, tails):
+    """One phase-II step: the number of open (unsaturated) UEs, and the award
+    of one block to each open UE that keeps every UE at its minimum, as
+    ``(power, sinrs, tails)`` rows in UE order."""
+    n_open, rows = 0, []
+    for k in range(len(power)):
+        if sinrs[k] >= g_max[k]:
+            continue  # saturated: the award cannot raise its quality
+        n_open += 1
+        award = power.copy()
+        award[k] += block
+        head, head_tails = _sinrs_below(gains, award, noise, k, tails[k])
+        row = head + sinrs[k + 1:]
+        if not any(g < lo for g, lo in zip(row, g_min)):
+            rows.append((award, row, head_tails + tails[k + 1:]))
+    return n_open, rows
+
+
 def solve_greedy(
     ch: ChannelState,
     streams: list[RdParams],
@@ -71,6 +117,11 @@ def solve_greedy(
     a saturated UE's SINR margin for progress (the margin is rebuilt by later
     awards). When every candidate is refused the algorithm stops and reports
     leftover blocks rather than looping on an exhausted candidate set.
+
+    Each phase-II step is one ``_open_awards`` call; a lone passing award
+    is taken without scoring, and the others are scored by their mean PSNR,
+    a left-to-right sum divided by N as ``np.mean`` takes it. The result is
+    bit for bit that of one ``own_sinrs`` and one ``np.mean`` per candidate.
     """
     cfg = cfg or GreedyConfig()
     bounds = bounds or bounds_from_quality(streams, amc, b_hz)
@@ -103,29 +154,33 @@ def solve_greedy(
         phase1_evals += placed
 
     # Phase II: award remaining blocks to the best average-PSNR candidate.
-    # Row 0 of the stack is the current allocation, row k + 1 the award to
-    # UE k. A refused award's rate can sit below the band, where psnr_of_rate
+    # A refused award's rate can sit below the band, where psnr_of_rate
     # raises, so PSNR is taken for the candidates only.
-    phase2_evals = 0
-    steps = np.vstack([np.zeros(n), block * np.eye(n)])
+    gains = ch.gains_sq.tolist()
+    noise = ch.noise_var
     g_max = bounds.gamma_max.tolist()
+    power = p.tolist()
+    sinrs, tails = _sinrs_below(gains, power, noise, n - 1, 0.0)
+    psnr_of = {}  # (UE, SINR) -> PSNR
+
+    def psnr(j, g):
+        q = psnr_of.get((j, g))
+        if q is None:
+            q = psnr_of[j, g] = psnr_of_rate(streams[j], float(amc_rate(b_hz, g, amc)))
+        return q
+
+    phase2_evals = 0
     while remaining > 0:
-        gams = own_sinrs(ch, p + steps)
-        now, *award = gams.tolist()
-        # saturated UEs are skipped: the award cannot raise their quality
-        open_ues = [k for k in range(n) if not now[k] >= g_max[k]]
-        phase2_evals += n * len(open_ues)
-        cand = [k for k in open_ues
-                if not any(g < lo for g, lo in zip(award[k], g_min))]
+        n_open, cand = _open_awards(gains, noise, block, g_min, g_max,
+                                    power, sinrs, tails)
+        phase2_evals += n * n_open
         if not cand:
             break  # every award refused; leftover budget stays unused
-        rates = amc_rate(b_hz, gams[1:], amc).tolist()
-        psnr = [[psnr_of_rate(s, r) for s, r in zip(streams, rates[k])]
-                for k in cand]
-        # np.mean's own sum and division; argmax keeps the lowest index on ties
-        best = cand[int((np.add.reduce(psnr, axis=1) / n).argmax())]
-        p[best] += block
+        # max keeps the first of equal scores: ties go to the lowest UE index
+        power, sinrs, tails = cand[0] if len(cand) == 1 else max(
+            cand, key=lambda row: _mean([psnr(j, g) for j, g in enumerate(row[1])]))
         remaining -= 1
+    p = np.array(power)
 
     gam = np.minimum(own_sinrs(ch, p), bounds.gamma_max)
     rates = amc_rate(b_hz, gam, amc)

@@ -72,6 +72,22 @@ class ScenarioConfig:
     streams: dict = field(init=False, repr=False, compare=False)  # id -> RdParams
 
     def __post_init__(self):
+        # the range of each number the file may set; the parser checks types
+        for key in ("n_zones", "bandwidth_hz", "power_budget_w", "path_loss_exp",
+                    "gops_per_trial", "n_trials"):
+            _check_range(key, getattr(self, key))
+        for key in ("p_rtp", "seed", "n_enh_layers"):
+            _check_range(key, getattr(self, key), allow_zero=True)
+        if not self.p_rtp < 1:
+            raise ConfigurationError("p_rtp must be in [0, 1)")
+        for key, kind in (("snr_db", "number"), ("mgs_weights", "whole number")):
+            vals = getattr(self, key)
+            if not vals or not np.all(np.isfinite(vals)):
+                raise ConfigurationError(
+                    f"config key {key} must be a nonempty {kind} list: {list(vals)!r}")
+        if any(w <= 0 for w in self.mgs_weights):
+            raise ConfigurationError("mgs_weights must be positive")
+
         if len({u.id for u in self.ues}) != len(self.ues):
             raise ConfigurationError("UE ids must be unique")
         if len(self.ues) % self.n_zones != 0:
@@ -154,41 +170,50 @@ def _cast(x, cast):
     return v
 
 
-def _number(d, key, cast=float, allow_zero=False):
-    """Read a finite positive number (nonnegative with ``allow_zero``) from
-    the config; the key is required."""
+def _read_number(d, key, cast=float):
+    """Read a number from the config; the key is required."""
     try:
-        v = _cast(d[key], cast)
+        return _cast(d[key], cast)
     except KeyError:
         raise ConfigurationError(f"missing config key: {key}")
     except (TypeError, ValueError, OverflowError):
         kind = "whole number" if cast is int else "number"
         raise ConfigurationError(f"config key {key} is not a {kind}: {d[key]!r}")
+
+
+def _check_range(key, v, allow_zero=False):
+    """Refuse ``v`` unless it is finite and positive (nonnegative with
+    ``allow_zero``); returns ``v``."""
     if not np.isfinite(v) or v < 0 or (v == 0 and not allow_zero):
         kind = "nonnegative" if allow_zero else "positive"
         raise ConfigurationError(f"config key {key} must be finite and {kind}, got {v}")
     return v
 
 
-def _set_numbers(d, keys, cast=float, allow_zero=False, prefix="") -> dict:
-    """``{field: number}`` over the ``keys`` that ``d`` sets, each key being
-    ``prefix`` and the field name. A key the file leaves out is not passed
-    on, so it takes the default of the type that owns the field."""
-    return {key.removeprefix(prefix): _number(d, key, cast, allow_zero)
+def _number(d, key, cast=float, allow_zero=False):
+    """Read a finite positive number (nonnegative with ``allow_zero``) from
+    the config; the key is required."""
+    return _check_range(key, _read_number(d, key, cast), allow_zero)
+
+
+def _set_numbers(d, keys, cast=float, prefix="") -> dict:
+    """``{field: positive number}`` over the ``keys`` that ``d`` sets, each
+    key being ``prefix`` and the field name. A key the file leaves out is not
+    passed on, so it takes the default of the type that owns the field."""
+    return {key.removeprefix(prefix): _number(d, key, cast)
             for key in keys if key in d}
 
 
 def _numbers(d, key, cast):
-    """Read a nonempty list of finite numbers from the config."""
+    """Read a list of numbers from the config."""
     v = d[key]
     try:
-        vals = tuple(_cast(x, cast) for x in v) if isinstance(v, (list, tuple)) else ()
+        if isinstance(v, (list, tuple)):
+            return tuple(_cast(x, cast) for x in v)
     except (TypeError, ValueError, OverflowError):
-        vals = ()
-    if not vals or not np.all(np.isfinite(vals)):
-        kind = "whole number" if cast is int else "number"
-        raise ConfigurationError(f"config key {key} must be a nonempty {kind} list: {v!r}")
-    return vals
+        pass
+    kind = "whole number" if cast is int else "number"
+    raise ConfigurationError(f"config key {key} must be a nonempty {kind} list: {v!r}")
 
 
 def _set_paths(d) -> dict:
@@ -255,21 +280,16 @@ def config_from_dict(d: dict) -> ScenarioConfig:
             f"config key ues must be a nonempty list of UE entries: {d.get('ues')!r}")
     kw = {
         "ues": tuple(_ue(k, u) for k, u in enumerate(d["ues"], 1)),
-        "n_zones": _number(d, "n_zones", int),
-        "bandwidth_hz": _number(d, "bandwidth_hz"),
-        "power_budget_w": _number(d, "power_budget_w"),
-        **_set_numbers(d, ("path_loss_exp",)),
-        **_set_numbers(d, ("p_rtp",), allow_zero=True),
-        **_set_numbers(d, ("gops_per_trial", "n_trials"), int),
-        **_set_numbers(d, ("seed", "n_enh_layers"), int, allow_zero=True),
+        "n_zones": _read_number(d, "n_zones", int),
+        "bandwidth_hz": _read_number(d, "bandwidth_hz"),
+        "power_budget_w": _read_number(d, "power_budget_w"),
+        **{key: _read_number(d, key, cast) for key, cast in (
+            ("path_loss_exp", float), ("p_rtp", float), ("gops_per_trial", int),
+            ("n_trials", int), ("seed", int), ("n_enh_layers", int)) if key in d},
         **{key: _numbers(d, key, cast)
            for key, cast in (("snr_db", float), ("mgs_weights", int)) if key in d},
         **_set_paths(d),
     }
-    if "p_rtp" in kw and not kw["p_rtp"] < 1:
-        raise ConfigurationError("p_rtp must be in [0, 1)")
-    if any(w <= 0 for w in kw.get("mgs_weights", ())):
-        raise ConfigurationError("mgs_weights must be positive")
     if "grouping" in d:
         try:
             kw["grouping"] = GroupingStrategy(d["grouping"])

@@ -173,11 +173,13 @@ def solve_polyblock(
     def clipped_psi(z):
         return mean_psnr(np.clip(z, g_min, g_max), streams, amc, b_hz)
 
-    def make_vertex(z, lam0):
+    def make_vertex(z):
         # every achievable SINR vector lies under gamma_max, so capping the
         # vertex keeps the box union covering the feasible region while
         # removing quality-saturated flat directions from the search
-        vx = Vertex(z=np.minimum(np.asarray(z, dtype=float), g_max))
+        return Vertex(z=np.minimum(np.asarray(z, dtype=float), g_max))
+
+    def projected(vx, lam0):
         vx.lam, vx.power = project(vx.z, fset, cfg, lam0=lam0)
         if np.any(vx.z < g_min * (1.0 - 1e-12)):
             # the box [0, z] misses the SINR lower bounds entirely, so it
@@ -193,7 +195,7 @@ def solve_polyblock(
         return vx
 
     v1 = ch.gains_sq * ch.power_budget_w / ch.noise_var
-    block = Polyblock([make_vertex(v1, 0.0)])
+    block = Polyblock([projected(make_vertex(v1), 0.0)])
     trace = []
 
     best: tuple | None = None  # (power, psi) of the incumbent
@@ -263,9 +265,13 @@ def solve_polyblock(
             z[k] = proj[k]
             if z[k] <= 0:
                 continue
-            children.append(make_vertex(z, lam0=sel.lam))
+            children.append(make_vertex(z))
         block.vertices = [vx for vx in block.vertices if vx is not sel] + children
+        # pruning reads only z, so only the children it keeps are projected
         block = prune_vertices(block, gamma_min=g_min)
+        for vx in block.vertices:
+            if vx.lam is None:
+                projected(vx, lam0=sel.lam)
 
     raise NonConvergence(
         "polyblock solver hit the iteration cap",

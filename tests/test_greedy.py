@@ -19,7 +19,7 @@ from nomavq import (
     solve_polyblock,
 )
 import nomavq.greedy
-from nomavq.greedy import GreedyResult
+from nomavq.greedy import GreedyResult, _mean, _open_awards, _sinrs_below
 from nomavq.phy import build_feasible_set, power_shares
 
 from conftest import (B_HZ, make_instance, make_three_user_instance, outcome,
@@ -243,14 +243,53 @@ def test_greedy_matches_per_candidate_oracle_bitwise(amc, instance):
               elements=st.floats(-1e6, 1e6)))
 @settings(max_examples=500, deadline=None)
 def test_row_wise_reductions_match_per_row_bitwise(a):
-    # phase II scores its awards with np.add.reduce(axis=1) / n over a list of
-    # rows, and the OMA baseline takes np.mean and np.sum along axis 1; each
-    # must give every row the bits of its own np.mean or np.sum call
-    n = a.shape[1]
+    # phase II scores each award with the left-to-right _mean of a list, and
+    # the OMA baseline takes np.mean and np.sum along axis 1; each must give
+    # every row the bits of its own np.mean or np.sum call
     means = [np.mean(row) for row in a]
-    assert same_bits(np.add.reduce(a.tolist(), axis=1) / n, means)
+    assert same_bits([_mean(row) for row in a.tolist()], means)
     assert same_bits(np.mean(a, axis=1), means)
     assert same_bits(np.sum(a, axis=1), [np.sum(row) for row in a])
+
+
+@st.composite
+def _power_vectors(draw):
+    """A channel and a power vector of 1 to 4 UEs; powers are zero or
+    positive, as after any number of block awards."""
+    n = draw(st.integers(1, 4))
+    gains = np.sort(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    power = draw(st.lists(st.just(0.0) | st.floats(1e-6, 1.0),
+                          min_size=n, max_size=n))
+    noise = draw(st.floats(1e-6, 1.0))
+    block = draw(st.floats(1e-4, 0.1))
+    return ChannelState(gains_sq=gains, noise_var=noise, power_budget_w=1.0), \
+        power, block
+
+
+@given(_power_vectors())
+@settings(max_examples=500, deadline=None)
+def test_scalar_sinr_step_matches_own_sinrs_bitwise(amc, drawn):
+    # phase II never calls own_sinrs: the current SINRs and every award row
+    # come from _sinrs_below, and each award's rate from a scalar amc_rate
+    ch, power, block = drawn
+    n = ch.n_users
+    gains = ch.gains_sq.tolist()
+    sinrs, tails = _sinrs_below(gains, power, ch.noise_var, n - 1, 0.0)
+    assert same_bits(sinrs, own_sinrs(ch, np.array(power)))
+    # every UE open and passing, so _open_awards returns every award
+    _, rows = _open_awards(gains, ch.noise_var, block, [-np.inf] * n,
+                           [np.inf] * n, power, sinrs, tails)
+    assert len(rows) == n
+    for k, (award, row, row_tails) in enumerate(rows):
+        want = np.array(power)
+        want[k] += block
+        assert same_bits(award, want)
+        assert same_bits(row, own_sinrs(ch, want))
+        # the award row is the next state: its tails are the full recompute's
+        assert (row, row_tails) == _sinrs_below(gains, award, ch.noise_var,
+                                                n - 1, 0.0)
+        assert same_bits([amc_rate(B_HZ, g, amc) for g in row],
+                         amc_rate(B_HZ, np.array(row), amc))
 
 
 @given(small_instances())
@@ -259,19 +298,18 @@ def test_phase_two_ties_go_to_the_lowest_open_ue(amc, instance):
     # random draws never tie, so a flat PSNR makes every phase-II step a tie
     ch, streams, n_blocks = instance
     cfg = GreedyConfig(n_blocks=n_blocks)
-    calls = []
+    steps = []  # the power vector each phase-II step starts from
 
-    def recording_sinrs(ch_, p):
-        out = own_sinrs(ch_, p)
-        calls.append((np.array(p, dtype=float), out))
-        return out
+    def recording_awards(gains, noise, block, g_min, g_max, power, sinrs, tails):
+        steps.append(np.array(power))
+        return _open_awards(gains, noise, block, g_min, g_max, power, sinrs, tails)
 
     def flat(s, r):
         return 35.0
 
     with mock.patch.object(nomavq.greedy, "psnr_of_rate", flat), \
             mock.patch.object(sys.modules[__name__], "psnr_of_rate", flat), \
-            mock.patch.object(nomavq.greedy, "own_sinrs", recording_sinrs):
+            mock.patch.object(nomavq.greedy, "_open_awards", recording_awards):
         got = outcome(solve_greedy, ch, streams, amc, B_HZ, cfg)
         want = outcome(_greedy_oracle, ch, streams, amc, B_HZ, cfg)
     if isinstance(got, type) or isinstance(want, type):
@@ -282,15 +320,20 @@ def test_phase_two_ties_go_to_the_lowest_open_ue(amc, instance):
         assert same_bits(getattr(got, field), getattr(want, field)), field
     assert (got.phase1_evals, got.phase2_evals) == (want.phase1_evals, want.phase2_evals)
 
-    # one SINR call per UE in phase I, one per phase-II step, one at the end
+    # each step awards its lowest open UE whose award keeps every minimum,
+    # recomputed here with own_sinrs; the last step may refuse every award
     n = ch.n_users
-    steps = calls[n:-1]
+    block = cfg.block_w(ch.power_budget_w)
     bounds = bounds_from_quality(streams, amc, B_HZ)
     g_min = bounds.gamma_min * (1.0 - 1e-12)
-    powers = [stack[0] for stack, _ in steps] + [got.power]
-    for (stack, gams), after in zip(steps, powers[1:]):
-        assert stack.shape == (n + 1, n)
-        open_ues = gams[0] < bounds.gamma_max
-        passing = open_ues & np.all(gams[1:] >= g_min, axis=1)
-        awarded = np.flatnonzero(after != stack[0])
+    awards = 0
+    for before, after in zip(steps, steps[1:] + [got.power]):
+        open_ues = own_sinrs(ch, before) < bounds.gamma_max
+        rows = own_sinrs(ch, before + block * np.eye(n))
+        passing = open_ues & np.all(rows >= g_min, axis=1)
+        awarded = np.flatnonzero(after != before)
         assert list(awarded) == list(np.flatnonzero(passing)[:1])
+        awards += len(awarded)
+    # phase I places phase1_evals blocks, phase II one per observed award
+    assert awards == got.blocks_used - got.phase1_evals
+    assert len(steps) - awards <= 1

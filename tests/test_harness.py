@@ -157,7 +157,21 @@ def _ue4_requests_ice(cfg):
     (_ue4_requests_ice,
      "WLBH needs a number of Low-complexity UEs that is a multiple of the"
      " zone size 3, got 4"),
-], ids=["snr-overflow", "noma-mt-3-zones", "wlbh-4-low-in-zones-of-3"])
+    # the per-key ranges the parser once checked alone
+    (lambda cfg: {"n_trials": -1},
+     "config key n_trials must be finite and positive, got -1"),
+    (lambda cfg: {"mgs_weights": (0, 0)}, "mgs_weights must be positive"),
+    (lambda cfg: {"gops_per_trial": 0},
+     "config key gops_per_trial must be finite and positive, got 0"),
+    (lambda cfg: {"n_enh_layers": -2},
+     "config key n_enh_layers must be finite and nonnegative, got -2"),
+    (lambda cfg: {"seed": -5},
+     "config key seed must be finite and nonnegative, got -5"),
+    (lambda cfg: {"n_zones": 0},
+     "config key n_zones must be finite and positive, got 0"),
+], ids=["snr-overflow", "noma-mt-3-zones", "wlbh-4-low-in-zones-of-3",
+        "n-trials-negative", "mgs-weights-zero", "gops-per-trial-zero",
+        "n-enh-layers-negative", "seed-negative", "n-zones-zero"])
 def test_derived_config_is_checked_at_replace(changes, message):
     # a config derived with dataclasses.replace fails where a parsed one would
     cfg = load_config("configs/default.yaml")

@@ -27,7 +27,8 @@ from nomavq.polyblock import (
 )
 from nomavq.quality import PEAK_SQ, psnr_of_rate
 
-from conftest import B_HZ, make_instance, observe_prune, record_dinkelbach
+from conftest import (B_HZ, make_instance, make_three_user_instance,
+                      observe_prune, record_dinkelbach)
 
 CFG = SolverConfig()
 
@@ -272,6 +273,39 @@ def test_pruning_does_not_change_result(streams_table, amc, monkeypatch):
             continue
         assert a.avg_psnr_db == pytest.approx(b.avg_psnr_db, abs=1e-9)
         done += 1
+
+
+def test_pruned_children_are_never_projected(streams_table, amc, monkeypatch):
+    # pruning reads only z, so a child that prune_vertices drops is never
+    # projected: the solver projects only the children it keeps
+    projected, pruned_children, kept = [], [], []
+    project, prune = polyblock.project, polyblock.prune_vertices
+
+    def recording_project(v, fset, cfg, lam0=0.0):
+        projected.append(v)
+        return project(v, fset, cfg, lam0=lam0)
+
+    def recording_prune(block, gamma_min):
+        out = prune(block, gamma_min=gamma_min)
+        # the children of this split are the vertices the last prune did
+        # not return
+        pruned_children.extend(
+            vx for vx in block.vertices
+            if not any(vx is k for k in kept + out.vertices))
+        kept[:] = out.vertices
+        return out
+
+    monkeypatch.setattr(polyblock, "project", recording_project)
+    monkeypatch.setattr(polyblock, "prune_vertices", recording_prune)
+    # the second instance of this draw prunes children in about 0.1 s
+    rng = np.random.default_rng(1)
+    for _ in range(2):
+        ch, streams = make_three_user_instance(rng, streams_table, snr_db=30.0)
+        kept.clear()
+        solve_polyblock(_fset(ch, streams, amc), streams, amc, B_HZ)
+    assert pruned_children
+    assert not any(vx.z is v for vx in pruned_children for v in projected)
+    assert all(vx.lam is None for vx in pruned_children)
 
 
 def _prune_oracle(block, gamma_min):
