@@ -13,7 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import (NONNEGATIVE, NOT_NUMBER, NOT_WHOLE, POSITIVE,
+                     ConfigurationError, Rule, check_fields, whole)
 
 
 class QualityReq(Enum):
@@ -41,9 +42,19 @@ class UserEquipment:
     quality_req: QualityReq = QualityReq.QUALITY_SENSITIVE
     zone: int = 0  # assigned by partition_zones, 1-based
 
+    # each field's rule; a UE entry of the scenario file sets every field
+    # but zone, requested_stream by its key ``stream``
+    FIELDS = {
+        "id": Rule(whole, NOT_WHOLE, NONNEGATIVE),
+        "distance_m": Rule(float, NOT_NUMBER, POSITIVE),
+        "requested_stream": Rule(str, "config key {key} is not a string: {value!r}",
+                                 key="stream"),
+        "quality_req": Rule(QualityReq, "{value!r} is not a valid QualityReq"),
+        "zone": Rule(whole, NOT_WHOLE, NONNEGATIVE),
+    }
+
     def __post_init__(self):
-        if self.distance_m <= 0:
-            raise ValueError("distance_m must be positive")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

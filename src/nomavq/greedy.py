@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelState, own_sinrs
-from .errors import Infeasible
+from .errors import NOT_WHOLE, POSITIVE, Infeasible, Rule, check_fields, whole
 from .phy import (Allocation, AmcParams, SinrBounds, amc_rate,
                   bounds_from_quality, power_shares)
 from .quality import RdParams, psnr_of_rate
@@ -32,9 +32,10 @@ from .quality import RdParams, psnr_of_rate
 class GreedyConfig:
     n_blocks: int = 100  # L
 
+    FIELDS = {"n_blocks": Rule(whole, NOT_WHOLE, POSITIVE)}  # each field's rule
+
     def __post_init__(self):
-        if self.n_blocks < 1:
-            raise ValueError("n_blocks must be >= 1")
+        check_fields(self)
 
     def block_w(self, power_budget_w: float) -> float:
         # p_l is always derived from L so L * p_l == P_max exactly

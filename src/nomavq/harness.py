@@ -12,8 +12,7 @@ plus seed produces byte-identical CSV output.
 from __future__ import annotations
 
 import csv
-import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +22,14 @@ from .baselines import solve_noma_mt, solve_oma_simple
 from .channel import (
     ChannelState,
     GroupingStrategy,
-    QualityReq,
     UserEquipment,
     group_users,
     partition_zones,
     sample_channel,
 )
-from .errors import ConfigurationError, Infeasible, InfeasibleRate, NonConvergence
+from .errors import (NONNEGATIVE, NOT_NUMBER, NOT_WHOLE, POSITIVE, WRONG_TYPE,
+                     ConfigurationError, Infeasible, InfeasibleRate, NonConvergence,
+                     Rule, check_fields, finite_float, instance_of, path, tuple_of, whole)
 from .greedy import GreedyConfig, solve_greedy
 from .phy import AmcParams, bounds_from_quality, build_feasible_set
 from .polyblock import SolverConfig, solve_polyblock
@@ -46,9 +46,9 @@ DEFAULT_ENH_LAYERS = 3
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A checked scenario; a field's default is that of a key the file leaves
-    out. Every rule that spans fields is checked on construction, so a config
-    derived with ``dataclasses.replace`` is checked like a parsed one, and the
-    stream table is read then, once, into ``streams``."""
+    out. Every field and every rule that spans fields is checked on
+    construction, so a config derived with ``dataclasses.replace`` is checked
+    like a parsed one, and the stream table is read then, once, into ``streams``."""
 
     ues: tuple  # UserEquipment, zone unset
     n_zones: int
@@ -60,7 +60,7 @@ class ScenarioConfig:
     gops_per_trial: int = 1
     grouping: GroupingStrategy = GroupingStrategy.BY_INDEX
     solvers: tuple = SCHEMES
-    solver_cfg: SolverConfig = field(default_factory=SolverConfig)
+    solver_cfg: SolverConfig = SolverConfig()
     greedy_cfg: GreedyConfig = GreedyConfig()
     amc: AmcParams = AmcParams()
     fixture_path: Path = DEFAULT_FIXTURE_PATH
@@ -71,20 +71,37 @@ class ScenarioConfig:
     n_enh_layers: int = DEFAULT_ENH_LAYERS
     streams: dict = field(init=False, repr=False, compare=False)  # id -> RdParams
 
+    # each field's rule, which coerces its value or refuses it; a top-level
+    # key of the scenario file sets the field of its name or a sub-config's
+    FIELDS = {
+        "ues": Rule(tuple_of(instance_of(UserEquipment)),
+                    "config key {key} must be a nonempty list of UE entries: {value!r}"),
+        "n_zones": Rule(whole, NOT_WHOLE, POSITIVE),
+        "bandwidth_hz": Rule(float, NOT_NUMBER, POSITIVE),
+        "power_budget_w": Rule(float, NOT_NUMBER, POSITIVE),
+        "snr_db": Rule(tuple_of(finite_float),
+                       "config key {key} must be a nonempty number list: {value!r}"),
+        "path_loss_exp": Rule(float, NOT_NUMBER, POSITIVE),
+        "p_rtp": Rule(float, NOT_NUMBER, NONNEGATIVE),
+        "gops_per_trial": Rule(whole, NOT_WHOLE, POSITIVE),
+        "grouping": Rule(GroupingStrategy, "unknown grouping strategy: {value!r}"),
+        "solvers": Rule(tuple_of(), "config key {key} must be a nonempty list: {value!r}"),
+        "solver_cfg": Rule(instance_of(SolverConfig), WRONG_TYPE),
+        "greedy_cfg": Rule(instance_of(GreedyConfig), WRONG_TYPE),
+        "amc": Rule(instance_of(AmcParams), WRONG_TYPE),
+        "fixture_path": Rule(path, "config key {key} must be a path: {value!r}"),
+        "n_trials": Rule(whole, NOT_WHOLE, POSITIVE),
+        "seed": Rule(whole, NOT_WHOLE, NONNEGATIVE),
+        "out_dir": Rule(path, "config key {key} must be a path: {value!r}"),
+        "mgs_weights": Rule(tuple_of(whole), "config key {key} must be a nonempty"
+                            " whole number list: {value!r}"),
+        "n_enh_layers": Rule(whole, NOT_WHOLE, NONNEGATIVE),
+    }
+
     def __post_init__(self):
-        # the range of each number the file may set; the parser checks types
-        for key in ("n_zones", "bandwidth_hz", "power_budget_w", "path_loss_exp",
-                    "gops_per_trial", "n_trials"):
-            _check_range(key, getattr(self, key))
-        for key in ("p_rtp", "seed", "n_enh_layers"):
-            _check_range(key, getattr(self, key), allow_zero=True)
+        check_fields(self)
         if not self.p_rtp < 1:
             raise ConfigurationError("p_rtp must be in [0, 1)")
-        for key, kind in (("snr_db", "number"), ("mgs_weights", "whole number")):
-            vals = getattr(self, key)
-            if not vals or not np.all(np.isfinite(vals)):
-                raise ConfigurationError(
-                    f"config key {key} must be a nonempty {kind} list: {list(vals)!r}")
         if any(w <= 0 for w in self.mgs_weights):
             raise ConfigurationError("mgs_weights must be positive")
 
@@ -158,83 +175,38 @@ class ScenarioConfig:
         return self.power_budget_w / 10.0 ** (snr_db / 10.0)
 
     def load_streams(self) -> dict:
-        """The stream table read on construction."""
+        """The stream table read on construction, ``streams``. Kept only for
+        the set-up timing of ``perfbench/run.py``, until a benchmark-only
+        change (see ROADMAP.md) has that script read ``streams``."""
         return self.streams
 
 
-def _cast(x, cast):
-    """``cast(x)``, refusing to truncate a non-integral value to an int."""
-    v = cast(x)
-    if cast is int and v != float(x):
-        raise ValueError(x)
-    return v
+def _keys(cls) -> dict:
+    """``{scenario-file key: field name}`` over the fields of ``cls.FIELDS``."""
+    return {rule.key or name: name for name, rule in cls.FIELDS.items()}
 
 
-def _read_number(d, key, cast=float):
-    """Read a number from the config; the key is required."""
-    try:
-        return _cast(d[key], cast)
-    except KeyError:
-        raise ConfigurationError(f"missing config key: {key}")
-    except (TypeError, ValueError, OverflowError):
-        kind = "whole number" if cast is int else "number"
-        raise ConfigurationError(f"config key {key} is not a {kind}: {d[key]!r}")
+# the sub-configs whose fields are set by top-level keys of a scenario file
+SUBCONFIGS = {"solver_cfg": SolverConfig, "greedy_cfg": GreedyConfig, "amc": AmcParams}
+# every key a scenario file may set, at the top level and in a UE entry: a
+# UE's zone is assigned, and its complexity key only restates the fixture's
+CONFIG_KEYS = frozenset(ScenarioConfig.FIELDS.keys() - SUBCONFIGS.keys()).union(
+    *map(_keys, SUBCONFIGS.values()))
+UE_KEYS = frozenset(_keys(UserEquipment).keys() - {"zone"} | {"complexity"})
 
 
-def _check_range(key, v, allow_zero=False):
-    """Refuse ``v`` unless it is finite and positive (nonnegative with
-    ``allow_zero``); returns ``v``."""
-    if not np.isfinite(v) or v < 0 or (v == 0 and not allow_zero):
-        kind = "nonnegative" if allow_zero else "positive"
-        raise ConfigurationError(f"config key {key} must be finite and {kind}, got {v}")
-    return v
-
-
-def _number(d, key, cast=float, allow_zero=False):
-    """Read a finite positive number (nonnegative with ``allow_zero``) from
-    the config; the key is required."""
-    return _check_range(key, _read_number(d, key, cast), allow_zero)
-
-
-def _set_numbers(d, keys, cast=float, prefix="") -> dict:
-    """``{field: positive number}`` over the ``keys`` that ``d`` sets, each
-    key being ``prefix`` and the field name. A key the file leaves out is not
-    passed on, so it takes the default of the type that owns the field."""
-    return {key.removeprefix(prefix): _number(d, key, cast)
-            for key in keys if key in d}
-
-
-def _numbers(d, key, cast):
-    """Read a list of numbers from the config."""
-    v = d[key]
-    try:
-        if isinstance(v, (list, tuple)):
-            return tuple(_cast(x, cast) for x in v)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    kind = "whole number" if cast is int else "number"
-    raise ConfigurationError(f"config key {key} must be a nonempty {kind} list: {v!r}")
-
-
-def _set_paths(d) -> dict:
-    """``{key: Path}`` over the path keys that ``d`` sets; null leaves a key
-    unset, like leaving it out."""
-    paths = {key: d[key] for key in ("fixture_path", "out_dir")
-             if d.get(key) is not None}
-    for key, v in paths.items():
-        if not isinstance(v, (str, os.PathLike)) or v == "":
-            raise ConfigurationError(f"config key {key} must be a path: {v!r}")
-    return {key: Path(v) for key, v in paths.items()}
-
-
-# every key a scenario file may set, at the top level and in a UE entry
-CONFIG_KEYS = frozenset({
-    "ues", "n_zones", "snr_db", "bandwidth_hz", "power_budget_w",
-    "path_loss_exp", "p_rtp", "gops_per_trial", "grouping", "solvers",
-    "epsilon", "delta", "n_blocks", "amc_c1", "amc_c2", "mgs_weights",
-    "n_enh_layers", "fixture_path", "n_trials", "seed", "out_dir",
-})
-UE_KEYS = frozenset({"id", "distance_m", "stream", "quality_req", "complexity"})
+def _set_fields(cls, d) -> dict:
+    """``{field: value}`` over the fields of ``cls`` whose key ``d`` sets. A
+    path key set to null is left out, and a field without a default is
+    required."""
+    required = {f.name for f in fields(cls) if f.init and f.default is MISSING}
+    kw = {}
+    for key, name in _keys(cls).items():
+        if key in d and not (d[key] is None and cls.FIELDS[name].cast is path):
+            kw[name] = d[key]
+        elif name in required:
+            raise ConfigurationError(f"missing config key: {key}")
+    return kw
 
 
 def _known_keys(d, keys):
@@ -253,61 +225,28 @@ def _ue(k, u) -> UserEquipment:
     if not isinstance(u, dict):
         raise ConfigurationError(f"{where} must be a mapping: {u!r}")
     try:
-        ue_id = _number(u, "id", int, allow_zero=True)
-        where += f" (id {ue_id})"
+        where += f" (id {UserEquipment.FIELDS['id'].check('id', u['id'])})"
         _known_keys(u, UE_KEYS)
-        return UserEquipment(
-            id=ue_id,
-            distance_m=_number(u, "distance_m"),
-            requested_stream=str(u["stream"]),
-            **({"quality_req": QualityReq(u["quality_req"])}
-               if "quality_req" in u else {}),
-        )
+        return UserEquipment(**_set_fields(UserEquipment, u))
     except KeyError as e:
         raise ConfigurationError(f"{where}: missing config key: {e.args[0]}")
-    except (ConfigurationError, ValueError) as e:
+    except ConfigurationError as e:
         raise ConfigurationError(f"{where}: {e}")
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
-    """Read each key of parsed YAML and build the ScenarioConfig, which checks
-    the rules that span keys. Only the keys the file sets are passed on."""
+    """The ScenarioConfig of parsed YAML. Each key the file sets goes to the
+    field it names, or to its sub-config's, and the configs check it; a key
+    left out, or a path key set to null, takes the field's default."""
     if not isinstance(d, dict):
         raise ConfigurationError("config root must be a mapping")
     _known_keys(d, CONFIG_KEYS)
     if not isinstance(d.get("ues"), list) or not d["ues"]:
         raise ConfigurationError(
             f"config key ues must be a nonempty list of UE entries: {d.get('ues')!r}")
-    kw = {
-        "ues": tuple(_ue(k, u) for k, u in enumerate(d["ues"], 1)),
-        "n_zones": _read_number(d, "n_zones", int),
-        "bandwidth_hz": _read_number(d, "bandwidth_hz"),
-        "power_budget_w": _read_number(d, "power_budget_w"),
-        **{key: _read_number(d, key, cast) for key, cast in (
-            ("path_loss_exp", float), ("p_rtp", float), ("gops_per_trial", int),
-            ("n_trials", int), ("seed", int), ("n_enh_layers", int)) if key in d},
-        **{key: _numbers(d, key, cast)
-           for key, cast in (("snr_db", float), ("mgs_weights", int)) if key in d},
-        **_set_paths(d),
-    }
-    if "grouping" in d:
-        try:
-            kw["grouping"] = GroupingStrategy(d["grouping"])
-        except ValueError:
-            raise ConfigurationError(f"unknown grouping strategy: {d['grouping']!r}")
-    if "solvers" in d:
-        if not isinstance(d["solvers"], (list, tuple)) or not d["solvers"]:
-            raise ConfigurationError(
-                f"config key solvers must be a nonempty list: {d['solvers']!r}")
-        kw["solvers"] = tuple(d["solvers"])
-    try:
-        kw.update(
-            solver_cfg=SolverConfig(**_set_numbers(d, ("epsilon", "delta"))),
-            greedy_cfg=GreedyConfig(**_set_numbers(d, ("n_blocks",), int)),
-            amc=AmcParams(**_set_numbers(d, ("amc_c1", "amc_c2"), prefix="amc_")),
-        )
-    except ValueError as e:
-        raise ConfigurationError(str(e))
+    kw = _set_fields(ScenarioConfig, d)
+    kw["ues"] = tuple(_ue(k, u) for k, u in enumerate(d["ues"], 1))
+    kw.update({name: sub(**_set_fields(sub, d)) for name, sub in SUBCONFIGS.items()})
 
     cfg = ScenarioConfig(**kw)
     # a stream's complexity is its fixture row's; a UE entry may restate it

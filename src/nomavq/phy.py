@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelState
-from .errors import Infeasible
+from .errors import (NOT_NUMBER, POSITIVE, ConfigurationError, Infeasible, Rule,
+                     check_fields)
 from .quality import RdParams, rate_of_psnr
 
 
@@ -26,11 +27,15 @@ class AmcParams:
     c1: float = 0.905
     c2: float = 1.34
 
+    FIELDS = {"c1": Rule(float, NOT_NUMBER, POSITIVE, key="amc_c1"),  # each field's rule
+              "c2": Rule(float, NOT_NUMBER, POSITIVE, key="amc_c2")}
+
     def __post_init__(self):
-        if not 0 < self.c1 <= 1:
-            raise ValueError("c1 must be in (0, 1]")
-        if not self.c2 >= 1:  # also rejects NaN
-            raise ValueError("c2 must be >= 1")
+        check_fields(self)
+        if not self.c1 <= 1:
+            raise ConfigurationError("c1 must be in (0, 1]")
+        if not self.c2 >= 1:
+            raise ConfigurationError("c2 must be >= 1")
 
 
 @dataclass(frozen=True)

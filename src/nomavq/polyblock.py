@@ -21,7 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from .channel import own_sinrs
-from .errors import Infeasible, NonConvergence
+from .errors import NOT_NUMBER, POSITIVE, Infeasible, NonConvergence, Rule, check_fields
 from .lp import solve_lp
 from .phy import (Allocation, AmcParams, FeasiblePowerSet, amc_rate,
                   check_feasible, power_shares, sinr_rows)
@@ -31,15 +31,17 @@ from .quality import RdParams, psnr_of_rate
 MAX_ITERATIONS = 10_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     epsilon: float = 1e-3  # relative termination tolerance in SINR space
     delta: float = 1e-6  # Dinkelbach residual tolerance
     gap_tol_db: ClassVar[float] = 0.02  # required certificate: upper bound - incumbent
 
+    FIELDS = {"epsilon": Rule(float, NOT_NUMBER, POSITIVE),  # each field's rule
+              "delta": Rule(float, NOT_NUMBER, POSITIVE)}
+
     def __post_init__(self):
-        if not (self.epsilon > 0 and self.delta > 0):  # also rejects NaN
-            raise ValueError("tolerances must be positive")
+        check_fields(self)
 
 
 @dataclass

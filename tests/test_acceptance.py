@@ -261,7 +261,7 @@ def test_criterion_6_weakest_ue_fairness(scenario_run, default_cfg,
                                          acceptance_report):
     # per-UE quality read pre-snap: the first discrete rate step is coarser
     # than the fairness margin under test
-    table = default_cfg.load_streams()
+    table = default_cfg.streams
 
     def weak_quality(r):
         return psnr_of_rate(table[r.streams[0]], r.rates_bps[0])
@@ -289,7 +289,7 @@ def test_criterion_6_weakest_ue_fairness(scenario_run, default_cfg,
 
 def _records_above_exact_optimum(cfg, result, channels):
     """The SIC records whose snapped average beats the enumerated optimum."""
-    table = cfg.load_streams()
+    table = cfg.streams
     rate_sets = {sid: discrete_rate_set(p, cfg.mgs_weights, cfg.n_enh_layers)
                  for sid, p in table.items()}
     above = []

@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import re
@@ -9,6 +10,7 @@ import yaml
 from nomavq import (
     AmcParams,
     ConfigurationError,
+    GreedyConfig,
     GroupingStrategy,
     NonConvergence,
     ScenarioConfig,
@@ -23,7 +25,8 @@ from nomavq import harness, polyblock
 from nomavq.cli import EXIT_CONFIG, EXIT_OK, main
 from nomavq.harness import aggregate, read_config, write_trial_csv
 from nomavq.polyblock import SolverConfig
-from nomavq.quality import dump_rd_fixtures, load_rd_fixtures, psnr_of_rate
+from nomavq.quality import (DEFAULT_FIXTURE_PATH, dump_rd_fixtures, load_rd_fixtures,
+                            psnr_of_rate)
 
 from conftest import B_HZ
 
@@ -59,8 +62,7 @@ def test_config_parses_and_derives(tmp_path):
     cfg = load_config(_write_cfg(tmp_path))
     assert cfg.noise_var(20.0) == pytest.approx(0.01)
     assert cfg.noise_var(0.0) == pytest.approx(1.0)
-    table = cfg.load_streams()
-    assert {"Foreman", "Soccer"} <= set(table)
+    assert {"Foreman", "Soccer"} <= set(cfg.streams)
 
 
 @pytest.mark.parametrize("broken", [
@@ -169,15 +171,146 @@ def _ue4_requests_ice(cfg):
      "config key seed must be finite and nonnegative, got -5"),
     (lambda cfg: {"n_zones": 0},
      "config key n_zones must be finite and positive, got 0"),
+    # the types and integrality the parser once checked alone
+    (lambda cfg: {"ues": ()},
+     "config key ues must be a nonempty list of UE entries: ()"),
+    (lambda cfg: {"n_trials": 2.5}, "config key n_trials is not a whole number: 2.5"),
+    (lambda cfg: {"seed": 1.5}, "config key seed is not a whole number: 1.5"),
+    (lambda cfg: {"n_enh_layers": 1.5},
+     "config key n_enh_layers is not a whole number: 1.5"),
+    (lambda cfg: {"mgs_weights": (1.5, 2)},
+     "config key mgs_weights must be a nonempty whole number list: (1.5, 2)"),
+    (lambda cfg: {"snr_db": ("a",)},
+     "config key snr_db must be a nonempty number list: ('a',)"),
+    (lambda cfg: {"bandwidth_hz": "wide"},
+     "config key bandwidth_hz is not a number: 'wide'"),
+    (lambda cfg: {"solvers": "greedy"},
+     "config key solvers must be a nonempty list: 'greedy'"),
+    (lambda cfg: {"grouping": "Nearest"}, "unknown grouping strategy: 'Nearest'"),
+    (lambda cfg: {"out_dir": None}, "config key out_dir must be a path: None"),
+    (lambda cfg: {"solver_cfg": None}, "solver_cfg has the wrong type: None"),
 ], ids=["snr-overflow", "noma-mt-3-zones", "wlbh-4-low-in-zones-of-3",
         "n-trials-negative", "mgs-weights-zero", "gops-per-trial-zero",
-        "n-enh-layers-negative", "seed-negative", "n-zones-zero"])
+        "n-enh-layers-negative", "seed-negative", "n-zones-zero", "ues-empty",
+        "n-trials-fractional", "seed-fractional", "n-enh-layers-fractional",
+        "mgs-weights-fractional", "snr-db-string", "bandwidth-string",
+        "solvers-string", "grouping-unknown", "out-dir-none", "solver-cfg-none"])
 def test_derived_config_is_checked_at_replace(changes, message):
     # a config derived with dataclasses.replace fails where a parsed one would
     cfg = load_config("configs/default.yaml")
     with pytest.raises(ConfigurationError) as err:
         dataclasses.replace(cfg, **changes(cfg))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grouping", "WHBL"),
+    ("n_zones", 2.0),
+    ("n_trials", 2.0),
+    ("bandwidth_hz", "1.5e5"),
+    ("snr_db", [20]),
+    ("mgs_weights", [4.0, 3]),
+    ("solvers", ["oma", "greedy"]),
+    ("out_dir", "elsewhere"),
+], ids=["grouping-string", "n-zones-float", "n-trials-float", "bandwidth-string",
+        "snr-db-ints", "mgs-weights-floats", "solvers-list", "out-dir-string"])
+def test_derived_config_is_coerced_like_the_parsed_one(key, value):
+    # a value that replace passes in is stored as the parser stores it
+    base = config_from_dict(_cfg_dict())
+    parsed = config_from_dict(_cfg_dict(**{key: value}))
+    derived = dataclasses.replace(base, **{key: value})
+    assert repr(derived) == repr(parsed)  # 2 and 2.0 differ in repr only
+    assert derived == parsed
+
+
+@pytest.mark.parametrize("key, value, file_value", [
+    ("snr_db", (20,), [20]),
+    ("grouping", "WHBL", "WHBL"),
+    ("n_trials", 2.0, 2),
+], ids=["snr-db-ints", "grouping-string", "n-trials-float"])
+def test_derived_config_writes_the_parsed_config_csv(tmp_path, key, value,
+                                                     file_value):
+    # trials.csv prints each SNR point with repr, so an int SNR point would
+    # print as 20 where the file's prints as 20.0
+    derived = dataclasses.replace(_tiny_scenario(n_trials=2), **{key: value})
+    parsed = _tiny_scenario(**{"n_trials": 2, key: file_value})
+    paths = tmp_path / "derived.csv", tmp_path / "parsed.csv"
+    for cfg, path in zip((derived, parsed), paths):
+        write_trial_csv(run_scenario(cfg), path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert paths[0].read_text().count("\n") > 1
+
+
+# a valid value, other than the base scenario's, for every key a scenario
+# file may set at the top level and in a UE entry; the test sets
+# fixture_path to a second copy of its fixture, which has rows at p_rtp 0.1
+_KEY_EDITS = {
+    "ues": [{"id": k, "distance_m": float(k), "stream": "Foreman"}
+            for k in range(1, 5)],
+    "n_zones": 1, "snr_db": [25.0], "bandwidth_hz": 1.5e5, "power_budget_w": 2.0,
+    "path_loss_exp": 3.0, "p_rtp": 0.1, "gops_per_trial": 2, "grouping": "WRBR",
+    "solvers": ["greedy"], "epsilon": 2e-3, "delta": 2e-6, "n_blocks": 50,
+    "amc_c1": 0.8, "amc_c2": 1.5, "mgs_weights": [1, 1], "n_enh_layers": 2,
+    "fixture_path": None, "n_trials": 5, "seed": 7, "out_dir": "elsewhere",
+}
+_UE_KEY_EDITS = {"id": 9, "distance_m": 4.0, "stream": "Ice",
+                 "quality_req": "LatencySensitive", "complexity": "Low"}
+
+
+def _changed_fields(a, b):
+    """The init fields in which the configs ``a`` and ``b`` differ, dotted
+    through the sub-configs and, when both hold as many, the UEs."""
+    changed = []
+    for f in dataclasses.fields(a):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if not f.init or repr(va) == repr(vb):
+            continue
+        if f.name in harness.SUBCONFIGS:
+            changed += [f"{f.name}.{g}" for g in _changed_fields(va, vb)]
+        elif f.name == "ues" and len(va) == len(vb):
+            changed += sorted({f"ues.{g}" for ua, ub in zip(va, vb)
+                               for g in _changed_fields(ua, ub)})
+        else:
+            changed.append(f.name)
+    return changed
+
+
+def test_every_config_key_reaches_one_field_and_every_field_one_key(tmp_path):
+    # a field or key added later without a rule or a route fails here
+    types = (ScenarioConfig, SolverConfig, GreedyConfig, AmcParams, UserEquipment)
+    for cls in types:
+        assert set(cls.FIELDS) == {f.name for f in dataclasses.fields(cls) if f.init}
+    assert set(_KEY_EDITS) == harness.CONFIG_KEYS
+    assert set(_UE_KEY_EDITS) == harness.UE_KEYS
+
+    lines = DEFAULT_FIXTURE_PATH.read_text().splitlines()
+    fixtures = tmp_path / "a.csv", tmp_path / "b.csv"
+    for path in fixtures:
+        path.write_text("\n".join(
+            lines + [row.replace(",0.05,", ",0.1,", 1) for row in lines[1:]]) + "\n")
+    raw = _cfg_dict(grouping="ByIndex", fixture_path=str(fixtures[0]))
+    for u in raw["ues"]:
+        del u["complexity"]
+    base = config_from_dict(raw)
+    reached = {}
+    for key, value in {**_KEY_EDITS, "fixture_path": str(fixtures[1])}.items():
+        reached[key] = _changed_fields(base, config_from_dict({**raw, key: value}))
+    for key, value in _UE_KEY_EDITS.items():
+        edited = copy.deepcopy(raw)
+        edited["ues"][0][key] = value
+        reached[f"ues.{key}"] = _changed_fields(base, config_from_dict(edited))
+    # a UE entry's complexity only restates its stream's fixture row
+    assert reached.pop("ues.complexity") == []
+    assert all(len(fields) == 1 for fields in reached.values()), reached
+    # every init field is reached, the sub-configs' through their own, but
+    # the UE's zone, which partition_zones assigns
+    want = [f.name for f in dataclasses.fields(ScenarioConfig)
+            if f.init and f.name not in harness.SUBCONFIGS]
+    want += [f"{name}.{f.name}" for name, sub in harness.SUBCONFIGS.items()
+             for f in dataclasses.fields(sub)]
+    want += [f"ues.{f.name}" for f in dataclasses.fields(UserEquipment)
+             if f.name != "zone"]
+    assert sorted(fields[0] for fields in reached.values()) == sorted(want)
 
 
 def test_config_defaults_live_on_the_config_type():
@@ -261,6 +394,35 @@ def test_constructors_reject_nan(build):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: GreedyConfig(n_blocks=2.5), "config key n_blocks is not a whole number: 2.5"),
+    (lambda: GreedyConfig(n_blocks=0),
+     "config key n_blocks must be finite and positive, got 0"),
+    (lambda: SolverConfig(epsilon=float("inf")),
+     "config key epsilon must be finite and positive, got inf"),
+    (lambda: AmcParams(c1="high"), "config key amc_c1 is not a number: 'high'"),
+    (lambda: AmcParams(c1=1.5), "c1 must be in (0, 1]"),
+    (lambda: UserEquipment(id=1, distance_m=float("nan"), requested_stream="Ice"),
+     "config key distance_m must be finite and positive, got nan"),
+    (lambda: UserEquipment(id=-1, distance_m=1.0, requested_stream="Ice"),
+     "config key id must be finite and nonnegative, got -1"),
+    (lambda: UserEquipment(id=1, distance_m=1.0, requested_stream="Ice",
+                           quality_req="Urgent"),
+     "'Urgent' is not a valid QualityReq"),
+], ids=["n-blocks-fractional", "n-blocks-zero", "epsilon-inf", "c1-string",
+        "c1-above-one", "distance-nan", "id-negative", "quality-req-unknown"])
+def test_sub_config_constructors_check_their_fields(build, message):
+    with pytest.raises(ConfigurationError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_solver_config_is_frozen():
+    cfg = config_from_dict(_cfg_dict())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.solver_cfg.epsilon = float("nan")
+
+
 def test_config_unknown_stream_detected():
     with pytest.raises(ConfigurationError, match="unknown stream 'NoSuchClip'"):
         config_from_dict(_cfg_dict(
@@ -305,7 +467,7 @@ def test_run_scenario_record_consistency():
     cfg = _tiny_scenario(solvers=["polyblock", "greedy", "oma"])
     result = run_scenario(cfg)
     assert result.records
-    table = cfg.load_streams()
+    table = cfg.streams
     for r in result.records:
         n = len(r.ue_ids)
         assert len(r.sinrs) == len(r.rates_bps) == len(r.psnr_db) == n
