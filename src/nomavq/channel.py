@@ -3,7 +3,8 @@
 Within one NOMA group the UEs are indexed weakest channel first:
 |h_1|^2 <= ... <= |h_N|^2. With successive interference cancellation, UE n
 decodes the signals of UEs 1..n-1 before its own and treats UEs n+1..N as
-noise.
+noise: its own SINR is ``sinr_step``, which ``own_sinrs`` applies to numpy
+stacks and ``sinrs_below`` to Python floats, with the same bits.
 """
 
 from __future__ import annotations
@@ -178,6 +179,11 @@ def group_users(
     return groups
 
 
+def sinr_step(g, p, tail, noise):
+    """One UE's own SINR behind ``tail``, the stronger UEs' total power."""
+    return g * p / (g * tail + noise)
+
+
 def own_sinrs(ch: ChannelState, p: np.ndarray) -> np.ndarray:
     """Each UE's SINR for its own stream (gamma_n in closed form).
 
@@ -188,4 +194,17 @@ def own_sinrs(ch: ChannelState, p: np.ndarray) -> np.ndarray:
     # interference from stronger UEs: suffix sums, accumulated from UE N down
     suffix = np.cumsum(p[..., ::-1], axis=-1)[..., ::-1]
     tail = np.concatenate([suffix[..., 1:], np.zeros(p.shape[:-1] + (1,))], axis=-1)
-    return ch.gains_sq * p / (ch.gains_sq * tail + ch.noise_var)
+    return sinr_step(ch.gains_sq, p, tail, ch.noise_var)
+
+
+def sinrs_below(gains, power, noise, k, tail):
+    """Own SINRs of UEs k, k-1, ..., 0 of the power list ``power``, and the
+    interference each sees, given ``tail``, the power of the UEs stronger
+    than k, all Python floats. ``sinrs_below(gains, p, noise, n - 1,
+    0.0)[0]`` equals ``own_sinrs`` of ``p`` bit for bit."""
+    sinrs, tails = [0.0] * (k + 1), [0.0] * (k + 1)
+    for j in range(k, -1, -1):
+        sinrs[j] = sinr_step(gains[j], power[j], tail, noise)
+        tails[j] = tail
+        tail += power[j]
+    return sinrs, tails

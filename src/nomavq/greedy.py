@@ -7,12 +7,13 @@ Phase II hands out the remaining blocks one at a time to whichever UE
 improves the average PSNR most, rejecting any award that would break a
 quality bound. Complexity is O(N^2 L + 2 N L) PSNR evaluations.
 
-Phase II runs on Python floats. An award to UE k leaves every UE stronger
-than k at its current SINR, so each award recomputes only the SINRs of UE k
-and the weaker UEs, in ``own_sinrs``'s order of operations, and each
-(UE, SINR) pair's PSNR is computed once per instance. A lone passing award
-is taken unscored. PSNR stays the scalar ``psnr_of_rate``, as vectorized
-``np.log10`` can differ in the last bit.
+Both phases run on Python floats through ``channel``'s SIC step, which
+gives ``own_sinrs``'s bits. Phase I adds one block at a time and stops at
+the first level that meets the minimum. An award in phase II to UE k leaves
+every stronger UE at its SINR, so only UE k and the weaker UEs are
+recomputed, and each (UE, SINR) pair's PSNR is computed once per instance.
+A lone passing award is taken unscored. PSNR stays the scalar
+``psnr_of_rate``, as vectorized ``np.log10`` can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelState, own_sinrs
+from .channel import ChannelState, own_sinrs, sinr_step, sinrs_below
 from .errors import NOT_WHOLE, POSITIVE, Infeasible, Rule, check_fields, whole
 from .phy import (Allocation, AmcParams, SinrBounds, amc_rate,
                   bounds_from_quality, power_shares)
@@ -55,20 +56,6 @@ class GreedyResult(Allocation):
         return self.iterations
 
 
-def _sinrs_below(gains, power, noise, k, tail):
-    """Own SINRs of UEs k, k-1, ..., 0 of the power list ``power``, and the
-    interference each sees, given ``tail``, the power of the UEs stronger
-    than k. The operations are ``own_sinrs``'s, so ``_sinrs_below(gains, p,
-    noise, n - 1, 0.0)[0]`` equals ``own_sinrs`` of ``p`` bit for bit."""
-    sinrs, tails = [0.0] * (k + 1), [0.0] * (k + 1)
-    for j in range(k, -1, -1):
-        g = gains[j]
-        sinrs[j] = g * power[j] / (g * tail + noise)
-        tails[j] = tail
-        tail += power[j]  # suffix sums accumulate from the strongest UE down
-    return sinrs, tails
-
-
 def _mean(values):
     """``np.mean`` of a short list, bit for bit: a left-to-right float sum
     from 0.0 (so a lone -0.0 sums to 0.0, as in numpy), divided by the count.
@@ -90,7 +77,7 @@ def _open_awards(gains, noise, block, g_min, g_max, power, sinrs, tails):
         n_open += 1
         award = power.copy()
         award[k] += block
-        head, head_tails = _sinrs_below(gains, award, noise, k, tails[k])
+        head, head_tails = sinrs_below(gains, award, noise, k, tails[k])
         row = head + sinrs[k + 1:]
         if not any(g < lo for g, lo in zip(row, g_min)):
             rows.append((award, row, head_tails + tails[k + 1:]))
@@ -130,38 +117,30 @@ def solve_greedy(
     block = cfg.block_w(ch.power_budget_w)
     g_min = (bounds.gamma_min * (1.0 - 1e-12)).tolist()
 
-    p = np.zeros(n)
+    gains, noise = ch.gains_sq.tolist(), ch.noise_var
+    power = [0.0] * n
     remaining = cfg.n_blocks
-    phase1_evals = 0
 
     # Phase I: strongest UE first; earlier-satisfied (stronger) UEs are not
-    # interfered by power later granted to weaker ones. UE nd's own SINR
-    # depends only on p[nd] and the stronger UEs' fixed powers, so every
-    # power level it can reach is checked at once: np.cumsum adds the blocks
-    # in sequence, exactly as repeated ``p[nd] += block`` would.
+    # interfered by power later granted to weaker ones, so UE nd's own SINR
+    # depends only on its power and ``tail``, the stronger UEs' fixed power
+    tail = 0.0
     for nd in range(n - 1, -1, -1):
-        levels = np.cumsum(np.concatenate([[p[nd]], np.full(remaining, block)]))
-        stack = np.repeat(p[None, :], len(levels), axis=0)
-        stack[:, nd] = levels
-        met = np.flatnonzero(~(own_sinrs(ch, stack)[:, nd] < g_min[nd]))
-        if met.size == 0:
-            raise Infeasible(
-                f"minimum quality of UE {nd} unreachable within the budget"
-            )
-        # counted evaluations follow block placements, so phase1_evals <= L
-        placed = int(met[0])
-        p[nd] = levels[placed]
-        remaining -= placed
-        phase1_evals += placed
+        while sinr_step(gains[nd], power[nd], tail, noise) < g_min[nd]:
+            if remaining == 0:
+                raise Infeasible(
+                    f"minimum quality of UE {nd} unreachable within the budget"
+                )
+            power[nd] += block
+            remaining -= 1
+        tail += power[nd]  # summed from the strongest UE down, as in own_sinrs
+    phase1_evals = cfg.n_blocks - remaining
 
     # Phase II: award remaining blocks to the best average-PSNR candidate.
     # A refused award's rate can sit below the band, where psnr_of_rate
     # raises, so PSNR is taken for the candidates only.
-    gains = ch.gains_sq.tolist()
-    noise = ch.noise_var
     g_max = bounds.gamma_max.tolist()
-    power = p.tolist()
-    sinrs, tails = _sinrs_below(gains, power, noise, n - 1, 0.0)
+    sinrs, tails = sinrs_below(gains, power, noise, n - 1, 0.0)
     psnr_of = {}  # (UE, SINR) -> PSNR
 
     def psnr(j, g):

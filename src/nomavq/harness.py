@@ -375,9 +375,10 @@ def run_scenario(cfg: ScenarioConfig, trace_sink: list | None = None) -> Scenari
 
     Fading is drawn per (trial, GOP) and shared across the SNR sweep, so
     per-SNR aggregates are paired comparisons. Infeasible instances, and
-    instances whose solver hits an iteration cap (reason prefixed
-    ``NonConvergence: ``), are recorded in ``exclusions`` and skipped, never
-    fatal. ``trace_sink`` collects every polyblock iteration trace.
+    instances whose solver hits an iteration cap or a domain error (reason
+    prefixed with the error's class, e.g. ``NonConvergence: ``), are recorded
+    in ``exclusions`` and skipped, never fatal. ``trace_sink`` collects every
+    polyblock iteration trace.
     """
     table = cfg.streams
     zoned = partition_zones(list(cfg.ues), cfg.n_zones)
@@ -418,10 +419,10 @@ def run_scenario(cfg: ScenarioConfig, trace_sink: list | None = None) -> Scenari
                                 (trial, gop, g_idx, scheme, snr, str(e))
                             )
                             continue
-                        except NonConvergence as e:
+                        except (NonConvergence, ValueError) as e:
                             exclusions.append((
                                 trial, gop, g_idx, scheme, snr,
-                                f"NonConvergence: {e}",
+                                f"{type(e).__name__}: {e}",
                             ))
                             continue
                         if trace_sink is not None and scheme == "polyblock":

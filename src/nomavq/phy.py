@@ -163,13 +163,15 @@ def min_power(ch: ChannelState, gamma) -> np.ndarray:
     UE n sees only the stronger UEs' streams as interference, so
     back-substitution from the strongest UE down gives
     p_n = gamma_n (sum_{i>n} p_i + sigma^2 / |h_n|^2). Every power vector
-    reaching ``gamma`` dominates it componentwise.
+    reaching ``gamma`` dominates it componentwise. A (..., N) stack of
+    targets gives each vector the bits of its own call.
     """
-    p = np.zeros(ch.n_users)
-    tail = 0.0  # running sum of the stronger UEs' powers
+    gamma = np.asarray(gamma, dtype=float)
+    p = np.zeros(gamma.shape)
+    tail = np.zeros(gamma.shape[:-1])  # running sum of the stronger UEs' powers
     for k in range(ch.n_users - 1, -1, -1):
-        p[k] = gamma[k] * (tail + ch.noise_var / ch.gains_sq[k])
-        tail += p[k]
+        p[..., k] = gamma[..., k] * (tail + ch.noise_var / ch.gains_sq[k])
+        tail += p[..., k]
     return p
 
 

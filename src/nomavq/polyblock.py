@@ -20,7 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .channel import own_sinrs
+from .channel import own_sinrs, sinrs_below
 from .errors import NOT_NUMBER, POSITIVE, Infeasible, NonConvergence, Rule, check_fields
 from .lp import solve_lp
 from .phy import (Allocation, AmcParams, FeasiblePowerSet, amc_rate,
@@ -107,21 +107,19 @@ def project(v, fset: FeasiblePowerSet, cfg: SolverConfig, lam0: float = 0.0):
     if np.any(v <= 0):
         raise ValueError("projection needs a strictly positive vertex")
     ch = fset.channel
+    gains, zs = ch.gains_sq.tolist(), v.tolist()
     lam = lam0
-    power = None
     for _ in range(MAX_ITERATIONS):
         val, p = _dinkelbach_lp(fset, v, lam)
-        gammas = own_sinrs(ch, p)
-        with np.errstate(over="ignore"):
-            new_lam = float(np.min(gammas / v))
-        power = p
+        # the next lam; a float quotient overflows to inf without raising
+        sinrs, _ = sinrs_below(gains, p.tolist(), ch.noise_var, ch.n_users - 1, 0.0)
+        lam = min(g / z for g, z in zip(sinrs, zs))
         if val <= cfg.delta:
-            # new_lam is always achievable: the argmax P dominates new_lam * v
-            return new_lam, power
-        lam = new_lam
+            # lam is always achievable: the argmax P dominates lam * v
+            return lam, p
     raise NonConvergence(
         "Dinkelbach projection hit the iteration cap",
-        {"lam": lam, "vertex": v, "power": power},
+        {"lam": lam, "vertex": v, "power": p},
     )
 
 

@@ -10,6 +10,7 @@ from nomavq import (
     ChannelState,
     Infeasible,
     load_rd_fixtures,
+    min_power,
     own_sinrs,
     psnr_of_rate,
     solve_lp,
@@ -136,13 +137,19 @@ def verify_sic_elimination(fset, p, tol=1e-9):
                for n in range(ch.n_users) for t in range(n))
 
 
+def strongest_first_total(p):
+    """Total power of each vector of a (..., N) stack, summed from the
+    strongest UE down, the order in which ``min_power`` accumulates it."""
+    return np.cumsum(p[..., ::-1], axis=-1)[..., -1]
+
+
 def exact_mgs_optimum(ch, streams, rate_sets, amc, b_hz):
     """Best mean PSNR over every combination of discrete rate levels that
     fits the power budget; None when no combination fits.
 
     ``rate_sets[n]`` holds the levels of ``streams[n]`` (UE n, weakest
     channel first). A combination fits when the least SIC power that reaches
-    its SINRs, by back-substitution from the strongest UE down, totals at
+    its SINRs (``min_power``), summed from the strongest UE down, totals at
     most the budget times 1 + 1e-9.
     """
     # one row per combination: the level index of each UE
@@ -150,10 +157,8 @@ def exact_mgs_optimum(ch, streams, rate_sets, amc, b_hz):
     users = range(ch.n_users)
     rates = np.stack([rate_sets[n][combos[:, n]] for n in users], axis=1)
     gamma = amc.c2 * (2.0 ** (rates / (amc.c1 * b_hz)) - 1.0)
-    tail = np.zeros(len(combos))  # running sum of the stronger UEs' powers
-    for n in reversed(users):
-        tail += gamma[:, n] * (tail + ch.noise_var / ch.gains_sq[n])
-    fits = tail <= ch.power_budget_w * (1.0 + 1e-9)
+    total = strongest_first_total(min_power(ch, gamma))
+    fits = total <= ch.power_budget_w * (1.0 + 1e-9)
     if not fits.any():
         return None
     psnr = [np.array([psnr_of_rate(s, float(r)) for r in rs])

@@ -9,14 +9,16 @@ from nomavq import (
     GroupingStrategy,
     QualityReq,
     UserEquipment,
+    amc_rate,
     group_users,
     own_sinrs,
     partition_zones,
     sample_channel,
 )
-from nomavq.channel import channel_gain
+from nomavq.channel import channel_gain, sinr_step, sinrs_below
+from nomavq.greedy import _open_awards
 
-from conftest import sinr
+from conftest import B_HZ, same_bits, sinr
 
 
 def _ue(i, d, stream="Foreman", req=QualityReq.QUALITY_SENSITIVE):
@@ -187,6 +189,58 @@ def test_own_sinrs_stack_matches_row_by_row_bitwise(n):
     # deeper stacks reduce over the last axis only
     deep = stack.reshape(7, 1, n)
     assert own_sinrs(ch, deep).tobytes() == got.tobytes()
+
+
+@st.composite
+def _power_vectors(draw):
+    """A channel and a power vector of 1 to 4 UEs; powers are zero or
+    positive, as after any number of block awards."""
+    n = draw(st.integers(1, 4))
+    gains = np.sort(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    power = draw(st.lists(st.just(0.0) | st.floats(1e-6, 1.0),
+                          min_size=n, max_size=n))
+    noise = draw(st.floats(1e-6, 1.0))
+    block = draw(st.floats(1e-4, 0.1))
+    return ChannelState(gains_sq=gains, noise_var=noise, power_budget_w=1.0), \
+        power, block
+
+
+@given(_power_vectors())
+@settings(max_examples=500, deadline=None)
+def test_scalar_sinr_step_matches_own_sinrs_bitwise(amc, drawn):
+    # greedy never calls own_sinrs before its result: phase I's levels come
+    # from sinr_step, phase II's SINRs and award rows from sinrs_below, and
+    # each award's rate from a scalar amc_rate
+    ch, power, block = drawn
+    n = ch.n_users
+    gains = ch.gains_sq.tolist()
+    # phase I: UE k at each level reached by adding block, behind the
+    # stronger UEs' power summed from the strongest UE down
+    tail = 0.0
+    for k in range(n - 1, -1, -1):
+        level = 0.0
+        for _ in range(20):
+            vec = [0.0] * k + [level] + power[k + 1:]
+            assert same_bits(sinr_step(gains[k], level, tail, ch.noise_var),
+                             own_sinrs(ch, np.array(vec))[k])
+            level += block
+        tail += power[k]
+    sinrs, tails = sinrs_below(gains, power, ch.noise_var, n - 1, 0.0)
+    assert same_bits(sinrs, own_sinrs(ch, np.array(power)))
+    # every UE open and passing, so _open_awards returns every award
+    _, rows = _open_awards(gains, ch.noise_var, block, [-np.inf] * n,
+                           [np.inf] * n, power, sinrs, tails)
+    assert len(rows) == n
+    for k, (award, row, row_tails) in enumerate(rows):
+        want = np.array(power)
+        want[k] += block
+        assert same_bits(award, want)
+        assert same_bits(row, own_sinrs(ch, want))
+        # the award row is the next state: its tails are the full recompute's
+        assert (row, row_tails) == sinrs_below(gains, award, ch.noise_var,
+                                               n - 1, 0.0)
+        assert same_bits([amc_rate(B_HZ, g, amc) for g in row],
+                         amc_rate(B_HZ, np.array(row), amc))
 
 
 @given(st.integers(min_value=0, max_value=3), st.floats(min_value=0.01, max_value=0.5))

@@ -19,7 +19,7 @@ from nomavq import (
     solve_polyblock,
 )
 import nomavq.greedy
-from nomavq.greedy import GreedyResult, _mean, _open_awards, _sinrs_below
+from nomavq.greedy import GreedyResult, _mean, _open_awards
 from nomavq.phy import build_feasible_set, power_shares
 
 from conftest import (B_HZ, make_instance, make_three_user_instance, outcome,
@@ -250,46 +250,6 @@ def test_row_wise_reductions_match_per_row_bitwise(a):
     assert same_bits([_mean(row) for row in a.tolist()], means)
     assert same_bits(np.mean(a, axis=1), means)
     assert same_bits(np.sum(a, axis=1), [np.sum(row) for row in a])
-
-
-@st.composite
-def _power_vectors(draw):
-    """A channel and a power vector of 1 to 4 UEs; powers are zero or
-    positive, as after any number of block awards."""
-    n = draw(st.integers(1, 4))
-    gains = np.sort(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
-    power = draw(st.lists(st.just(0.0) | st.floats(1e-6, 1.0),
-                          min_size=n, max_size=n))
-    noise = draw(st.floats(1e-6, 1.0))
-    block = draw(st.floats(1e-4, 0.1))
-    return ChannelState(gains_sq=gains, noise_var=noise, power_budget_w=1.0), \
-        power, block
-
-
-@given(_power_vectors())
-@settings(max_examples=500, deadline=None)
-def test_scalar_sinr_step_matches_own_sinrs_bitwise(amc, drawn):
-    # phase II never calls own_sinrs: the current SINRs and every award row
-    # come from _sinrs_below, and each award's rate from a scalar amc_rate
-    ch, power, block = drawn
-    n = ch.n_users
-    gains = ch.gains_sq.tolist()
-    sinrs, tails = _sinrs_below(gains, power, ch.noise_var, n - 1, 0.0)
-    assert same_bits(sinrs, own_sinrs(ch, np.array(power)))
-    # every UE open and passing, so _open_awards returns every award
-    _, rows = _open_awards(gains, ch.noise_var, block, [-np.inf] * n,
-                           [np.inf] * n, power, sinrs, tails)
-    assert len(rows) == n
-    for k, (award, row, row_tails) in enumerate(rows):
-        want = np.array(power)
-        want[k] += block
-        assert same_bits(award, want)
-        assert same_bits(row, own_sinrs(ch, want))
-        # the award row is the next state: its tails are the full recompute's
-        assert (row, row_tails) == _sinrs_below(gains, award, ch.noise_var,
-                                                n - 1, 0.0)
-        assert same_bits([amc_rate(B_HZ, g, amc) for g in row],
-                         amc_rate(B_HZ, np.array(row), amc))
 
 
 @given(small_instances())

@@ -496,27 +496,33 @@ def test_run_scenario_csv_byte_identical(tmp_path):
     assert p1.read_text().count("\n") > 1
 
 
-def test_run_scenario_survives_solver_nonconvergence(monkeypatch):
+@pytest.mark.parametrize("error, prefix", [
+    (NonConvergence("Dinkelbach projection hit the iteration cap"),
+     "NonConvergence: "),
+    (ValueError("projection needs a strictly positive vertex"), "ValueError: "),
+], ids=["NonConvergence", "ValueError"])
+def test_run_scenario_survives_solver_nonconvergence(monkeypatch, error, prefix):
     # one trial of the default scenario at SNRs where every polyblock instance
     # is feasible, so every instance reaches a radial projection; each one
-    # fails to converge, and every polyblock instance must be excluded
+    # fails (no convergence, or a domain error), and every polyblock instance
+    # must be excluded with the error's class and message as its reason
     cfg = dataclasses.replace(
         load_config("configs/default.yaml"), n_trials=1,
         snr_db=(20.0, 25.0, 30.0), solvers=("polyblock", "greedy", "oma"),
     )
     reference = run_scenario(dataclasses.replace(cfg, solvers=("greedy", "oma")))
 
-    def diverge(*args, **kwargs):
-        raise NonConvergence("Dinkelbach projection hit the iteration cap")
+    def fail(*args, **kwargs):
+        raise error
 
-    monkeypatch.setattr(polyblock, "project", diverge)
+    monkeypatch.setattr(polyblock, "project", fail)
     capped = run_scenario(cfg)
 
     assert not [r for r in capped.records if r.scheme == "polyblock"]
     reasons = [e[5] for e in capped.exclusions if e[3] == "polyblock"]
     # one per group
     assert len(reasons) == len(cfg.ues) // cfg.n_zones * len(cfg.snr_db)
-    assert all(r.startswith("NonConvergence: ") for r in reasons)
+    assert set(reasons) == {f"{prefix}{error}"}
 
     def others(result):
         return (

@@ -29,7 +29,8 @@ from nomavq.polyblock import _dinkelbach_lp
 from nomavq.quality import psnr_of_rate
 
 from conftest import (_TABLE, B_HZ, contains, lp_check_feasible, make_instance,
-                      outcome, same_bits, small_instances, verify_sic_elimination)
+                      outcome, same_bits, small_instances, strongest_first_total,
+                      verify_sic_elimination)
 
 # independent arithmetic: 0.905 * 140000 * log2(1 + 10/1.34)
 AMC_RATE_AT_10 = 390377.36355918064
@@ -221,6 +222,35 @@ def test_check_feasible_matches_lp_oracle(fset):
     assert np.all(np.abs(own_sinrs(ch, got) - g_min) <= 1e-12 * g_min)
     # ... with no more power than the simplex's feasible point
     assert np.all(got <= want + 1e-9)
+
+
+@st.composite
+def _target_stacks(draw):
+    """A channel of 1 to 4 UEs and a (K, N) stack of SINR targets, each
+    zero or positive."""
+    n = draw(st.integers(1, 4))
+    gains = np.sort(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    noise = draw(st.floats(1e-6, 1.0))
+    rows = draw(st.lists(st.lists(st.just(0.0) | st.floats(1e-3, 1e3),
+                                  min_size=n, max_size=n), min_size=1, max_size=6))
+    return ChannelState(gains_sq=gains, noise_var=noise, power_budget_w=1.0), \
+        np.array(rows)
+
+
+@given(_target_stacks())
+@settings(max_examples=500, deadline=None)
+def test_min_power_stack_matches_single_calls_bitwise(drawn):
+    ch, gamma = drawn
+    got = min_power(ch, gamma)
+    assert got.shape == gamma.shape
+    for row, target in zip(got, gamma):
+        assert same_bits(row, min_power(ch, target))
+    # the strongest-first column sum that exact_mgs_optimum takes is the
+    # running total of a plain back-substitution
+    tail = np.zeros(len(gamma))
+    for k in range(ch.n_users - 1, -1, -1):
+        tail += gamma[:, k] * (tail + ch.noise_var / ch.gains_sq[k])
+    assert same_bits(strongest_first_total(got), tail)
 
 
 def test_sic_decodability_implied_on_feasible_points(amc, streams_table):
