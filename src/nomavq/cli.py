@@ -1,7 +1,8 @@
 """Command-line front end for the solver library and simulation harness.
 
 Subcommands:
-  solve             one channel instance, prints the allocation and PSNR
+  solve             every group of trial 0 at the first snr_db point under
+                    every configured scheme, prints the allocations and PSNR
   simulate          full Monte Carlo scenario, CSV output
   grouping-compare  rerun the scenario under each grouping strategy
   fit-rd            fit rate-quality parameters to an R-D points file
@@ -22,7 +23,6 @@ from pathlib import Path
 from . import harness
 from .channel import GroupingStrategy
 from .errors import ConfigurationError, Infeasible, InfeasibleRate, NomavqError
-from .polyblock import write_trace_csv
 from .quality import COMPLEXITIES, RdPoint, dump_rd_fixtures, fit_rd_params
 
 EXIT_OK = 0
@@ -68,18 +68,14 @@ def _cmd_solve(args) -> int:
             f" bound_gap_db={r.bound_gap_db:.4f} iterations={r.iterations}"
         )
     if args.trace:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        path = cfg.out_dir / "solver_trace.csv"
-        write_trace_csv(trace, path)
+        path = harness.write_trace_csv(trace, cfg.out_dir / "solver_trace.csv")
         print(f"trace written to {path}")
     if result.exclusions:
         return EXIT_INFEASIBLE
     return EXIT_OK
 
 
-def _write_all(result, out_dir) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _write_all(result, out_dir: Path) -> None:
     harness.write_trial_csv(result, out_dir / "trials.csv")
     harness.write_exclusions_csv(result, out_dir / "exclusions.csv")
     harness.write_aggregates(harness.aggregate(result), out_dir)
@@ -172,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve one channel instance")
+    p = sub.add_parser("solve", help="solve every group of trial 0 at the"
+                       " first snr_db point under every configured scheme")
     _add_common(p)
     p.add_argument("--trace", action="store_true",
                    help="write the solver iteration trace CSV")

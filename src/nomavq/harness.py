@@ -346,12 +346,6 @@ class ScenarioResult:
     exclusions: list  # (trial, gop, group, scheme, snr_db, reason)
     config: ScenarioConfig
 
-    def exclusion_counts(self) -> dict:
-        counts = {}
-        for _, _, _, scheme, snr_db, _ in self.exclusions:
-            counts[(snr_db, scheme)] = counts.get((snr_db, scheme), 0) + 1
-        return counts
-
 
 def _run_scheme(scheme, ch, streams, bounds, cfg):
     """Run one allocation scheme on one instance; returns its Allocation."""
@@ -377,8 +371,9 @@ def run_scenario(cfg: ScenarioConfig, trace_sink: list | None = None) -> Scenari
     per-SNR aggregates are paired comparisons. Infeasible instances, and
     instances whose solver hits an iteration cap or a domain error (reason
     prefixed with the error's class, e.g. ``NonConvergence: ``), are recorded
-    in ``exclusions`` and skipped, never fatal. ``trace_sink`` collects every
-    polyblock iteration trace.
+    in ``exclusions`` and skipped, never fatal. ``trace_sink`` collects one
+    row per polyblock iteration: the (trial, gop, group, snr_db) key of the
+    instance's record, then the solver's trace row.
     """
     table = cfg.streams
     zoned = partition_zones(list(cfg.ues), cfg.n_zones)
@@ -426,7 +421,9 @@ def run_scenario(cfg: ScenarioConfig, trace_sink: list | None = None) -> Scenari
                             ))
                             continue
                         if trace_sink is not None and scheme == "polyblock":
-                            trace_sink.extend(res.trace)
+                            trace_sink.extend(
+                                (trial, gop, g_idx, snr, *row) for row in res.trace
+                            )
                         snapped = [
                             snap_rate(float(r), rate_sets[s.stream_id])
                             for r, s in zip(res.rates_bps, streams)
@@ -460,6 +457,20 @@ def run_scenario(cfg: ScenarioConfig, trace_sink: list | None = None) -> Scenari
 # CSV emission and aggregation
 # ---------------------------------------------------------------------------
 
+def _write_csv(path, header, rows) -> Path:
+    """Write ``header`` and then ``rows`` to the CSV file ``path``, creating
+    its directory, and return the path. ``csv.writer`` writes a float, numpy
+    floats included, with every digit of its ``repr``, and None as an empty
+    field."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path
+
+
 _TRIAL_COLUMNS = [
     "trial", "gop", "group", "scheme", "snr_db", "grouping", "ue_slot",
     "ue_id", "stream", "sinr", "rate_bps", "snapped_rate_bps", "psnr_db",
@@ -478,28 +489,36 @@ def write_trial_csv(result: ScenarioResult, path):
     The ``wall_time_s`` column is kept empty: timing would break the
     byte-identical-output guarantee.
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_TRIAL_COLUMNS)
-        for r in sorted(result.records, key=_record_sort_key):
-            for slot in range(len(r.ue_ids)):
-                w.writerow([
-                    r.trial, r.gop, r.group, r.scheme, repr(r.snr_db),
-                    r.grouping, slot, r.ue_ids[slot], r.streams[slot],
-                    repr(r.sinrs[slot]), repr(r.rates_bps[slot]),
-                    repr(r.snapped_rates_bps[slot]), repr(r.psnr_db[slot]),
-                    repr(r.alloc_coeff[slot]), repr(r.avg_psnr_db),
-                    repr(r.avg_psnr_cont_db), r.iterations,
-                    repr(r.bound_gap_db), "",
-                ])
+    return _write_csv(path, _TRIAL_COLUMNS, (
+        [r.trial, r.gop, r.group, r.scheme, r.snr_db, r.grouping, slot,
+         r.ue_ids[slot], r.streams[slot], r.sinrs[slot], r.rates_bps[slot],
+         r.snapped_rates_bps[slot], r.psnr_db[slot], r.alloc_coeff[slot],
+         r.avg_psnr_db, r.avg_psnr_cont_db, r.iterations, r.bound_gap_db, ""]
+        for r in sorted(result.records, key=_record_sort_key)
+        for slot in range(len(r.ue_ids))
+    ))
 
 
 def write_exclusions_csv(result: ScenarioResult, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trial", "gop", "group", "scheme", "snr_db", "reason"])
-        for row in sorted(result.exclusions):
-            w.writerow(row)
+    return _write_csv(path, ["trial", "gop", "group", "scheme", "snr_db", "reason"],
+                      sorted(result.exclusions))
+
+
+def write_trace_csv(trace, path):
+    """The rows of ``run_scenario``'s ``trace_sink``: one per polyblock
+    iteration, keyed by the (trial, gop, group, snr_db) of its record, for
+    convergence plots."""
+    return _write_csv(path, ["trial", "gop", "group", "snr_db", "iteration",
+                             "n_vertices", "upper_bound_db", "incumbent_db",
+                             "gap_db"], trace)
+
+
+def _grouped_means(pairs) -> dict:
+    """``{key: (mean, count)}`` of the values of ``(key, value)`` pairs."""
+    groups = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return {key: (float(np.mean(v)), len(v)) for key, v in groups.items()}
 
 
 def aggregate(result: ScenarioResult) -> dict:
@@ -511,45 +530,32 @@ def aggregate(result: ScenarioResult) -> dict:
                   with no mean (None) and 0 records
       weak_coeff: (snr_db, group, scheme) -> mean allocation share of the
                   weakest-channel UE
-      grouping_psnr: (grouping, snr_db, stream) -> mean per-UE PSNR
+      grouping_psnr: (grouping, snr_db, scheme, stream) -> mean per-UE PSNR
 
     ``result`` is one run, so every row carries the run's grouping; runs
     under other groupings are aggregated one by one and their rows merged.
     """
-    excl = result.exclusion_counts()
     grouping = result.config.grouping.value
-
-    def mean_over(keyfunc, valfunc):
-        acc = {}
-        for r in result.records:
-            acc.setdefault(keyfunc(r), []).append(valfunc(r))
-        return acc
-
-    psnr = mean_over(lambda r: (r.snr_db, r.scheme), lambda r: r.avg_psnr_db)
-    mean_psnr = []
-    for snr, scheme in sorted(psnr.keys() | excl.keys()):
-        v = psnr.get((snr, scheme), [])
-        mean_psnr.append((snr, scheme, grouping, float(np.mean(v)) if v else None,
-                          len(v), excl.get((snr, scheme), 0)))
-    weak_coeff = [
-        (snr, group, scheme, float(np.mean(v)), len(v))
-        for (snr, group, scheme), v in sorted(mean_over(
-            lambda r: (r.snr_db, r.group, r.scheme),
-            lambda r: r.alloc_coeff[0],
-        ).items())
-    ]
-    per_stream = {}
-    for r in result.records:
-        for sid, q in zip(r.streams, r.psnr_db):
-            per_stream.setdefault((r.grouping, r.snr_db, r.scheme, sid), []).append(q)
-    grouping_psnr = [
-        (grouping, snr, scheme, sid, float(np.mean(v)), len(v))
-        for (grouping, snr, scheme, sid), v in sorted(per_stream.items())
-    ]
+    records = result.records
+    excluded = {}
+    for _, _, _, scheme, snr, _ in result.exclusions:
+        excluded[snr, scheme] = excluded.get((snr, scheme), 0) + 1
+    psnr = _grouped_means(((r.snr_db, r.scheme), r.avg_psnr_db) for r in records)
+    weak = _grouped_means(
+        ((r.snr_db, r.group, r.scheme), r.alloc_coeff[0]) for r in records)
+    per_stream = _grouped_means(
+        ((r.snr_db, r.scheme, sid), q)
+        for r in records for sid, q in zip(r.streams, r.psnr_db))
     return {
-        "mean_psnr": mean_psnr,
-        "weak_coeff": weak_coeff,
-        "grouping_psnr": grouping_psnr,
+        "mean_psnr": [
+            (snr, scheme, grouping, *psnr.get((snr, scheme), (None, 0)),
+             excluded.get((snr, scheme), 0))
+            for snr, scheme in sorted(psnr.keys() | excluded.keys())
+        ],
+        "weak_coeff": [(*key, *mean_n) for key, mean_n in sorted(weak.items())],
+        "grouping_psnr": [
+            (grouping, *key, *mean_n) for key, mean_n in sorted(per_stream.items())
+        ],
     }
 
 
@@ -563,15 +569,7 @@ _AGG_HEADERS = {
 
 
 def write_aggregates(tables: dict, out_dir):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    for name, rows in tables.items():
-        path = out_dir / f"{name}.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(_AGG_HEADERS[name])
-            for row in rows:
-                w.writerow([repr(x) if isinstance(x, float) else x for x in row])
-        paths[name] = path
-    return paths
+    """Write each table of ``aggregate`` to ``<name>.csv`` in ``out_dir``;
+    returns ``{name: path}``."""
+    return {name: _write_csv(Path(out_dir) / f"{name}.csv", _AGG_HEADERS[name], rows)
+            for name, rows in tables.items()}

@@ -278,13 +278,3 @@ def solve_polyblock(
         {"iterations": MAX_ITERATIONS, "best": best},
     )
 
-
-def write_trace_csv(trace, path):
-    """Dump an iteration trace: one row per iteration for convergence plots."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "n_vertices", "upper_bound_db", "incumbent_db", "gap_db"])
-        for row in trace:
-            w.writerow(row)

@@ -571,6 +571,19 @@ def test_aggregate_tables():
         assert 0.0 <= coeff <= 1.0
 
 
+def test_write_aggregates_writes_each_float_repr(tmp_path):
+    # a Python float and a numpy float alike keep every digit of their repr,
+    # None is an empty field and -0.0 keeps its sign; the directory is made
+    row = (0.1 + 0.2, "greedy", "WLBH", np.float64(0.1) + np.float64(0.2), None, -0.0)
+    out = tmp_path / "aggregates"
+    path = harness.write_aggregates({"mean_psnr": [row]}, out)["mean_psnr"]
+    assert path == out / "mean_psnr.csv"
+    assert path.read_text().splitlines() == [
+        "snr_db,scheme,grouping,mean_avg_psnr_db,n_records,n_excluded",
+        "0.30000000000000004,greedy,WLBH,0.30000000000000004,,-0.0",
+    ]
+
+
 def test_cli_validate_ok_and_config_error(tmp_path, capsys):
     good = _write_cfg(tmp_path)
     assert main(["validate", "--config", str(good)]) == EXIT_OK
@@ -701,15 +714,29 @@ def test_cli_simulate_writes_outputs(tmp_path):
 
 
 def test_cli_solve_and_trace(tmp_path, capsys):
-    cfg_path = _write_cfg(tmp_path, solvers=["polyblock"], seed=3)
+    # each trace row carries the key of its instance's record, and each
+    # instance's iterations run from 1 to the record's count
+    raw = read_config("configs/default.yaml")
+    raw.update(n_trials=1, gops_per_trial=1, snr_db=[20], solvers=["polyblock"])
+    cfg_path = tmp_path / "scenario.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
     out = tmp_path / "results"
     code = main(["solve", "--config", str(cfg_path), "--trace",
                  "--out", str(out)])
     assert code == EXIT_OK
     assert "avg_psnr_db=" in capsys.readouterr().out
-    header, *rows = (out / "solver_trace.csv").read_text().splitlines()
-    assert header == "iteration,n_vertices,upper_bound_db,incumbent_db,gap_db"
-    assert rows
+    header = (out / "solver_trace.csv").read_text().splitlines()[0]
+    assert header == ("trial,gop,group,snr_db,iteration,n_vertices,"
+                      "upper_bound_db,incumbent_db,gap_db")
+    iterations = {}
+    for row in _csv_rows(out / "solver_trace.csv"):
+        key = (int(row["trial"]), int(row["gop"]), int(row["group"]),
+               float(row["snr_db"]))
+        iterations.setdefault(key, []).append(int(row["iteration"]))
+    records = run_scenario(config_from_dict(raw)).records
+    assert len(records) == 3  # one per group of the default scenario
+    assert iterations == {(r.trial, r.gop, r.group, r.snr_db):
+                          list(range(1, r.iterations + 1)) for r in records}
 
 
 def test_cli_solve_runs_the_config_schemes(tmp_path, capsys):

@@ -18,12 +18,12 @@ from nomavq import (
     solve_polyblock,
 )
 from nomavq import polyblock
+from nomavq.harness import write_trace_csv
 from nomavq.polyblock import (
     Polyblock,
     Vertex,
     mean_psnr,
     prune_vertices,
-    write_trace_csv,
 )
 from nomavq.quality import PEAK_SQ, psnr_of_rate
 
@@ -452,7 +452,8 @@ def test_trace_csv_emission(tmp_path, streams_table, amc):
     fset = _fset(ch, streams, amc)
     res = solve_polyblock(fset, streams, amc, B_HZ)
     path = tmp_path / "trace.csv"
-    write_trace_csv(res.trace, path)
+    write_trace_csv([(0, 0, 0, 20.0, *row) for row in res.trace], path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,n_vertices,upper_bound_db,incumbent_db,gap_db"
+    assert lines[0] == ("trial,gop,group,snr_db,iteration,n_vertices,"
+                        "upper_bound_db,incumbent_db,gap_db")
     assert len(lines) == len(res.trace) + 1
