@@ -9,7 +9,6 @@ the same realization so the allocations are directly comparable.
 import numpy as np
 
 from nomavq import (
-    AmcParams,
     ChannelState,
     GreedyConfig,
     bounds_from_quality,
@@ -39,27 +38,26 @@ ch = ChannelState(
     noise_var=P_MAX_W / 10 ** (SNR_DB / 10),
     power_budget_w=P_MAX_W,
 )
-amc = AmcParams()
 
 print(f"channel gains |h|^2 = {ch.gains_sq}, noise = {ch.noise_var:.4g} W")
-bounds = bounds_from_quality(streams, amc, B_HZ)
+bounds = bounds_from_quality(streams, B_HZ)
 print(f"SINR band per UE: min {bounds.gamma_min}, max {bounds.gamma_max}\n")
 
 fset = build_feasible_set(ch, bounds)
-opt = solve_polyblock(fset, streams, amc, B_HZ)
+opt = solve_polyblock(fset, streams, B_HZ)
 print(f"optimal      power {opt.power}  avg PSNR {opt.avg_psnr_db:.3f} dB"
       f"  (certified within {opt.bound_gap_db:.4f} dB, "
       f"{opt.iterations} iterations)")
 
-grd = solve_greedy(ch, streams, amc, B_HZ, GreedyConfig(n_blocks=100))
+grd = solve_greedy(ch, streams, B_HZ, GreedyConfig(n_blocks=100))
 print(f"greedy       power {grd.power}  avg PSNR {grd.avg_psnr_db:.3f} dB"
       f"  ({grd.blocks_used}/{grd.blocks_total} blocks spent)")
 
-mt = solve_noma_mt(ch, streams, amc, B_HZ)
+mt = solve_noma_mt(ch, streams, B_HZ)
 print(f"noma-mt      power {mt.power}  avg PSNR {mt.avg_psnr_db:.3f} dB"
       f"  (weak UE pinned at {streams[0].q_min_db:g} dB)")
 
-oma = solve_oma_simple(ch, streams, amc, B_HZ)
+oma = solve_oma_simple(ch, streams, B_HZ)
 print(f"oma          bandwidth split {oma.shares}"
       f"  avg PSNR {oma.avg_psnr_db:.3f} dB")
 

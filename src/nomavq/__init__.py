@@ -51,7 +51,6 @@ from .packetizer import (
 )
 from .phy import (
     Allocation,
-    AmcParams,
     FeasiblePowerSet,
     SinrBounds,
     amc_rate,

@@ -16,8 +16,7 @@ import numpy as np
 
 from .channel import ChannelState, own_sinrs
 from .errors import Infeasible
-from .phy import (Allocation, AmcParams, SinrBounds, amc_rate,
-                  bounds_from_quality, power_shares)
+from .phy import Allocation, SinrBounds, amc_rate, bounds_from_quality, power_shares
 from .quality import RdParams, psnr_of_rate
 
 GRID_STEP = 0.01  # bandwidth-fraction resolution of the OMA split search
@@ -26,7 +25,6 @@ GRID_STEP = 0.01  # bandwidth-fraction resolution of the OMA split search
 def solve_noma_mt(
     ch: ChannelState,
     streams: list[RdParams],
-    amc: AmcParams,
     b_hz: float,
     bounds: SinrBounds | None = None,
 ) -> Allocation:
@@ -38,7 +36,7 @@ def solve_noma_mt(
     """
     if ch.n_users != 2:
         raise ValueError("the throughput-max reference scheme is two-user")
-    bounds = bounds or bounds_from_quality(streams, amc, b_hz)
+    bounds = bounds or bounds_from_quality(streams, b_hz)
     h1, h2 = ch.gains_sq
     s2 = ch.noise_var
     g1_min = bounds.gamma_min[0]
@@ -55,7 +53,7 @@ def solve_noma_mt(
     gam = own_sinrs(ch, p)
     if gam[1] < bounds.gamma_min[1] * (1.0 - 1e-9):
         raise Infeasible("strong UE below its minimum quality under NOMA-MT")
-    rates = amc_rate(b_hz, gam, amc)
+    rates = amc_rate(b_hz, gam)
     per_user = np.array([psnr_of_rate(s, float(r)) for s, r in zip(streams, rates)])
     return Allocation(
         power=p,
@@ -80,7 +78,6 @@ def _simplex_grid(n: int, step: float):
 def solve_oma_simple(
     ch: ChannelState,
     streams: list[RdParams],
-    amc: AmcParams,
     b_hz: float,
 ) -> Allocation:
     """Orthogonal-access baseline: bandwidth fractions on a simplex grid.
@@ -92,7 +89,7 @@ def solve_oma_simple(
     """
     n = ch.n_users
     snr = ch.gains_sq * ch.power_budget_w / ch.noise_var
-    full_rate = amc_rate(b_hz, snr, amc)
+    full_rate = amc_rate(b_hz, snr)
     r_min = np.array([s.rate_min for s in streams])
 
     grid = np.array(list(_simplex_grid(n, GRID_STEP)))

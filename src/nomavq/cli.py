@@ -8,8 +8,8 @@ Subcommands:
   fit-rd            fit rate-quality parameters to an R-D points file
   validate          parse and check a scenario config
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible single-instance
-solve.
+Exit codes: 0 success, 1 solver failure (an iteration cap or a numerical
+domain error), 2 configuration error, 3 infeasible single-instance solve.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import ConfigurationError, Infeasible, InfeasibleRate, NomavqError
 from .quality import COMPLEXITIES, RdPoint, dump_rd_fixtures, fit_rd_params
 
 EXIT_OK = 0
+EXIT_ERROR = 1
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
@@ -51,10 +52,6 @@ def _cmd_solve(args) -> int:
     )
     trace = [] if args.trace else None
     result = harness.run_scenario(cfg, trace_sink=trace)
-    if not result.records:
-        for *_, reason in result.exclusions:
-            print(f"infeasible: {reason}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     for r in sorted(result.records, key=harness._record_sort_key):
         print(f"scheme={r.scheme} group={r.group} snr_db={r.snr_db:g}")
         for slot in range(len(r.ue_ids)):
@@ -70,9 +67,16 @@ def _cmd_solve(args) -> int:
     if args.trace:
         path = harness.write_trace_csv(trace, cfg.out_dir / "solver_trace.csv")
         print(f"trace written to {path}")
-    if result.exclusions:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    # a solver failure's reason starts with its class, as run_scenario words it
+    failures = tuple(f"{e.__name__}: " for e in harness.SOLVER_FAILURES)
+    kinds = []
+    for _, _, group, scheme, snr, reason in result.exclusions:
+        kinds.append("error" if reason.startswith(failures) else "infeasible")
+        print(f"{kinds[-1]}: scheme={scheme} group={group} snr_db={snr:g}: {reason}",
+              file=sys.stderr)
+    if "error" in kinds:
+        return EXIT_ERROR
+    return EXIT_INFEASIBLE if kinds else EXIT_OK
 
 
 def _write_all(result, out_dir: Path) -> None:
@@ -213,7 +217,7 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except NomavqError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -24,8 +24,7 @@ import numpy as np
 
 from .channel import ChannelState, own_sinrs, sinr_step, sinrs_below
 from .errors import NOT_WHOLE, POSITIVE, Infeasible, Rule, check_fields, whole
-from .phy import (Allocation, AmcParams, SinrBounds, amc_rate,
-                  bounds_from_quality, power_shares)
+from .phy import Allocation, SinrBounds, amc_rate, bounds_from_quality, power_shares
 from .quality import RdParams, psnr_of_rate
 
 
@@ -87,7 +86,6 @@ def _open_awards(gains, noise, block, g_min, g_max, power, sinrs, tails):
 def solve_greedy(
     ch: ChannelState,
     streams: list[RdParams],
-    amc: AmcParams,
     b_hz: float,
     cfg: GreedyConfig | None = None,
     bounds: SinrBounds | None = None,
@@ -112,7 +110,7 @@ def solve_greedy(
     bit for bit that of one ``own_sinrs`` and one ``np.mean`` per candidate.
     """
     cfg = cfg or GreedyConfig()
-    bounds = bounds or bounds_from_quality(streams, amc, b_hz)
+    bounds = bounds or bounds_from_quality(streams, b_hz)
     n = ch.n_users
     block = cfg.block_w(ch.power_budget_w)
     g_min = (bounds.gamma_min * (1.0 - 1e-12)).tolist()
@@ -146,7 +144,7 @@ def solve_greedy(
     def psnr(j, g):
         q = psnr_of.get((j, g))
         if q is None:
-            q = psnr_of[j, g] = psnr_of_rate(streams[j], float(amc_rate(b_hz, g, amc)))
+            q = psnr_of[j, g] = psnr_of_rate(streams[j], float(amc_rate(b_hz, g)))
         return q
 
     phase2_evals = 0
@@ -163,7 +161,7 @@ def solve_greedy(
     p = np.array(power)
 
     gam = np.minimum(own_sinrs(ch, p), bounds.gamma_max)
-    rates = amc_rate(b_hz, gam, amc)
+    rates = amc_rate(b_hz, gam)
     per_user = np.array([psnr_of_rate(s, r) for s, r in zip(streams, rates.tolist())])
     return GreedyResult(
         power=p,

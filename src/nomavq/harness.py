@@ -31,12 +31,15 @@ from .errors import (NONNEGATIVE, NOT_NUMBER, NOT_WHOLE, POSITIVE, WRONG_TYPE,
                      ConfigurationError, Infeasible, InfeasibleRate, NonConvergence,
                      Rule, check_fields, finite_float, instance_of, path, tuple_of, whole)
 from .greedy import GreedyConfig, solve_greedy
-from .phy import AmcParams, bounds_from_quality, build_feasible_set
+from .phy import bounds_from_quality, build_feasible_set
 from .polyblock import SolverConfig, solve_polyblock
 from .quality import (DEFAULT_FIXTURE_PATH, RdParams, load_rd_fixtures,
                       psnr_of_rate)
 
 SCHEMES = ("polyblock", "greedy", "noma-mt", "oma")
+# solver failures: an instance that raises one is excluded, its reason
+# prefixed with the error's class
+SOLVER_FAILURES = (NonConvergence, ValueError)
 
 # per-enhancement-layer split of the quality-scalable rate increments
 DEFAULT_MGS_WEIGHTS = (4, 3, 2, 3, 4)
@@ -62,7 +65,6 @@ class ScenarioConfig:
     solvers: tuple = SCHEMES
     solver_cfg: SolverConfig = SolverConfig()
     greedy_cfg: GreedyConfig = GreedyConfig()
-    amc: AmcParams = AmcParams()
     fixture_path: Path = DEFAULT_FIXTURE_PATH
     n_trials: int = 200
     seed: int = 0
@@ -88,7 +90,6 @@ class ScenarioConfig:
         "solvers": Rule(tuple_of(), "config key {key} must be a nonempty list: {value!r}"),
         "solver_cfg": Rule(instance_of(SolverConfig), WRONG_TYPE),
         "greedy_cfg": Rule(instance_of(GreedyConfig), WRONG_TYPE),
-        "amc": Rule(instance_of(AmcParams), WRONG_TYPE),
         "fixture_path": Rule(path, "config key {key} must be a path: {value!r}"),
         "n_trials": Rule(whole, NOT_WHOLE, POSITIVE),
         "seed": Rule(whole, NOT_WHOLE, NONNEGATIVE),
@@ -152,15 +153,14 @@ class ScenarioConfig:
                     f"UE {u.id} requests unknown stream {u.requested_stream!r}")
         try:
             requested = [table[u.requested_stream] for u in self.ues]
-            bounds = bounds_from_quality(requested, self.amc, self.bandwidth_hz)
+            bounds = bounds_from_quality(requested, self.bandwidth_hz)
             finite = np.all(np.isfinite(bounds.gamma_max))
         except (OverflowError, ValueError):  # overflow, or gamma_min == gamma_max
             finite = False
         if not finite:
             raise ConfigurationError(
-                f"bandwidth_hz {self.bandwidth_hz} with amc_c1 {self.amc.c1} and"
-                f" amc_c2 {self.amc.c2} gives a requested stream an empty or"
-                " overflowing SINR band")
+                f"bandwidth_hz {self.bandwidth_hz} gives a requested stream an"
+                " empty or overflowing SINR band")
         if self.grouping in (GroupingStrategy.WLBH, GroupingStrategy.WHBL):
             # group_users maps whole zones to one complexity class
             zone_size = len(self.ues) // self.n_zones
@@ -187,7 +187,7 @@ def _keys(cls) -> dict:
 
 
 # the sub-configs whose fields are set by top-level keys of a scenario file
-SUBCONFIGS = {"solver_cfg": SolverConfig, "greedy_cfg": GreedyConfig, "amc": AmcParams}
+SUBCONFIGS = {"solver_cfg": SolverConfig, "greedy_cfg": GreedyConfig}
 # every key a scenario file may set, at the top level and in a UE entry: a
 # UE's zone is assigned, and its complexity key only restates the fixture's
 CONFIG_KEYS = frozenset(ScenarioConfig.FIELDS.keys() - SUBCONFIGS.keys()).union(
@@ -349,15 +349,15 @@ class ScenarioResult:
 
 def _run_scheme(scheme, ch, streams, bounds, cfg):
     """Run one allocation scheme on one instance; returns its Allocation."""
-    amc, b = cfg.amc, cfg.bandwidth_hz
+    b = cfg.bandwidth_hz
     if scheme == "polyblock":
         fset = build_feasible_set(ch, bounds)
-        return solve_polyblock(fset, streams, amc, b, cfg.solver_cfg)
+        return solve_polyblock(fset, streams, b, cfg.solver_cfg)
     if scheme == "greedy":
-        return solve_greedy(ch, streams, amc, b, cfg.greedy_cfg, bounds)
+        return solve_greedy(ch, streams, b, cfg.greedy_cfg, bounds)
     if scheme == "noma-mt":
-        return solve_noma_mt(ch, streams, amc, b, bounds)
-    return solve_oma_simple(ch, streams, amc, b)  # "oma", the last of SCHEMES
+        return solve_noma_mt(ch, streams, b, bounds)
+    return solve_oma_simple(ch, streams, b)  # "oma", the last of SCHEMES
 
 
 def _instance_seed(cfg, trial, gop, salt):
@@ -399,7 +399,7 @@ def run_scenario(cfg: ScenarioConfig, trace_sink: list | None = None) -> Scenari
                 members = sorted(group, key=lambda u: fading[u.id])
                 gains = np.array([fading[u.id] for u in members])
                 streams = [table[u.requested_stream] for u in members]
-                bounds = bounds_from_quality(streams, cfg.amc, cfg.bandwidth_hz)
+                bounds = bounds_from_quality(streams, cfg.bandwidth_hz)
                 for snr in cfg.snr_db:
                     ch = ChannelState(
                         gains_sq=gains,
@@ -414,7 +414,7 @@ def run_scenario(cfg: ScenarioConfig, trace_sink: list | None = None) -> Scenari
                                 (trial, gop, g_idx, scheme, snr, str(e))
                             )
                             continue
-                        except (NonConvergence, ValueError) as e:
+                        except SOLVER_FAILURES as e:
                             exclusions.append((
                                 trial, gop, g_idx, scheme, snr,
                                 f"{type(e).__name__}: {e}",

@@ -1,8 +1,9 @@
 """PHY-layer rate model, the linear feasible power set and minimal SIC power.
 
-The AMC achievable rate is c1 * B * log2(1 + gamma/c2). Composing it with the
-stream's rate-PSNR curve links PSNR directly to SINR, and the per-user quality
-bounds (Q_min, Q_max) translate into SINR box bounds (gamma_min, gamma_max).
+The AMC achievable rate is c1 * B * log2(1 + gamma/c2), with the one fixed
+fit c1 = AMC_C1, c2 = AMC_C2. Composing it with the stream's rate-PSNR curve
+links PSNR directly to SINR, and the per-user quality bounds (Q_min, Q_max)
+translate into SINR box bounds (gamma_min, gamma_max).
 Those box bounds, together with the power budget, linearize into a bounded
 polytope over the power vector. Whether that polytope is empty has a closed
 form: the least power that meets gamma_min must fit the budget.
@@ -15,27 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelState
-from .errors import (NOT_NUMBER, POSITIVE, ConfigurationError, Infeasible, Rule,
-                     check_fields)
+from .errors import Infeasible
 from .quality import RdParams, rate_of_psnr
 
-
-@dataclass(frozen=True)
-class AmcParams:
-    """Rate adjustment c1 and SNR gap c2 of the adaptive modulation scheme."""
-
-    c1: float = 0.905
-    c2: float = 1.34
-
-    FIELDS = {"c1": Rule(float, NOT_NUMBER, POSITIVE, key="amc_c1"),  # each field's rule
-              "c2": Rule(float, NOT_NUMBER, POSITIVE, key="amc_c2")}
-
-    def __post_init__(self):
-        check_fields(self)
-        if not self.c1 <= 1:
-            raise ConfigurationError("c1 must be in (0, 1]")
-        if not self.c2 >= 1:
-            raise ConfigurationError("c2 must be >= 1")
+# rate adjustment c1 and SNR gap c2 of the adaptive modulation scheme
+AMC_C1 = 0.905
+AMC_C2 = 1.34
 
 
 @dataclass(frozen=True)
@@ -52,9 +38,9 @@ class SinrBounds:
             raise ValueError("need 0 <= gamma_min < gamma_max componentwise")
 
 
-def amc_rate(b_hz: float, gamma, amc: AmcParams):
+def amc_rate(b_hz: float, gamma):
     """Achievable rate (bits/s) at SINR ``gamma``; accepts scalars or arrays."""
-    return amc.c1 * b_hz * np.log2(1.0 + np.asarray(gamma) / amc.c2)
+    return AMC_C1 * b_hz * np.log2(1.0 + np.asarray(gamma) / AMC_C2)
 
 
 def power_shares(p):
@@ -88,21 +74,19 @@ class Allocation:
     bound_gap_db: float = 0.0
 
 
-def sinr_bound_of_psnr(params: RdParams, amc: AmcParams, b_hz: float, q_db: float) -> float:
+def sinr_bound_of_psnr(params: RdParams, b_hz: float, q_db: float) -> float:
     """The unique SINR at which the stream decodes at exactly ``q_db``."""
     rate = rate_of_psnr(params, q_db)
-    exponent = rate / (amc.c1 * b_hz)
+    exponent = rate / (AMC_C1 * b_hz)
     if rate <= 0:
         raise ValueError("rate model produced a nonpositive rate (invalid fixture)")
-    return amc.c2 * (2.0**exponent - 1.0)
+    return AMC_C2 * (2.0**exponent - 1.0)
 
 
-def bounds_from_quality(
-    streams: list[RdParams], amc: AmcParams, b_hz: float
-) -> SinrBounds:
+def bounds_from_quality(streams: list[RdParams], b_hz: float) -> SinrBounds:
     """Translate each stream's (q_min, q_max) into SINR box bounds."""
-    lo = np.array([sinr_bound_of_psnr(s, amc, b_hz, s.q_min_db) for s in streams])
-    hi = np.array([sinr_bound_of_psnr(s, amc, b_hz, s.q_max_db) for s in streams])
+    lo = np.array([sinr_bound_of_psnr(s, b_hz, s.q_min_db) for s in streams])
+    hi = np.array([sinr_bound_of_psnr(s, b_hz, s.q_max_db) for s in streams])
     return SinrBounds(lo, hi)
 
 

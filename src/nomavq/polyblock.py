@@ -23,8 +23,8 @@ import numpy as np
 from .channel import own_sinrs, sinrs_below
 from .errors import NOT_NUMBER, POSITIVE, Infeasible, NonConvergence, Rule, check_fields
 from .lp import solve_lp
-from .phy import (Allocation, AmcParams, FeasiblePowerSet, amc_rate,
-                  check_feasible, power_shares, sinr_rows)
+from .phy import (Allocation, FeasiblePowerSet, amc_rate, check_feasible, power_shares,
+                  sinr_rows)
 from .quality import RdParams, psnr_of_rate
 
 # cap on the outer loop and on the Dinkelbach loop of each projection
@@ -74,9 +74,9 @@ def _psnrs(streams, rates) -> np.ndarray:
     return np.array([psnr_of_rate(s, float(r)) for s, r in zip(streams, rates)])
 
 
-def mean_psnr(z, streams, amc, b_hz) -> float:
+def mean_psnr(z, streams, b_hz) -> float:
     """Average PSNR with saturation at each stream's q_max (decode semantics)."""
-    return float(np.mean(_psnrs(streams, amc_rate(b_hz, z, amc))))
+    return float(np.mean(_psnrs(streams, amc_rate(b_hz, z))))
 
 
 def _dinkelbach_lp(fset: FeasiblePowerSet, v, lam):
@@ -148,7 +148,6 @@ def prune_vertices(block: Polyblock, gamma_min) -> Polyblock:
 def solve_polyblock(
     fset: FeasiblePowerSet,
     streams: list[RdParams],
-    amc: AmcParams,
     b_hz: float,
     cfg: SolverConfig | None = None,
 ) -> PolyblockResult:
@@ -171,7 +170,7 @@ def solve_polyblock(
     check_feasible(fset)  # raises Infeasible on an empty polytope
 
     def clipped_psi(z):
-        return mean_psnr(np.clip(z, g_min, g_max), streams, amc, b_hz)
+        return mean_psnr(np.clip(z, g_min, g_max), streams, b_hz)
 
     def make_vertex(z):
         # every achievable SINR vector lies under gamma_max, so capping the
@@ -190,7 +189,7 @@ def solve_polyblock(
         if np.all(vx.lam * vx.z >= g_min * (1.0 - 1e-9)):
             # projection lands in the conormal set: a feasible incumbent
             vx.sel_value = mean_psnr(
-                np.clip(own_sinrs(ch, vx.power), g_min, g_max), streams, amc, b_hz
+                np.clip(own_sinrs(ch, vx.power), g_min, g_max), streams, b_hz
             )
         return vx
 
@@ -200,12 +199,11 @@ def solve_polyblock(
 
     best: tuple | None = None  # (power, psi) of the incumbent
     upper_bound = math.inf
-    last_rel = math.inf
 
-    def result(it):
+    def result(it, rel):
         p_star, psi_star = best
         sinrs = np.minimum(own_sinrs(ch, p_star), g_max)
-        rates = amc_rate(b_hz, sinrs, amc)
+        rates = amc_rate(b_hz, sinrs)
         return PolyblockResult(
             power=p_star,
             shares=power_shares(p_star),
@@ -215,7 +213,7 @@ def solve_polyblock(
             avg_psnr_db=psi_star,
             iterations=it,
             bound_gap_db=max(0.0, upper_bound - psi_star),
-            rel_gap=last_rel if last_rel < math.inf else 0.0,
+            rel_gap=rel,
             trace=trace,
         )
 
@@ -235,9 +233,8 @@ def solve_polyblock(
             if best is None:
                 raise Infeasible("polyblock emptied without a feasible point")
             upper_bound = incumbent
-            last_rel = 0.0
             trace.append((it, 0, upper_bound, incumbent, 0.0))
-            return result(it)
+            return result(it, 0.0)
         upper_bound = max(vx.ub_value for vx in block.vertices)
         gap = upper_bound - incumbent
         trace.append((it, len(block.vertices), upper_bound, incumbent, gap))
@@ -250,10 +247,9 @@ def solve_polyblock(
             key=lambda vx: (vx.sel_value, vx.ub_value, tuple(-vx.z)),
         )
         rel = float(np.linalg.norm(sel.z - sel.lam * sel.z) / np.linalg.norm(sel.z))
-        last_rel = min(last_rel, rel)
         if rel <= cfg.epsilon:
             if best is not None and gap <= cfg.gap_tol_db:
-                return result(it)
+                return result(it, rel)
             # the chosen vertex sits on the boundary already; tighten the
             # certificate by refining the loosest box instead
             sel = max(block.vertices, key=lambda vx: (vx.ub_value, tuple(-vx.z)))

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import strategies as st
 
 from nomavq import (
-    AmcParams,
     ChannelState,
     Infeasible,
     load_rd_fixtures,
@@ -16,6 +15,7 @@ from nomavq import (
     solve_lp,
 )
 from nomavq import polyblock
+from nomavq.phy import AMC_C1, AMC_C2
 
 B_HZ = 140000.0
 P_MAX_W = 1.0
@@ -25,11 +25,6 @@ _TABLE = load_rd_fixtures()
 @pytest.fixture(scope="session")
 def streams_table():
     return load_rd_fixtures()
-
-
-@pytest.fixture(scope="session")
-def amc():
-    return AmcParams()
 
 
 def make_instance(rng, table, snr_db=20.0, weak_stream="Foreman",
@@ -143,7 +138,7 @@ def strongest_first_total(p):
     return np.cumsum(p[..., ::-1], axis=-1)[..., -1]
 
 
-def exact_mgs_optimum(ch, streams, rate_sets, amc, b_hz):
+def exact_mgs_optimum(ch, streams, rate_sets, b_hz):
     """Best mean PSNR over every combination of discrete rate levels that
     fits the power budget; None when no combination fits.
 
@@ -156,7 +151,7 @@ def exact_mgs_optimum(ch, streams, rate_sets, amc, b_hz):
     combos = np.array(list(itertools.product(*map(range, map(len, rate_sets)))))
     users = range(ch.n_users)
     rates = np.stack([rate_sets[n][combos[:, n]] for n in users], axis=1)
-    gamma = amc.c2 * (2.0 ** (rates / (amc.c1 * b_hz)) - 1.0)
+    gamma = AMC_C2 * (2.0 ** (rates / (AMC_C1 * b_hz)) - 1.0)
     total = strongest_first_total(min_power(ch, gamma))
     fits = total <= ch.power_budget_w * (1.0 + 1e-9)
     if not fits.any():

@@ -32,6 +32,7 @@ from nomavq import (
     solve_polyblock,
 )
 from nomavq import harness
+from nomavq.phy import AMC_C1, AMC_C2
 from nomavq.quality import PEAK_SQ, rate_of_psnr
 
 from conftest import (B_HZ, contains, exact_mgs_optimum, make_instance,
@@ -92,9 +93,9 @@ def grouping_runs(default_cfg):
     }
 
 
-def _grid_psnr(stream, gamma, amc, b_hz):
+def _grid_psnr(stream, gamma, b_hz):
     """Vectorized capped per-user PSNR at SINR array gamma; -inf if below band."""
-    r = amc.c1 * b_hz * np.log2(1.0 + gamma / amc.c2)
+    r = AMC_C1 * b_hz * np.log2(1.0 + gamma / AMC_C2)
     q = np.full(gamma.shape, -np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = stream.theta / (r - stream.beta) - stream.alpha
@@ -103,9 +104,9 @@ def _grid_psnr(stream, gamma, amc, b_hz):
     return np.minimum(q, stream.q_max_db)
 
 
-def _grid_optimum(ch, streams, amc, b_hz, n_grid=2000):
+def _grid_optimum(ch, streams, b_hz, n_grid=2000):
     """Brute-force two-user optimum over the power simplex (capped PSNR)."""
-    bounds = bounds_from_quality(streams, amc, b_hz)
+    bounds = bounds_from_quality(streams, b_hz)
     p0 = np.linspace(0.0, ch.power_budget_w, n_grid)[:, None]
     p1 = np.linspace(0.0, ch.power_budget_w, n_grid)[None, :]
     h0, h1 = ch.gains_sq
@@ -118,25 +119,25 @@ def _grid_optimum(ch, streams, amc, b_hz, n_grid=2000):
     )
     if not feas.any():
         return None
-    avg = 0.5 * (_grid_psnr(streams[0], g0, amc, b_hz)
-                 + _grid_psnr(streams[1], g1, amc, b_hz))
+    avg = 0.5 * (_grid_psnr(streams[0], g0, b_hz)
+                 + _grid_psnr(streams[1], g1, b_hz))
     return float(avg[feas].max())
 
 
 @pytest.fixture(scope="session")
-def oracle_instances(streams_table, amc):
+def oracle_instances(streams_table):
     """25 feasible two-user instances with their grid optimum and solver runs."""
     rng = np.random.default_rng(101)
     out = []
     while len(out) < 25:
         ch, streams = make_instance(rng, streams_table)
-        fset = build_feasible_set(ch, bounds_from_quality(streams, amc, B_HZ))
+        fset = build_feasible_set(ch, bounds_from_quality(streams, B_HZ))
         try:
-            poly = solve_polyblock(fset, streams, amc, B_HZ)
-            greedy = solve_greedy(ch, streams, amc, B_HZ, GreedyConfig(100))
+            poly = solve_polyblock(fset, streams, B_HZ)
+            greedy = solve_greedy(ch, streams, B_HZ, GreedyConfig(100))
         except Infeasible:
             continue
-        grid = _grid_optimum(ch, streams, amc, B_HZ)
+        grid = _grid_optimum(ch, streams, B_HZ)
         assert grid is not None
         out.append((ch, streams, grid, poly, greedy))
     return out
@@ -298,7 +299,7 @@ def _records_above_exact_optimum(cfg, result, channels):
             continue
         best = exact_mgs_optimum(ch, [table[s] for s in r.streams],
                                  [rate_sets[s] for s in r.streams],
-                                 cfg.amc, cfg.bandwidth_hz)
+                                 cfg.bandwidth_hz)
         if best is None or r.avg_psnr_db > best + 1e-9:
             above.append(r)
     return above
@@ -319,7 +320,7 @@ def test_exact_mgs_optimum_catches_budget_overspend(default_cfg):
     assert _records_above_exact_optimum(cfg, result, channels)
 
 
-def test_criterion_7_solver_certification(streams_table, amc,
+def test_criterion_7_solver_certification(streams_table,
                                           acceptance_report, monkeypatch):
     cfg = SolverConfig()
     history = record_dinkelbach(monkeypatch)
@@ -328,9 +329,9 @@ def test_criterion_7_solver_certification(streams_table, amc,
     ok = True
     while done < 100:
         ch, streams = make_instance(rng, streams_table)
-        fset = build_feasible_set(ch, bounds_from_quality(streams, amc, B_HZ))
+        fset = build_feasible_set(ch, bounds_from_quality(streams, B_HZ))
         try:
-            res = solve_polyblock(fset, streams, amc, B_HZ)
+            res = solve_polyblock(fset, streams, B_HZ)
             history.clear()
             v = ch.gains_sq * ch.power_budget_w / ch.noise_var
             project(v, fset, cfg)
@@ -366,7 +367,7 @@ def test_criterion_7_solver_certification(streams_table, amc,
     )
 
 
-def test_criterion_8_model_round_trips(streams_table, amc, acceptance_report):
+def test_criterion_8_model_round_trips(streams_table, acceptance_report):
     worst = 0.0
     for s in streams_table.values():
         grid = np.linspace(s.q_min_db, s.q_max_db, 100)
@@ -377,7 +378,7 @@ def test_criterion_8_model_round_trips(streams_table, amc, acceptance_report):
 
     rng = np.random.default_rng(107)
     ch, streams = make_instance(rng, streams_table)
-    bounds = bounds_from_quality(streams, amc, B_HZ)
+    bounds = bounds_from_quality(streams, B_HZ)
     fset = build_feasible_set(ch, bounds)
     checked = agree = sic_ok = n_feas = 0
     while checked < 10000:
@@ -403,7 +404,7 @@ def test_criterion_8_model_round_trips(streams_table, amc, acceptance_report):
     )
 
 
-def test_criterion_9_greedy_complexity(streams_table, amc, acceptance_report):
+def test_criterion_9_greedy_complexity(streams_table, acceptance_report):
     rng = np.random.default_rng(109)
     ok = True
     worst = 0.0
@@ -414,7 +415,7 @@ def test_criterion_9_greedy_complexity(streams_table, amc, acceptance_report):
             while done < 10:
                 ch, streams = make()
                 try:
-                    res = solve_greedy(ch, streams, amc, B_HZ,
+                    res = solve_greedy(ch, streams, B_HZ,
                                        GreedyConfig(n_blocks))
                 except Infeasible:
                     continue

@@ -207,7 +207,7 @@ def _power_vectors(draw):
 
 @given(_power_vectors())
 @settings(max_examples=500, deadline=None)
-def test_scalar_sinr_step_matches_own_sinrs_bitwise(amc, drawn):
+def test_scalar_sinr_step_matches_own_sinrs_bitwise(drawn):
     # greedy never calls own_sinrs before its result: phase I's levels come
     # from sinr_step, phase II's SINRs and award rows from sinrs_below, and
     # each award's rate from a scalar amc_rate
@@ -239,8 +239,8 @@ def test_scalar_sinr_step_matches_own_sinrs_bitwise(amc, drawn):
         # the award row is the next state: its tails are the full recompute's
         assert (row, row_tails) == sinrs_below(gains, award, ch.noise_var,
                                                n - 1, 0.0)
-        assert same_bits([amc_rate(B_HZ, g, amc) for g in row],
-                         amc_rate(B_HZ, np.array(row), amc))
+        assert same_bits([amc_rate(B_HZ, g) for g in row],
+                         amc_rate(B_HZ, np.array(row)))
 
 
 @given(st.integers(min_value=0, max_value=3), st.floats(min_value=0.01, max_value=0.5))

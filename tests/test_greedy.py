@@ -20,19 +20,19 @@ from nomavq import (
 )
 import nomavq.greedy
 from nomavq.greedy import GreedyResult, _mean, _open_awards
-from nomavq.phy import build_feasible_set, power_shares
+from nomavq.phy import AMC_C1, AMC_C2, build_feasible_set, power_shares
 
 from conftest import (B_HZ, make_instance, make_three_user_instance, outcome,
                       same_bits, small_instances)
 
 
-def test_single_user_stops_at_saturation(streams_table, amc):
+def test_single_user_stops_at_saturation(streams_table):
     # plenty of budget: blocks beyond the saturation SINR are left unspent
     ch = ChannelState(gains_sq=np.array([0.5]), noise_var=1e-4,
                       power_budget_w=1.0)
     streams = [streams_table["Foreman"]]
-    res = solve_greedy(ch, streams, amc, B_HZ, GreedyConfig(n_blocks=100))
-    bounds = bounds_from_quality(streams, amc, B_HZ)
+    res = solve_greedy(ch, streams, B_HZ, GreedyConfig(n_blocks=100))
+    bounds = bounds_from_quality(streams, B_HZ)
     assert res.blocks_used < res.blocks_total
     assert res.sinrs[0] >= bounds.gamma_max[0]
     assert res.per_user_psnr_db[0] == pytest.approx(streams[0].q_max_db, abs=1e-9)
@@ -41,22 +41,22 @@ def test_single_user_stops_at_saturation(streams_table, amc):
         < bounds.gamma_max[0]
 
 
-def test_phase_one_infeasible(streams_table, amc):
+def test_phase_one_infeasible(streams_table):
     ch = ChannelState(gains_sq=np.array([1e-6, 0.5]), noise_var=0.01,
                       power_budget_w=1.0)
     streams = [streams_table["Foreman"], streams_table["Soccer"]]
     with pytest.raises(Infeasible):
-        solve_greedy(ch, streams, amc, B_HZ)
+        solve_greedy(ch, streams, B_HZ)
 
 
-def test_allocation_structure_and_bounds(streams_table, amc):
+def test_allocation_structure_and_bounds(streams_table):
     rng = np.random.default_rng(3)
     done = 0
     while done < 30:
         ch, streams = make_instance(rng, streams_table)
         cfg = GreedyConfig(n_blocks=100)
         try:
-            res = solve_greedy(ch, streams, amc, B_HZ, cfg)
+            res = solve_greedy(ch, streams, B_HZ, cfg)
         except Infeasible:
             continue
         block = cfg.block_w(ch.power_budget_w)
@@ -65,7 +65,7 @@ def test_allocation_structure_and_bounds(streams_table, amc):
                            atol=1e-9)
         assert res.power.sum() <= ch.power_budget_w + 1e-12
         assert res.blocks_used == int(round(res.power.sum() / block))
-        bounds = bounds_from_quality(streams, amc, B_HZ)
+        bounds = bounds_from_quality(streams, B_HZ)
         gam = own_sinrs(ch, res.power)
         assert np.all(gam >= bounds.gamma_min * (1.0 - 1e-9))
         for s, q in zip(streams, res.per_user_psnr_db):
@@ -73,23 +73,23 @@ def test_allocation_structure_and_bounds(streams_table, amc):
         done += 1
 
 
-def test_deterministic(streams_table, amc):
+def test_deterministic(streams_table):
     rng = np.random.default_rng(5)
     done = 0
     while done < 10:
         ch, streams = make_instance(rng, streams_table)
         try:
-            a = solve_greedy(ch, streams, amc, B_HZ)
+            a = solve_greedy(ch, streams, B_HZ)
         except Infeasible:
             continue
-        b = solve_greedy(ch, streams, amc, B_HZ)
+        b = solve_greedy(ch, streams, B_HZ)
         assert np.array_equal(a.power, b.power)
         assert a.avg_psnr_db == b.avg_psnr_db
         done += 1
 
 
 @pytest.mark.parametrize("n_blocks", [10, 100])
-def test_complexity_counters_within_bounds(streams_table, amc, n_blocks):
+def test_complexity_counters_within_bounds(streams_table, n_blocks):
     rng = np.random.default_rng(9)
     for make in (lambda: make_instance(rng, streams_table),
                  lambda: make_three_user_instance(rng, streams_table)):
@@ -98,7 +98,7 @@ def test_complexity_counters_within_bounds(streams_table, amc, n_blocks):
             ch, streams = make()
             cfg = GreedyConfig(n_blocks=n_blocks)
             try:
-                res = solve_greedy(ch, streams, amc, B_HZ, cfg)
+                res = solve_greedy(ch, streams, B_HZ, cfg)
             except Infeasible:
                 continue
             n = ch.n_users
@@ -108,16 +108,16 @@ def test_complexity_counters_within_bounds(streams_table, amc, n_blocks):
             done += 1
 
 
-def test_three_user_feasible_runs(streams_table, amc):
+def test_three_user_feasible_runs(streams_table):
     rng = np.random.default_rng(15)
     done = 0
     while done < 10:
         ch, streams = make_three_user_instance(rng, streams_table)
         try:
-            res = solve_greedy(ch, streams, amc, B_HZ)
+            res = solve_greedy(ch, streams, B_HZ)
         except Infeasible:
             continue
-        bounds = bounds_from_quality(streams, amc, B_HZ)
+        bounds = bounds_from_quality(streams, B_HZ)
         assert np.all(own_sinrs(ch, res.power) >= bounds.gamma_min * (1 - 1e-9))
         assert res.avg_psnr_db == pytest.approx(
             float(np.mean(res.per_user_psnr_db)), abs=1e-12
@@ -125,15 +125,15 @@ def test_three_user_feasible_runs(streams_table, amc):
         done += 1
 
 
-def test_never_beats_global_solver(streams_table, amc):
+def test_never_beats_global_solver(streams_table):
     rng = np.random.default_rng(23)
     done = 0
     while done < 15:
         ch, streams = make_instance(rng, streams_table)
-        fset = build_feasible_set(ch, bounds_from_quality(streams, amc, B_HZ))
+        fset = build_feasible_set(ch, bounds_from_quality(streams, B_HZ))
         try:
-            ref = solve_polyblock(fset, streams, amc, B_HZ)
-            res = solve_greedy(ch, streams, amc, B_HZ)
+            ref = solve_polyblock(fset, streams, B_HZ)
+            res = solve_greedy(ch, streams, B_HZ)
         except Infeasible:
             continue
         # the discrete allocation is a feasible point of the continuous
@@ -142,16 +142,16 @@ def test_never_beats_global_solver(streams_table, amc):
         done += 1
 
 
-def test_finer_blocks_do_not_hurt(streams_table, amc):
+def test_finer_blocks_do_not_hurt(streams_table):
     rng = np.random.default_rng(27)
     done = 0
     while done < 10:
         ch, streams = make_instance(rng, streams_table)
-        fset = build_feasible_set(ch, bounds_from_quality(streams, amc, B_HZ))
+        fset = build_feasible_set(ch, bounds_from_quality(streams, B_HZ))
         try:
-            ref = solve_polyblock(fset, streams, amc, B_HZ)
-            coarse = solve_greedy(ch, streams, amc, B_HZ, GreedyConfig(100))
-            fine = solve_greedy(ch, streams, amc, B_HZ, GreedyConfig(1000))
+            ref = solve_polyblock(fset, streams, B_HZ)
+            coarse = solve_greedy(ch, streams, B_HZ, GreedyConfig(100))
+            fine = solve_greedy(ch, streams, B_HZ, GreedyConfig(1000))
         except Infeasible:
             continue
         gap_coarse = ref.avg_psnr_db - coarse.avg_psnr_db
@@ -160,14 +160,14 @@ def test_finer_blocks_do_not_hurt(streams_table, amc):
         done += 1
 
 
-def _per_user_psnr(gammas, streams, amc, b_hz):
-    rates = amc.c1 * b_hz * np.log2(1.0 + np.asarray(gammas) / amc.c2)
+def _per_user_psnr(gammas, streams, b_hz):
+    rates = AMC_C1 * b_hz * np.log2(1.0 + np.asarray(gammas) / AMC_C2)
     return np.array([psnr_of_rate(s, float(r)) for s, r in zip(streams, rates)])
 
 
-def _greedy_oracle(ch, streams, amc, b_hz, cfg):
+def _greedy_oracle(ch, streams, b_hz, cfg):
     """Reference greedy: one SINR evaluation per block and per candidate."""
-    bounds = bounds_from_quality(streams, amc, b_hz)
+    bounds = bounds_from_quality(streams, b_hz)
     n = ch.n_users
     block = cfg.block_w(ch.power_budget_w)
     g_min = bounds.gamma_min * (1.0 - 1e-12)
@@ -197,7 +197,7 @@ def _greedy_oracle(ch, streams, amc, b_hz, cfg):
             phase2_evals += n
             if np.any(gam < g_min):
                 continue
-            score = float(np.mean(_per_user_psnr(gam, streams, amc, b_hz)))
+            score = float(np.mean(_per_user_psnr(gam, streams, b_hz)))
             if score > best_score:
                 best_score = score
                 best_idx = k
@@ -207,12 +207,12 @@ def _greedy_oracle(ch, streams, amc, b_hz, cfg):
         remaining -= 1
 
     gam = np.minimum(own_sinrs(ch, p), bounds.gamma_max)
-    per_user = _per_user_psnr(gam, streams, amc, b_hz)
+    per_user = _per_user_psnr(gam, streams, b_hz)
     return GreedyResult(
         power=p,
         shares=power_shares(p),
         sinrs=gam,
-        rates_bps=amc_rate(b_hz, gam, amc),
+        rates_bps=amc_rate(b_hz, gam),
         per_user_psnr_db=per_user,
         avg_psnr_db=float(np.mean(per_user)),
         iterations=cfg.n_blocks - remaining,
@@ -224,11 +224,11 @@ def _greedy_oracle(ch, streams, amc, b_hz, cfg):
 
 @given(small_instances())
 @settings(max_examples=150, deadline=None)
-def test_greedy_matches_per_candidate_oracle_bitwise(amc, instance):
+def test_greedy_matches_per_candidate_oracle_bitwise(instance):
     ch, streams, n_blocks = instance
     cfg = GreedyConfig(n_blocks=n_blocks)
-    got = outcome(solve_greedy, ch, streams, amc, B_HZ, cfg)
-    want = outcome(_greedy_oracle, ch, streams, amc, B_HZ, cfg)
+    got = outcome(solve_greedy, ch, streams, B_HZ, cfg)
+    want = outcome(_greedy_oracle, ch, streams, B_HZ, cfg)
     if isinstance(got, type) or isinstance(want, type):
         assert got is want
         return
@@ -254,7 +254,7 @@ def test_row_wise_reductions_match_per_row_bitwise(a):
 
 @given(small_instances())
 @settings(max_examples=150, deadline=None)
-def test_phase_two_ties_go_to_the_lowest_open_ue(amc, instance):
+def test_phase_two_ties_go_to_the_lowest_open_ue(instance):
     # random draws never tie, so a flat PSNR makes every phase-II step a tie
     ch, streams, n_blocks = instance
     cfg = GreedyConfig(n_blocks=n_blocks)
@@ -270,8 +270,8 @@ def test_phase_two_ties_go_to_the_lowest_open_ue(amc, instance):
     with mock.patch.object(nomavq.greedy, "psnr_of_rate", flat), \
             mock.patch.object(sys.modules[__name__], "psnr_of_rate", flat), \
             mock.patch.object(nomavq.greedy, "_open_awards", recording_awards):
-        got = outcome(solve_greedy, ch, streams, amc, B_HZ, cfg)
-        want = outcome(_greedy_oracle, ch, streams, amc, B_HZ, cfg)
+        got = outcome(solve_greedy, ch, streams, B_HZ, cfg)
+        want = outcome(_greedy_oracle, ch, streams, B_HZ, cfg)
     if isinstance(got, type) or isinstance(want, type):
         assert got is want
         return
@@ -284,7 +284,7 @@ def test_phase_two_ties_go_to_the_lowest_open_ue(amc, instance):
     # recomputed here with own_sinrs; the last step may refuse every award
     n = ch.n_users
     block = cfg.block_w(ch.power_budget_w)
-    bounds = bounds_from_quality(streams, amc, B_HZ)
+    bounds = bounds_from_quality(streams, B_HZ)
     g_min = bounds.gamma_min * (1.0 - 1e-12)
     awards = 0
     for before, after in zip(steps, steps[1:] + [got.power]):

@@ -8,7 +8,6 @@ import pytest
 import yaml
 
 from nomavq import (
-    AmcParams,
     ConfigurationError,
     GreedyConfig,
     GroupingStrategy,
@@ -22,7 +21,7 @@ from nomavq import (
     snap_rate,
 )
 from nomavq import harness, polyblock
-from nomavq.cli import EXIT_CONFIG, EXIT_OK, main
+from nomavq.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
 from nomavq.harness import aggregate, read_config, write_trial_csv
 from nomavq.polyblock import SolverConfig
 from nomavq.quality import (DEFAULT_FIXTURE_PATH, dump_rd_fixtures, load_rd_fixtures,
@@ -89,7 +88,7 @@ def test_config_parses_and_derives(tmp_path):
     {"snr_db": [float("nan")]},  # every UE would be reported at q_max
     {"bandwidth_hz": float("inf")},
     {"epsilon": float("nan")},  # polyblock could never certify a vertex
-    {"amc_c2": float("nan")},
+    {"delta": float("nan")},  # a radial projection could never stop
     {"n_blocks": None},
     {"p_rtp": "low"},
     # integer keys must not be truncated
@@ -133,9 +132,10 @@ def test_config_parses_and_derives(tmp_path):
     {"snr_db": [-4000]},
     # a stream's SINR band overflows, or collapses to gamma_min == gamma_max
     {"bandwidth_hz": 1.0e-3},
-    {"amc_c1": 1.0e-300},
     {"bandwidth_hz": 1.0e300},
-    {"amc_c2": 1.0e308},  # gamma_max is inf
+    # no power to allocate, or an unbounded budget
+    {"power_budget_w": 0.0},
+    {"power_budget_w": float("inf")},
     # an empty path would name the working directory
     {"fixture_path": ""},
     {"out_dir": ""},
@@ -250,7 +250,7 @@ _KEY_EDITS = {
     "n_zones": 1, "snr_db": [25.0], "bandwidth_hz": 1.5e5, "power_budget_w": 2.0,
     "path_loss_exp": 3.0, "p_rtp": 0.1, "gops_per_trial": 2, "grouping": "WRBR",
     "solvers": ["greedy"], "epsilon": 2e-3, "delta": 2e-6, "n_blocks": 50,
-    "amc_c1": 0.8, "amc_c2": 1.5, "mgs_weights": [1, 1], "n_enh_layers": 2,
+    "mgs_weights": [1, 1], "n_enh_layers": 2,
     "fixture_path": None, "n_trials": 5, "seed": 7, "out_dir": "elsewhere",
 }
 _UE_KEY_EDITS = {"id": 9, "distance_m": 4.0, "stream": "Ice",
@@ -277,7 +277,7 @@ def _changed_fields(a, b):
 
 def test_every_config_key_reaches_one_field_and_every_field_one_key(tmp_path):
     # a field or key added later without a rule or a route fails here
-    types = (ScenarioConfig, SolverConfig, GreedyConfig, AmcParams, UserEquipment)
+    types = (ScenarioConfig, SolverConfig, GreedyConfig, UserEquipment)
     for cls in types:
         assert set(cls.FIELDS) == {f.name for f in dataclasses.fields(cls) if f.init}
     assert set(_KEY_EDITS) == harness.CONFIG_KEYS
@@ -387,7 +387,7 @@ def test_config_accepts_integral_floats_for_integer_keys():
 @pytest.mark.parametrize("build", [
     lambda: SolverConfig(epsilon=float("nan")),
     lambda: SolverConfig(delta=float("nan")),
-    lambda: AmcParams(c2=float("nan")),
+    lambda: GreedyConfig(n_blocks=float("nan")),
 ])
 def test_constructors_reject_nan(build):
     with pytest.raises(ValueError):
@@ -400,8 +400,6 @@ def test_constructors_reject_nan(build):
      "config key n_blocks must be finite and positive, got 0"),
     (lambda: SolverConfig(epsilon=float("inf")),
      "config key epsilon must be finite and positive, got inf"),
-    (lambda: AmcParams(c1="high"), "config key amc_c1 is not a number: 'high'"),
-    (lambda: AmcParams(c1=1.5), "c1 must be in (0, 1]"),
     (lambda: UserEquipment(id=1, distance_m=float("nan"), requested_stream="Ice"),
      "config key distance_m must be finite and positive, got nan"),
     (lambda: UserEquipment(id=-1, distance_m=1.0, requested_stream="Ice"),
@@ -409,8 +407,8 @@ def test_constructors_reject_nan(build):
     (lambda: UserEquipment(id=1, distance_m=1.0, requested_stream="Ice",
                            quality_req="Urgent"),
      "'Urgent' is not a valid QualityReq"),
-], ids=["n-blocks-fractional", "n-blocks-zero", "epsilon-inf", "c1-string",
-        "c1-above-one", "distance-nan", "id-negative", "quality-req-unknown"])
+], ids=["n-blocks-fractional", "n-blocks-zero", "epsilon-inf", "distance-nan",
+        "id-negative", "quality-req-unknown"])
 def test_sub_config_constructors_check_their_fields(build, message):
     with pytest.raises(ConfigurationError) as err:
         build()
@@ -608,6 +606,9 @@ def _omit_complexity(raw):
 
 @pytest.mark.parametrize("edit, named", [
     (lambda raw: raw.update(n_trial=3), "'n_trial'"),
+    # the AMC fit is a constant of nomavq.phy, not a key
+    (lambda raw: raw.update(amc_c1=0.905), "unknown config key 'amc_c1'"),
+    (lambda raw: raw.update(amc_c2=1.34), "unknown config key 'amc_c2'"),
     (lambda raw: raw["ues"][3].update(stream="Ice"), "WLBH"),
     (_omit_complexity, None),
     (lambda raw: raw.update(grouping="ByIndex")
@@ -617,12 +618,12 @@ def _omit_complexity(raw):
     (lambda raw: raw.update(snr_db=[4000]), "snr_db value 4000.0 "),
     (lambda raw: raw.update(snr_db=[-4000]), "snr_db value -4000.0 "),
     (lambda raw: raw.update(bandwidth_hz=1.0e300),
-     "bandwidth_hz 1e+300 with amc_c1 0.905 and amc_c2 1.34 gives a requested"
-     " stream an empty or overflowing SINR band"),
-], ids=["misspelt-key", "wlbh-complexity-counts", "complexity-omitted",
+     "bandwidth_hz 1e+300 gives a requested stream an empty or overflowing"
+     " SINR band"),
+], ids=["misspelt-key", "amc-c1", "amc-c2", "wlbh-complexity-counts", "complexity-omitted",
         "complexity-mislabelled", "snr-overflow", "snr-underflow", "sinr-band"])
 def test_cli_validate_rejects_what_simulate_rejects(tmp_path, capsys, edit, named):
-    # a misspelt key, 4 Low streams in zones of 3, a UE complexity that
+    # a misspelt or retired key, 4 Low streams in zones of 3, a UE complexity that
     # differs from its stream's fixture row, an SNR point without a finite
     # positive noise power, or a bandwidth that leaves a stream no SINR band
     # fails both commands alike; without complexity labels (named None) both
@@ -747,6 +748,39 @@ def test_cli_solve_runs_the_config_schemes(tmp_path, capsys):
     assert code == EXIT_OK
     assert "scheme=greedy" in captured
     assert "scheme=oma" not in captured
+
+
+def test_cli_solve_names_each_exclusion_and_exits_1_on_a_solver_failure(
+        tmp_path, capsys, monkeypatch):
+    # a solver failure exits 1, not 3, and is never called infeasible; each
+    # exclusion names its scheme and group, also when other schemes solve
+    raw = read_config("configs/default.yaml")
+    raw.update(snr_db=[20], solvers=["polyblock", "greedy"])
+    cfg_path = tmp_path / "scenario.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+
+    def fail(*args, **kwargs):
+        raise NonConvergence("Dinkelbach projection hit the iteration cap")
+
+    monkeypatch.setattr(polyblock, "project", fail)
+    code = main(["solve", "--config", str(cfg_path)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert out.count("scheme=greedy") == 3 and "scheme=polyblock" not in out
+    assert "infeasible" not in err
+    assert err.splitlines() == [
+        f"error: scheme=polyblock group={g} snr_db=20: NonConvergence:"
+        " Dinkelbach projection hit the iteration cap" for g in range(3)]
+
+    raw.update(snr_db=[0], solvers=["greedy"])
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["solve", "--config", str(cfg_path)]) == EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 3
+    for g, line in enumerate(lines):
+        assert line.startswith(f"infeasible: scheme=greedy group={g} snr_db=0: ")
 
 
 def _csv_rows(path):

@@ -6,7 +6,6 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from nomavq import (
-    AmcParams,
     ChannelState,
     Infeasible,
     NonConvergence,
@@ -302,7 +301,7 @@ def _dinkelbach_inputs(draw):
     k = draw(st.integers(min_value=1, max_value=ch.n_users))
     ch = ChannelState(gains_sq=ch.gains_sq[:k], noise_var=ch.noise_var,
                       power_budget_w=ch.power_budget_w)
-    fset = build_feasible_set(ch, bounds_from_quality(streams[:k], AmcParams(), B_HZ))
+    fset = build_feasible_set(ch, bounds_from_quality(streams[:k], B_HZ))
     share = st.floats(min_value=0.05, max_value=1.0)
     v = fset.bounds.gamma_max * np.array(draw(st.lists(share, min_size=k, max_size=k)))
     return fset, v, draw(st.floats(min_value=0.0, max_value=1.0))

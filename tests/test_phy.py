@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nomavq import (
-    AmcParams,
     ChannelState,
     GreedyConfig,
     Infeasible,
@@ -36,32 +35,25 @@ from conftest import (_TABLE, B_HZ, contains, lp_check_feasible, make_instance,
 AMC_RATE_AT_10 = 390377.36355918064
 
 
-def test_amc_params_validation():
-    with pytest.raises(ValueError):
-        AmcParams(c1=0.0)
-    with pytest.raises(ValueError):
-        AmcParams(c2=0.5)
-
-
-def test_amc_rate_reference_value(amc):
-    assert amc_rate(B_HZ, 10.0, amc) == pytest.approx(AMC_RATE_AT_10, rel=1e-12)
-    assert amc_rate(B_HZ, 0.0, amc) == 0.0
+def test_amc_rate_reference_value():
+    assert amc_rate(B_HZ, 10.0) == pytest.approx(AMC_RATE_AT_10, rel=1e-12)
+    assert amc_rate(B_HZ, 0.0) == 0.0
     # vectorized form agrees with scalars
-    got = amc_rate(B_HZ, np.array([0.0, 10.0]), amc)
+    got = amc_rate(B_HZ, np.array([0.0, 10.0]))
     assert got[1] == pytest.approx(AMC_RATE_AT_10, rel=1e-12)
 
 
-def test_sinr_bound_round_trip(amc, streams_table):
+def test_sinr_bound_round_trip(streams_table):
     for s in streams_table.values():
         for q in np.linspace(s.q_min_db, s.q_max_db, 17):
-            g = sinr_bound_of_psnr(s, amc, B_HZ, float(q))
-            assert psnr_of_rate(s, float(amc_rate(B_HZ, g, amc))) == pytest.approx(
+            g = sinr_bound_of_psnr(s, B_HZ, float(q))
+            assert psnr_of_rate(s, float(amc_rate(B_HZ, g))) == pytest.approx(
                 q, abs=1e-9)
 
 
-def test_bounds_from_quality_ordering(amc, streams_table):
+def test_bounds_from_quality_ordering(streams_table):
     streams = [streams_table["Foreman"], streams_table["Soccer"]]
-    b = bounds_from_quality(streams, amc, B_HZ)
+    b = bounds_from_quality(streams, B_HZ)
     assert np.all(b.gamma_min > 0)
     assert np.all(b.gamma_max > b.gamma_min)
 
@@ -194,7 +186,7 @@ def _budget_near_minimum(draw):
                                   min_size=n, max_size=n)))
     noise = 10.0 ** (-draw(st.floats(min_value=10.0, max_value=40.0)) / 10.0)
     names = draw(st.lists(st.sampled_from(sorted(_TABLE)), min_size=n, max_size=n))
-    bounds = bounds_from_quality([_TABLE[k] for k in names], AmcParams(), B_HZ)
+    bounds = bounds_from_quality([_TABLE[k] for k in names], B_HZ)
     # the scale comes from the plain SIC recursion, not from min_power
     need = 0.0
     for k in range(n - 1, -1, -1):
@@ -253,14 +245,14 @@ def test_min_power_stack_matches_single_calls_bitwise(drawn):
     assert same_bits(strongest_first_total(got), tail)
 
 
-def test_sic_decodability_implied_on_feasible_points(amc, streams_table):
+def test_sic_decodability_implied_on_feasible_points(streams_table):
     # cross-decoding SINRs dominate own SINRs, so the linear system needs no
     # extra decodability rows: checked on sampled feasible points
     rng = np.random.default_rng(7)
     checked = 0
     while checked < 200:
         ch, streams = make_instance(rng, streams_table)
-        bounds = bounds_from_quality(streams, amc, B_HZ)
+        bounds = bounds_from_quality(streams, B_HZ)
         fset = build_feasible_set(ch, bounds)
         for _ in range(50):
             p = rng.uniform(0, 1.0, 2)
@@ -269,24 +261,24 @@ def test_sic_decodability_implied_on_feasible_points(amc, streams_table):
                 checked += 1
 
 
-def _allocate(scheme, ch, streams, amc, n_blocks):
-    bounds = bounds_from_quality(streams, amc, B_HZ)
+def _allocate(scheme, ch, streams, n_blocks):
+    bounds = bounds_from_quality(streams, B_HZ)
     if scheme == "polyblock":
-        return solve_polyblock(build_feasible_set(ch, bounds), streams, amc, B_HZ)
+        return solve_polyblock(build_feasible_set(ch, bounds), streams, B_HZ)
     if scheme == "greedy":
-        return solve_greedy(ch, streams, amc, B_HZ, GreedyConfig(n_blocks), bounds)
+        return solve_greedy(ch, streams, B_HZ, GreedyConfig(n_blocks), bounds)
     if scheme == "noma-mt":
-        return solve_noma_mt(ch, streams, amc, B_HZ, bounds)
-    return solve_oma_simple(ch, streams, amc, B_HZ)
+        return solve_noma_mt(ch, streams, B_HZ, bounds)
+    return solve_oma_simple(ch, streams, B_HZ)
 
 
-def _check_allocation_contract(scheme, amc, instance):
+def _check_allocation_contract(scheme, instance):
     ch, streams, n_blocks = instance
     try:
-        res = _allocate(scheme, ch, streams, amc, n_blocks)
+        res = _allocate(scheme, ch, streams, n_blocks)
     except (Infeasible, InfeasibleRate, NonConvergence):
         return
-    band_rates = amc_rate(B_HZ, res.sinrs, amc)
+    band_rates = amc_rate(B_HZ, res.sinrs)
     if scheme == "oma":
         assert res.power is None
         band_rates = res.shares * band_rates
@@ -300,14 +292,14 @@ def _check_allocation_contract(scheme, amc, instance):
 
 @given(small_instances(), st.sampled_from(["greedy", "noma-mt", "oma"]))
 @settings(max_examples=100, deadline=None)
-def test_fast_schemes_keep_the_allocation_contract(amc, instance, scheme):
+def test_fast_schemes_keep_the_allocation_contract(instance, scheme):
     # the throughput-max reference is defined for two users only
     assume(scheme != "noma-mt" or instance[0].n_users == 2)
-    _check_allocation_contract(scheme, amc, instance)
+    _check_allocation_contract(scheme, instance)
 
 
 @given(small_instances())
 @settings(max_examples=20, deadline=None)
-def test_polyblock_keeps_the_allocation_contract(amc, instance):
+def test_polyblock_keeps_the_allocation_contract(instance):
     assume(instance[0].n_users == 2)  # keeps each example short
-    _check_allocation_contract("polyblock", amc, instance)
+    _check_allocation_contract("polyblock", instance)

@@ -19,6 +19,7 @@ from nomavq import (
 )
 from nomavq import polyblock
 from nomavq.harness import write_trace_csv
+from nomavq.phy import AMC_C1, AMC_C2
 from nomavq.polyblock import (
     Polyblock,
     Vertex,
@@ -33,7 +34,7 @@ from conftest import (B_HZ, make_instance, make_three_user_instance,
 CFG = SolverConfig()
 
 
-def objective_psi(z, streams, amc, b_hz):
+def objective_psi(z, streams, b_hz):
     """Average PSNR (dB) at SINR vector z, in the exact product-log form.
 
     Every z_n must lie on its stream's feasible SINR band; a nonpositive
@@ -41,7 +42,7 @@ def objective_psi(z, streams, amc, b_hz):
     """
     z = np.asarray(z, dtype=float)
     n = len(z)
-    rates = amc.c1 * b_hz * np.log2(1.0 + z / amc.c2)
+    rates = AMC_C1 * b_hz * np.log2(1.0 + z / AMC_C2)
     factors = np.array(
         [s.theta / (r - s.beta) - s.alpha for s, r in zip(streams, rates)]
     )
@@ -52,58 +53,58 @@ def objective_psi(z, streams, amc, b_hz):
     )
 
 
-def _fset(ch, streams, amc):
-    return build_feasible_set(ch, bounds_from_quality(streams, amc, B_HZ))
+def _fset(ch, streams):
+    return build_feasible_set(ch, bounds_from_quality(streams, B_HZ))
 
 
-def _single_user(table, amc, snr_db=20.0, gain=0.05):
+def _single_user(table, snr_db=20.0, gain=0.05):
     noise = 1.0 / 10 ** (snr_db / 10.0)
     ch = ChannelState(gains_sq=np.array([gain]), noise_var=noise,
                       power_budget_w=1.0)
     streams = [table["Foreman"]]
-    return ch, streams, _fset(ch, streams, amc)
+    return ch, streams, _fset(ch, streams)
 
 
-def test_psi_single_user_collapse(streams_table, amc):
+def test_psi_single_user_collapse(streams_table):
     s = streams_table["Foreman"]
-    b = bounds_from_quality([s], amc, B_HZ)
+    b = bounds_from_quality([s], B_HZ)
     for frac in (0.0, 0.4, 1.0):
         gamma = float(b.gamma_min[0] + frac * (b.gamma_max[0] - b.gamma_min[0]))
-        assert objective_psi([gamma], [s], amc, B_HZ) == pytest.approx(
-            psnr_of_rate(s, float(amc_rate(B_HZ, gamma, amc))), abs=1e-9
+        assert objective_psi([gamma], [s], B_HZ) == pytest.approx(
+            psnr_of_rate(s, float(amc_rate(B_HZ, gamma))), abs=1e-9
         )
 
 
-def test_psi_symmetry_identical_streams(streams_table, amc):
+def test_psi_symmetry_identical_streams(streams_table):
     s = streams_table["Ice"]
-    b = bounds_from_quality([s], amc, B_HZ)
+    b = bounds_from_quality([s], B_HZ)
     g = float(0.5 * (b.gamma_min[0] + b.gamma_max[0]))
-    assert objective_psi([g, g], [s, s], amc, B_HZ) == pytest.approx(
-        psnr_of_rate(s, float(amc_rate(B_HZ, g, amc))), abs=1e-9
+    assert objective_psi([g, g], [s, s], B_HZ) == pytest.approx(
+        psnr_of_rate(s, float(amc_rate(B_HZ, g))), abs=1e-9
     )
 
 
-def test_psi_monotone_in_sinr(streams_table, amc):
+def test_psi_monotone_in_sinr(streams_table):
     s1, s2 = streams_table["Foreman"], streams_table["Soccer"]
-    bounds = bounds_from_quality([s1, s2], amc, B_HZ)
+    bounds = bounds_from_quality([s1, s2], B_HZ)
     rng = np.random.default_rng(6)
     for _ in range(1000):
         z = rng.uniform(bounds.gamma_min, bounds.gamma_max)
         zp = np.minimum(z * rng.uniform(1.0, 1.2, 2), bounds.gamma_max)
-        assert objective_psi(z, [s1, s2], amc, B_HZ) <= \
-            objective_psi(zp, [s1, s2], amc, B_HZ) + 1e-12
+        assert objective_psi(z, [s1, s2], B_HZ) <= \
+            objective_psi(zp, [s1, s2], B_HZ) + 1e-12
 
 
-def test_psi_domain_error_far_below_band(streams_table, amc):
+def test_psi_domain_error_far_below_band(streams_table):
     # a SINR so low the rate falls under the curve's rate offset has no
     # defined quality
     s = streams_table["Foreman"]
     with pytest.raises(ValueError):
-        objective_psi([1e-6], [s], amc, B_HZ)
+        objective_psi([1e-6], [s], B_HZ)
 
 
-def test_project_single_user_closed_form(streams_table, amc):
-    ch, streams, fset = _single_user(streams_table, amc)
+def test_project_single_user_closed_form(streams_table):
+    ch, streams, fset = _single_user(streams_table)
     g_max = fset.bounds.gamma_max[0]
     # the achievable SINR frontier is h * min(Pmax, g_max sigma^2 / h) / sigma^2
     p_star = min(ch.power_budget_w, g_max * ch.noise_var / ch.gains_sq[0])
@@ -148,13 +149,13 @@ def _bisect_projection(fset, v, tol=1e-10):
     return lo
 
 
-def test_projection_matches_bisection_oracle(streams_table, amc):
+def test_projection_matches_bisection_oracle(streams_table):
     pytest.importorskip("scipy")
     rng = np.random.default_rng(13)
     done = 0
     while done < 10:
         ch, streams = make_instance(rng, streams_table)
-        fset = _fset(ch, streams, amc)
+        fset = _fset(ch, streams)
         try:
             v = ch.gains_sq * ch.power_budget_w / ch.noise_var
             # tighten the residual stop so lam resolves past the oracle's grid
@@ -166,12 +167,12 @@ def test_projection_matches_bisection_oracle(streams_table, amc):
         done += 1
 
 
-def test_projection_of_boundary_point_is_identity(streams_table, amc):
+def test_projection_of_boundary_point_is_identity(streams_table):
     rng = np.random.default_rng(21)
     done = 0
     while done < 10:
         ch, streams = make_instance(rng, streams_table)
-        fset = _fset(ch, streams, amc)
+        fset = _fset(ch, streams)
         v = ch.gains_sq * ch.power_budget_w / ch.noise_var * rng.uniform(0.8, 1.5)
         try:
             lam, _ = project(v, fset, CFG)
@@ -182,14 +183,13 @@ def test_projection_of_boundary_point_is_identity(streams_table, amc):
         done += 1
 
 
-def test_dinkelbach_iterates_monotone_with_small_residual(streams_table, amc,
-                                                         monkeypatch):
+def test_dinkelbach_iterates_monotone_with_small_residual(streams_table, monkeypatch):
     history = record_dinkelbach(monkeypatch)
     rng = np.random.default_rng(17)
     done = 0
     while done < 10:
         ch, streams = make_instance(rng, streams_table)
-        fset = _fset(ch, streams, amc)
+        fset = _fset(ch, streams)
         v = ch.gains_sq * ch.power_budget_w / ch.noise_var
         history.clear()
         try:
@@ -202,17 +202,17 @@ def test_dinkelbach_iterates_monotone_with_small_residual(streams_table, amc,
         done += 1
 
 
-def test_solve_single_user_obvious_optimum(streams_table, amc):
-    ch, streams, fset = _single_user(streams_table, amc)
-    res = solve_polyblock(fset, streams, amc, B_HZ)
+def test_solve_single_user_obvious_optimum(streams_table):
+    ch, streams, fset = _single_user(streams_table)
+    res = solve_polyblock(fset, streams, B_HZ)
     g_max = fset.bounds.gamma_max[0]
     want_p = min(ch.power_budget_w, g_max * ch.noise_var / ch.gains_sq[0])
     assert res.power[0] == pytest.approx(want_p, rel=1e-3)
-    want_q = mean_psnr(own_sinrs(ch, np.array([want_p])), streams, amc, B_HZ)
+    want_q = mean_psnr(own_sinrs(ch, np.array([want_p])), streams, B_HZ)
     assert res.avg_psnr_db == pytest.approx(want_q, abs=1e-3)
 
 
-def test_solve_infeasible_bounds(amc, streams_table):
+def test_solve_infeasible_bounds(streams_table):
     ch = ChannelState(gains_sq=np.array([0.01, 0.5]), noise_var=0.1,
                       power_budget_w=1.0)
     bounds = SinrBounds(gamma_min=np.array([50.0, 1.0]),
@@ -220,17 +220,17 @@ def test_solve_infeasible_bounds(amc, streams_table):
     fset = build_feasible_set(ch, bounds)
     streams = [streams_table["Foreman"], streams_table["Soccer"]]
     with pytest.raises(Infeasible):
-        solve_polyblock(fset, streams, amc, B_HZ)
+        solve_polyblock(fset, streams, B_HZ)
 
 
-def test_bounds_monotone_and_terminal_gap(streams_table, amc):
+def test_bounds_monotone_and_terminal_gap(streams_table):
     rng = np.random.default_rng(29)
     done = 0
     while done < 10:
         ch, streams = make_instance(rng, streams_table)
-        fset = _fset(ch, streams, amc)
+        fset = _fset(ch, streams)
         try:
-            res = solve_polyblock(fset, streams, amc, B_HZ)
+            res = solve_polyblock(fset, streams, B_HZ)
         except Infeasible:
             continue
         ubs = [row[2] for row in res.trace]
@@ -242,14 +242,45 @@ def test_bounds_monotone_and_terminal_gap(streams_table, amc):
         done += 1
 
 
-def test_returned_power_satisfies_constraints(streams_table, amc):
+def test_rel_gap_is_that_of_the_final_selected_vertex(streams_table, monkeypatch):
+    # the returning iteration selects from the last pruned block the vertex
+    # with the best projection among the boxes that can still beat the
+    # incumbent; rel_gap is its distance to its projection, or 0 when no box
+    # is left. The fourth instance of this draw returns at a vertex farther
+    # from its projection than one selected earlier.
+    blocks = []
+    observe_prune(monkeypatch, blocks.append)
+    rng = np.random.default_rng(6)
+    checked = 0
+    for _ in range(4):
+        ch, streams = make_instance(rng, streams_table)
+        fset = _fset(ch, streams)
+        blocks.clear()
+        try:
+            res = solve_polyblock(fset, streams, B_HZ)
+        except Infeasible:
+            continue
+        if not blocks:
+            continue  # finished before its first split
+        left = [vx for vx in blocks[-1].vertices
+                if vx.ub_value > res.avg_psnr_db + 1e-9]
+        want = 0.0
+        if left:
+            sel = max(left, key=lambda vx: (vx.sel_value, vx.ub_value, tuple(-vx.z)))
+            want = float(np.linalg.norm(sel.z - sel.lam * sel.z) / np.linalg.norm(sel.z))
+        assert res.rel_gap == want
+        checked += 1
+    assert checked
+
+
+def test_returned_power_satisfies_constraints(streams_table):
     rng = np.random.default_rng(31)
     done = 0
     while done < 10:
         ch, streams = make_instance(rng, streams_table)
-        fset = _fset(ch, streams, amc)
+        fset = _fset(ch, streams)
         try:
-            res = solve_polyblock(fset, streams, amc, B_HZ)
+            res = solve_polyblock(fset, streams, B_HZ)
         except Infeasible:
             continue
         assert np.all(res.power >= -1e-12)
@@ -257,25 +288,25 @@ def test_returned_power_satisfies_constraints(streams_table, amc):
         done += 1
 
 
-def test_pruning_does_not_change_result(streams_table, amc, monkeypatch):
+def test_pruning_does_not_change_result(streams_table, monkeypatch):
     rng = np.random.default_rng(37)
     done = 0
     while done < 20:
         ch, streams = make_instance(rng, streams_table)
-        fset = _fset(ch, streams, amc)
+        fset = _fset(ch, streams)
         try:
-            a = solve_polyblock(fset, streams, amc, B_HZ)
+            a = solve_polyblock(fset, streams, B_HZ)
             with monkeypatch.context() as m:
                 m.setattr(polyblock, "prune_vertices",
                           lambda block, gamma_min: block)
-                b = solve_polyblock(fset, streams, amc, B_HZ)
+                b = solve_polyblock(fset, streams, B_HZ)
         except Infeasible:
             continue
         assert a.avg_psnr_db == pytest.approx(b.avg_psnr_db, abs=1e-9)
         done += 1
 
 
-def test_pruned_children_are_never_projected(streams_table, amc, monkeypatch):
+def test_pruned_children_are_never_projected(streams_table, monkeypatch):
     # pruning reads only z, so a child that prune_vertices drops is never
     # projected: the solver projects only the children it keeps
     projected, pruned_children, kept = [], [], []
@@ -302,7 +333,7 @@ def test_pruned_children_are_never_projected(streams_table, amc, monkeypatch):
     for _ in range(2):
         ch, streams = make_three_user_instance(rng, streams_table, snr_db=30.0)
         kept.clear()
-        solve_polyblock(_fset(ch, streams, amc), streams, amc, B_HZ)
+        solve_polyblock(_fset(ch, streams), streams, B_HZ)
     assert pruned_children
     assert not any(vx.z is v for vx in pruned_children for v in projected)
     assert all(vx.lam is None for vx in pruned_children)
@@ -365,8 +396,7 @@ def _achievable_sinrs(rng, ch, fset, n):
     return np.array(pts[:n])
 
 
-def test_nested_polyblocks_contain_feasible_region(streams_table, amc,
-                                                   monkeypatch):
+def test_nested_polyblocks_contain_feasible_region(streams_table, monkeypatch):
     # each split polyblock lies inside the one before it, and until the
     # incumbent first cuts a box (pure outer approximation) its box union
     # covers every achievable SINR vector
@@ -377,10 +407,10 @@ def test_nested_polyblocks_contain_feasible_region(streams_table, amc,
     done = 0
     while done < 3:
         ch, streams = make_instance(rng, streams_table)
-        fset = _fset(ch, streams, amc)
+        fset = _fset(ch, streams)
         blocks.clear()
         try:
-            res = solve_polyblock(fset, streams, amc, B_HZ)
+            res = solve_polyblock(fset, streams, B_HZ)
         except Infeasible:
             continue
         if not blocks:
@@ -407,8 +437,7 @@ def test_nested_polyblocks_contain_feasible_region(streams_table, amc,
         done += 1
 
 
-def test_incumbent_pruning_keeps_improving_region(streams_table, amc,
-                                                  monkeypatch):
+def test_incumbent_pruning_keeps_improving_region(streams_table, monkeypatch):
     # after every split, the box union must cover every achievable SINR
     # vector better than the incumbent the polyblock was last cut against;
     # before the first cut that is every achievable vector (pure outer
@@ -420,10 +449,10 @@ def test_incumbent_pruning_keeps_improving_region(streams_table, amc,
     observed = 0
     while observed < 4:
         ch, streams = make_instance(rng, streams_table)
-        fset = _fset(ch, streams, amc)
+        fset = _fset(ch, streams)
         blocks.clear()
         try:
-            res = solve_polyblock(fset, streams, amc, B_HZ)
+            res = solve_polyblock(fset, streams, B_HZ)
         except Infeasible:
             continue
         if not blocks:
@@ -433,7 +462,7 @@ def test_incumbent_pruning_keeps_improving_region(streams_table, amc,
         assert len(blocks) == len(res.trace) - 1
         g_min, g_max = fset.bounds.gamma_min, fset.bounds.gamma_max
         z = _achievable_sinrs(rng, ch, fset, 10000)
-        psi = np.array([mean_psnr(np.clip(v, g_min, g_max), streams, amc, B_HZ)
+        psi = np.array([mean_psnr(np.clip(v, g_min, g_max), streams, B_HZ)
                         for v in z])
         cut, n_before = -np.inf, 1
         for verts, (it, n_after, _, incumbent, _) in zip(blocks, res.trace):
@@ -446,11 +475,11 @@ def test_incumbent_pruning_keeps_improving_region(streams_table, amc,
         observed += 1
 
 
-def test_trace_csv_emission(tmp_path, streams_table, amc):
+def test_trace_csv_emission(tmp_path, streams_table):
     rng = np.random.default_rng(53)
     ch, streams = make_instance(rng, streams_table)
-    fset = _fset(ch, streams, amc)
-    res = solve_polyblock(fset, streams, amc, B_HZ)
+    fset = _fset(ch, streams)
+    res = solve_polyblock(fset, streams, B_HZ)
     path = tmp_path / "trace.csv"
     write_trace_csv([(0, 0, 0, 20.0, *row) for row in res.trace], path)
     lines = path.read_text().strip().splitlines()
