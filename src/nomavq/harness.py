@@ -12,6 +12,9 @@ plus seed produces byte-identical CSV output.
 from __future__ import annotations
 
 import csv
+import functools
+import os
+import threading
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -364,6 +367,89 @@ def _instance_seed(cfg, trial, gop, salt):
     return np.random.SeedSequence((cfg.seed, trial, gop, salt))
 
 
+def draw_unit(cfg: ScenarioConfig, trial: int, gop: int) -> list:
+    """The NOMA groups of unit ``(trial, gop)``, each as ``(members, gains)``:
+    its UEs, weakest channel first, and their fading gains.
+
+    The fading and the grouping draw from the unit's own seeds, so a unit's
+    draw is the same whichever process makes it and in whatever order."""
+    zoned = partition_zones(list(cfg.ues), cfg.n_zones)
+    rng = np.random.default_rng(_instance_seed(cfg, trial, gop, 0))
+    fading = {
+        u.id: abs(sample_channel(u, rng, cfg.path_loss_exp)) ** 2
+        for u in sorted(zoned, key=lambda u: u.id)
+    }
+    group_seed = int(_instance_seed(cfg, trial, gop, 1).generate_state(1)[0])
+    drawn = []
+    for group in group_users(zoned, cfg.streams, cfg.grouping, seed=group_seed):
+        # SIC ordering follows the realized gains, not the zones
+        members = sorted(group, key=lambda u: fading[u.id])
+        drawn.append((members, np.array([fading[u.id] for u in members])))
+    return drawn
+
+
+def _solve_unit(cfg, rate_sets, tracing, unit):
+    """Every (group, SNR, scheme) instance of one ``(trial, gop)`` unit: its
+    records, its exclusions and, when ``tracing``, its polyblock trace rows."""
+    trial, gop = unit
+    records, exclusions, trace = [], [], []
+    for g_idx, (members, gains) in enumerate(draw_unit(cfg, trial, gop)):
+        streams = [cfg.streams[u.requested_stream] for u in members]
+        bounds = bounds_from_quality(streams, cfg.bandwidth_hz)
+        for snr in cfg.snr_db:
+            ch = ChannelState(
+                gains_sq=gains,
+                noise_var=cfg.noise_var(snr),
+                power_budget_w=cfg.power_budget_w,
+            )
+            for scheme in cfg.solvers:
+                try:
+                    res = _run_scheme(scheme, ch, streams, bounds, cfg)
+                except (Infeasible, InfeasibleRate) as e:
+                    exclusions.append((trial, gop, g_idx, scheme, snr, str(e)))
+                    continue
+                except SOLVER_FAILURES as e:
+                    exclusions.append((
+                        trial, gop, g_idx, scheme, snr,
+                        f"{type(e).__name__}: {e}",
+                    ))
+                    continue
+                if tracing and scheme == "polyblock":
+                    trace.extend((trial, gop, g_idx, snr, *row) for row in res.trace)
+                snapped = [
+                    snap_rate(float(r), rate_sets[s.stream_id])
+                    for r, s in zip(res.rates_bps, streams)
+                ]
+                psnrs = [psnr_of_rate(s, r) for s, r in zip(streams, snapped)]
+                records.append(TrialRecord(
+                    trial=trial,
+                    gop=gop,
+                    group=g_idx,
+                    scheme=scheme,
+                    snr_db=snr,
+                    grouping=cfg.grouping.value,
+                    ue_ids=tuple(u.id for u in members),
+                    streams=tuple(s.stream_id for s in streams),
+                    sinrs=tuple(float(x) for x in res.sinrs),
+                    rates_bps=tuple(float(r) for r in res.rates_bps),
+                    snapped_rates_bps=tuple(snapped),
+                    psnr_db=tuple(psnrs),
+                    alloc_coeff=tuple(float(x) for x in res.shares),
+                    avg_psnr_db=float(np.mean(psnrs)),
+                    avg_psnr_cont_db=float(np.mean(res.per_user_psnr_db)),
+                    iterations=int(res.iterations),
+                    bound_gap_db=float(res.bound_gap_db),
+                ))
+    return records, exclusions, trace
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def run_scenario(cfg: ScenarioConfig, trace_sink: list | None = None) -> ScenarioResult:
     """Execute the Monte Carlo loop and return all trial records.
 
@@ -374,82 +460,38 @@ def run_scenario(cfg: ScenarioConfig, trace_sink: list | None = None) -> Scenari
     in ``exclusions`` and skipped, never fatal. ``trace_sink`` collects one
     row per polyblock iteration: the (trial, gop, group, snr_db) key of the
     instance's record, then the solver's trace row.
+
+    The (trial, GOP) units run on one forked worker per usable CPU, and their
+    parts are joined in unit order, so the result is the serial run's. With
+    one unit, one usable CPU or other threads running (a forked child would
+    inherit any lock they hold), the units run in this process.
     """
-    table = cfg.streams
-    zoned = partition_zones(list(cfg.ues), cfg.n_zones)
     rate_sets = {
         sid: discrete_rate_set(p, cfg.mgs_weights, cfg.n_enh_layers)
-        for sid, p in table.items()
+        for sid, p in cfg.streams.items()
     }
+    units = [(t, g) for t in range(cfg.n_trials) for g in range(cfg.gops_per_trial)]
+    solve = functools.partial(_solve_unit, cfg, rate_sets, trace_sink is not None)
+    workers = min(usable_cpus(), len(units))
 
     records, exclusions = [], []
-    for trial in range(cfg.n_trials):
-        for gop in range(cfg.gops_per_trial):
-            rng = np.random.default_rng(_instance_seed(cfg, trial, gop, 0))
-            fading = {
-                u.id: abs(sample_channel(u, rng, cfg.path_loss_exp)) ** 2
-                for u in sorted(zoned, key=lambda u: u.id)
-            }
-            group_seed = int(
-                _instance_seed(cfg, trial, gop, 1).generate_state(1)[0]
-            )
-            groups = group_users(zoned, table, cfg.grouping, seed=group_seed)
-            for g_idx, group in enumerate(groups):
-                # SIC ordering follows the realized gains, not the zones
-                members = sorted(group, key=lambda u: fading[u.id])
-                gains = np.array([fading[u.id] for u in members])
-                streams = [table[u.requested_stream] for u in members]
-                bounds = bounds_from_quality(streams, cfg.bandwidth_hz)
-                for snr in cfg.snr_db:
-                    ch = ChannelState(
-                        gains_sq=gains,
-                        noise_var=cfg.noise_var(snr),
-                        power_budget_w=cfg.power_budget_w,
-                    )
-                    for scheme in cfg.solvers:
-                        try:
-                            res = _run_scheme(scheme, ch, streams, bounds, cfg)
-                        except (Infeasible, InfeasibleRate) as e:
-                            exclusions.append(
-                                (trial, gop, g_idx, scheme, snr, str(e))
-                            )
-                            continue
-                        except SOLVER_FAILURES as e:
-                            exclusions.append((
-                                trial, gop, g_idx, scheme, snr,
-                                f"{type(e).__name__}: {e}",
-                            ))
-                            continue
-                        if trace_sink is not None and scheme == "polyblock":
-                            trace_sink.extend(
-                                (trial, gop, g_idx, snr, *row) for row in res.trace
-                            )
-                        snapped = [
-                            snap_rate(float(r), rate_sets[s.stream_id])
-                            for r, s in zip(res.rates_bps, streams)
-                        ]
-                        psnrs = [
-                            psnr_of_rate(s, r) for s, r in zip(streams, snapped)
-                        ]
-                        records.append(TrialRecord(
-                            trial=trial,
-                            gop=gop,
-                            group=g_idx,
-                            scheme=scheme,
-                            snr_db=snr,
-                            grouping=cfg.grouping.value,
-                            ue_ids=tuple(u.id for u in members),
-                            streams=tuple(s.stream_id for s in streams),
-                            sinrs=tuple(float(x) for x in res.sinrs),
-                            rates_bps=tuple(float(r) for r in res.rates_bps),
-                            snapped_rates_bps=tuple(snapped),
-                            psnr_db=tuple(psnrs),
-                            alloc_coeff=tuple(float(x) for x in res.shares),
-                            avg_psnr_db=float(np.mean(psnrs)),
-                            avg_psnr_cont_db=float(np.mean(res.per_user_psnr_db)),
-                            iterations=int(res.iterations),
-                            bound_gap_db=float(res.bound_gap_db),
-                        ))
+    if workers > 1 and threading.active_count() == 1:
+        # fork, not spawn: a worker starts from this process's modules as they
+        # are, rebound attributes included, without importing nomavq again
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            parts = list(pool.map(solve, units))
+    else:
+        parts = map(solve, units)
+    for unit_records, unit_exclusions, unit_trace in parts:
+        records += unit_records
+        exclusions += unit_exclusions
+        if trace_sink is not None:
+            trace_sink.extend(unit_trace)
     return ScenarioResult(records=records, exclusions=exclusions, config=cfg)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from nomavq import (
+    ChannelState,
     GreedyConfig,
     GroupingStrategy,
     Infeasible,
@@ -50,23 +51,30 @@ def default_cfg():
 def run_recording_channels(cfg, budget_scale=1.0):
     """``run_scenario(cfg)`` and the channel of each of its records, in order.
 
-    Each scheme call that returns an allocation yields one record, so the
-    channels line up with ``result.records``. The schemes solve with
-    ``budget_scale`` times the budget; the recorded channels keep the real one.
+    The schemes solve with ``budget_scale`` times the budget; the rebound
+    ``_run_scheme`` reaches the forked workers too. Each record's channel,
+    with the real budget, is drawn again from its (trial, gop, group, snr_db)
+    key by the harness's own per-unit draw.
     """
-    channels = []
     inner = harness._run_scheme
 
-    def recording(scheme, ch, *args):
-        scaled = dataclasses.replace(
-            ch, power_budget_w=ch.power_budget_w * budget_scale)
-        res = inner(scheme, scaled, *args)
-        channels.append(ch)
-        return res
+    def scaled(scheme, ch, *args):
+        return inner(scheme, dataclasses.replace(
+            ch, power_budget_w=ch.power_budget_w * budget_scale), *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_run_scheme", recording)
-        return run_scenario(cfg), channels
+        mp.setattr(harness, "_run_scheme", scaled)
+        result = run_scenario(cfg)
+    draws, channels = {}, []
+    for r in result.records:
+        if (r.trial, r.gop) not in draws:
+            draws[r.trial, r.gop] = harness.draw_unit(cfg, r.trial, r.gop)
+        members, gains = draws[r.trial, r.gop][r.group]
+        assert tuple(u.id for u in members) == r.ue_ids
+        channels.append(ChannelState(
+            gains_sq=gains, noise_var=cfg.noise_var(r.snr_db),
+            power_budget_w=cfg.power_budget_w))
+    return result, channels
 
 
 @pytest.fixture(scope="session")

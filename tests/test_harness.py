@@ -1,7 +1,14 @@
 import copy
 import csv
 import dataclasses
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import threading
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,82 +71,87 @@ def test_config_parses_and_derives(tmp_path):
     assert {"Foreman", "Soccer"} <= set(cfg.streams)
 
 
-@pytest.mark.parametrize("broken", [
-    {"bandwidth_hz": None},
-    {"bandwidth_hz": -5.0},
-    {"n_zones": 3},  # 2 UEs cannot split into 3 zones
-    {"snr_db": []},
-    {"grouping": "NoSuchStrategy"},
-    {"solvers": ["magic"]},
-    {"p_rtp": 1.5},
-    {"ues": [{"id": 1, "distance_m": 1.0, "stream": "Foreman"},
+# each case keeps the id the suite has always printed for it, so deleting one
+# renames no other
+BROKEN_CONFIGS = {
+    "broken0": {"bandwidth_hz": None},
+    "broken1": {"bandwidth_hz": -5.0},
+    "broken2": {"n_zones": 3},  # 2 UEs cannot split into 3 zones
+    "broken3": {"snr_db": []},
+    "broken4": {"grouping": "NoSuchStrategy"},
+    "broken5": {"solvers": ["magic"]},
+    "broken6": {"p_rtp": 1.5},
+    "broken7": {"ues": [{"id": 1, "distance_m": 1.0, "stream": "Foreman"},
              {"id": 1, "distance_m": 2.0, "stream": "Soccer"}]},
-    {"ues": [{"id": 1, "stream": "Foreman"},
+    "broken8": {"ues": [{"id": 1, "stream": "Foreman"},
              {"id": 2, "distance_m": 2.0, "stream": "Soccer"}]},
-    {"gops_per_trial": 0},  # would silently simulate nothing
-    {"n_enh_layers": -1},
-    {"path_loss_exp": -2},
-    {"seed": -5},  # SeedSequence would reject it only mid-run
-    {"mgs_weights": []},  # the rate set would collapse to the full rate
-    {"mgs_weights": ["thick", "thin"]},
-    {"snr_db": 20.0},  # a scalar, not a list
-    {"snr_db": "20"},  # a string would iterate as two SNR points
-    {"snr_db": [20.0, "loud"]},
-    {"snr_db": [float("nan")]},  # every UE would be reported at q_max
-    {"bandwidth_hz": float("inf")},
-    {"epsilon": float("nan")},  # polyblock could never certify a vertex
-    {"delta": float("nan")},  # a radial projection could never stop
-    {"n_blocks": None},
-    {"p_rtp": "low"},
+    "broken9": {"gops_per_trial": 0},  # would silently simulate nothing
+    "broken10": {"n_enh_layers": -1},
+    "broken11": {"path_loss_exp": -2},
+    "broken12": {"seed": -5},  # SeedSequence would reject it only mid-run
+    "broken13": {"mgs_weights": []},  # the rate set would collapse to the full rate
+    "broken14": {"mgs_weights": ["thick", "thin"]},
+    "broken15": {"snr_db": 20.0},  # a scalar, not a list
+    "broken16": {"snr_db": "20"},  # a string would iterate as two SNR points
+    "broken17": {"snr_db": [20.0, "loud"]},
+    "broken18": {"snr_db": [float("nan")]},  # every UE would be reported at q_max
+    "broken19": {"bandwidth_hz": float("inf")},
+    "broken20": {"epsilon": float("nan")},  # polyblock could never certify a vertex
+    "broken21": {"delta": float("nan")},  # a radial projection could never stop
+    "broken22": {"n_blocks": None},
+    "broken23": {"p_rtp": "low"},
     # integer keys must not be truncated
-    {"n_trials": 2.5},
-    {"n_blocks": 99.9},
-    {"n_zones": 2.5},
-    {"mgs_weights": [2.5, 1.9]},
+    "broken24": {"n_trials": 2.5},
+    "broken25": {"n_blocks": 99.9},
+    "broken26": {"n_zones": 2.5},
+    "broken27": {"mgs_weights": [2.5, 1.9]},
     # every run would be empty, doubled, or read one character at a time
-    {"solvers": []},
-    {"solvers": ["oma", "oma"]},
-    {"snr_db": [15, 15]},
-    {"solvers": "oma"},
+    "broken28": {"solvers": []},
+    "broken29": {"solvers": ["oma", "oma"]},
+    "broken30": {"snr_db": [15, 15]},
+    "broken31": {"solvers": "oma"},
     # UE entries and paths: NaN gains, a crash in channel_gain, a truncated
     # id, or a raw TypeError
-    {"ues": [{"id": 1, "distance_m": float("nan"), "stream": "Foreman"},
+    "broken32": {"ues": [{"id": 1, "distance_m": float("nan"), "stream": "Foreman"},
              {"id": 2, "distance_m": 1.0, "stream": "Soccer"}]},
-    {"ues": [{"id": 1, "distance_m": float("inf"), "stream": "Foreman"},
+    "broken33": {"ues": [{"id": 1, "distance_m": float("inf"), "stream": "Foreman"},
              {"id": 2, "distance_m": 1.0, "stream": "Soccer"}]},
-    {"ues": [{"id": 1, "distance_m": 1e200, "stream": "Foreman"},
+    "broken34": {"ues": [{"id": 1, "distance_m": 1e200, "stream": "Foreman"},
              {"id": 2, "distance_m": 1.0, "stream": "Soccer"}]},
-    {"ues": [{"id": 1.5, "distance_m": 3.0, "stream": "Foreman"},
+    "broken35": {"ues": [{"id": 1.5, "distance_m": 3.0, "stream": "Foreman"},
              {"id": 2, "distance_m": 1.0, "stream": "Soccer"}]},
-    {"ues": 5},
-    {"ues": [5]},
-    {"fixture_path": 5},
-    {"out_dir": 5},
+    "broken36": {"ues": 5},
+    "broken37": {"ues": [5]},
+    "broken38": {"fixture_path": 5},
+    "broken39": {"out_dir": 5},
     # misspelt keys, at the top level and in a UE entry, would be ignored
-    {"n_trial": 3},
-    {"solver": ["greedy"]},
-    {"ues": [{"id": 1, "distance_m": 3.0, "distnce_m": 2.0, "stream": "Foreman"},
+    "broken40": {"n_trial": 3},
+    "broken41": {"solver": ["greedy"]},
+    "broken42": {"ues": [{"id": 1, "distance_m": 3.0, "distnce_m": 2.0, "stream": "Foreman"},
              {"id": 2, "distance_m": 1.0, "stream": "Soccer"}]},
     # WLBH maps whole zones to one complexity: 3 Low streams cannot fill
     # zones of 2
-    {"ues": [{"id": k, "distance_m": float(k), "stream": stream} for k, stream
+    "broken43": {"ues": [{"id": k, "distance_m": float(k), "stream": stream} for k, stream
              in enumerate(("Foreman", "Ice", "Crew", "Football"), 1)]},
     # a negative tolerance, no power blocks
-    {"epsilon": -1.0},
-    {"n_blocks": 0},
+    "broken44": {"epsilon": -1.0},
+    "broken45": {"n_blocks": 0},
     # the noise power 10^(-SNR/10) overflows, or underflows to zero
-    {"snr_db": [4000]},
-    {"snr_db": [-4000]},
+    "broken46": {"snr_db": [4000]},
+    "broken47": {"snr_db": [-4000]},
     # a stream's SINR band overflows, or collapses to gamma_min == gamma_max
-    {"bandwidth_hz": 1.0e-3},
-    {"bandwidth_hz": 1.0e300},
+    "broken48": {"bandwidth_hz": 1.0e-3},
+    "broken49": {"bandwidth_hz": 1.0e300},
     # no power to allocate, or an unbounded budget
-    {"power_budget_w": 0.0},
-    {"power_budget_w": float("inf")},
+    "broken50": {"power_budget_w": 0.0},
+    "broken51": {"power_budget_w": float("inf")},
     # an empty path would name the working directory
-    {"fixture_path": ""},
-    {"out_dir": ""},
-])
+    "broken52": {"fixture_path": ""},
+    "broken53": {"out_dir": ""},
+}
+
+
+@pytest.mark.parametrize("broken", BROKEN_CONFIGS.values(), ids=BROKEN_CONFIGS.keys())
 def test_config_validation_errors(broken):
     with pytest.raises(ConfigurationError):
         config_from_dict(_cfg_dict(**broken))
@@ -384,11 +396,15 @@ def test_config_accepts_integral_floats_for_integer_keys():
     assert type(cfg.n_trials) is int
 
 
-@pytest.mark.parametrize("build", [
-    lambda: SolverConfig(epsilon=float("nan")),
-    lambda: SolverConfig(delta=float("nan")),
-    lambda: GreedyConfig(n_blocks=float("nan")),
-])
+# ids as for BROKEN_CONFIGS
+NAN_CONSTRUCTORS = {
+    "<lambda>0": lambda: SolverConfig(epsilon=float("nan")),
+    "<lambda>1": lambda: SolverConfig(delta=float("nan")),
+    "<lambda>2": lambda: GreedyConfig(n_blocks=float("nan")),
+}
+
+
+@pytest.mark.parametrize("build", NAN_CONSTRUCTORS.values(), ids=NAN_CONSTRUCTORS.keys())
 def test_constructors_reject_nan(build):
     with pytest.raises(ValueError):
         build()
@@ -555,6 +571,130 @@ def test_run_scenario_seed_changes_outcomes():
     sa = [r.sinrs for r in a.records]
     sb = [r.sinrs for r in b.records]
     assert sa != sb
+
+
+def _in_process_schemes(monkeypatch):
+    """The schemes ``run_scenario`` calls in this process, in call order; a
+    forked worker's calls stay in the worker."""
+    calls = []
+    inner = harness._run_scheme
+
+    def counted(scheme, *args):
+        calls.append(scheme)
+        return inner(scheme, *args)
+
+    monkeypatch.setattr(harness, "_run_scheme", counted)
+    return calls
+
+
+def test_run_scenario_same_bytes_on_one_and_two_cpus(tmp_path, monkeypatch):
+    # the default scenario at 3 trials under all four schemes; 10 dB gives
+    # exclusions. The units run in this process at 1 CPU and on a pool of
+    # two forked workers at 2, and every output keeps its bytes
+    raw = read_config("configs/default.yaml")
+    raw["n_trials"] = 3
+    cfg_path = tmp_path / "scenario.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    cfg = config_from_dict(raw)
+    assert sorted(cfg.solvers) == sorted(harness.SCHEMES) and 10.0 in cfg.snr_db
+    calls = _in_process_schemes(monkeypatch)
+    outputs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
+        calls.clear()
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        trace = []
+        run_scenario(cfg, trace_sink=trace)
+        assert multiprocessing.active_children() == []
+        outputs[cpus] = {p.name: p.read_bytes() for p in out.glob("*.csv")}, trace
+        assert bool(calls) == (cpus == 1)
+    csvs, trace = outputs[1]
+    assert sorted(csvs) == ["exclusions.csv", "grouping_psnr.csv", "mean_psnr.csv",
+                            "trials.csv", "weak_coeff.csv"]
+    assert csvs["exclusions.csv"].count(b"\n") > 1 and trace
+    assert outputs[2] == outputs[1]
+
+
+def _polyblock_two_trials():
+    return dataclasses.replace(
+        load_config("configs/default.yaml"), n_trials=2,
+        snr_db=(20.0, 25.0), solvers=("polyblock",))
+
+
+def test_worker_error_ends_the_run_as_the_serial_run_does(monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(polyblock, "project", fail)
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
+        with pytest.raises(RuntimeError, match="injected fault"):
+            run_scenario(_polyblock_two_trials())
+        assert multiprocessing.active_children() == []
+
+
+def test_worker_exclusions_match_the_serial_run(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise NonConvergence("Dinkelbach projection hit the iteration cap")
+
+    monkeypatch.setattr(polyblock, "project", fail)
+    written = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
+        path = harness.write_exclusions_csv(run_scenario(_polyblock_two_trials()),
+                                            tmp_path / f"cpus{cpus}.csv")
+        written[cpus] = path.read_bytes()
+        assert multiprocessing.active_children() == []
+    assert written[2] == written[1]
+    # every instance is excluded: 2 trials, 3 groups, 2 SNR points
+    assert written[1].count(b"\n") == 1 + 2 * 3 * 2
+    assert b"NonConvergence: " in written[1]
+
+
+def test_a_dead_worker_ends_the_run(monkeypatch):
+    # a worker that dies (killed, say, when memory runs out) ends the run
+    # with an error instead of leaving its unit unfinished forever
+    parent = os.getpid()
+
+    def die(*args, **kwargs):
+        assert os.getpid() != parent, "the units ran in this process"
+        os._exit(3)
+
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(polyblock, "project", die)
+    with pytest.raises(BrokenProcessPool):
+        run_scenario(_polyblock_two_trials())
+    assert multiprocessing.active_children() == []
+
+
+def test_run_scenario_beside_another_thread_runs_in_process(monkeypatch):
+    # a forked child would inherit the locks other threads hold, so with
+    # another thread running the units stay in this process
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+    calls = _in_process_schemes(monkeypatch)
+    cfg = _tiny_scenario()
+    results = []
+    worker = threading.Thread(target=lambda: results.append(run_scenario(cfg)))
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive() and results
+    assert calls
+    calls.clear()
+    assert run_scenario(cfg).records == results[0].records and not calls
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # the pool's modules load only when a run makes one, so importing the
+    # package and loading a config never pays for them
+    code = ("import sys, nomavq; nomavq.load_config('configs/default.yaml');"
+            " print('multiprocessing' in sys.modules)")
+    src = Path(harness.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+                          cwd=src.parent)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_aggregate_tables():
