@@ -75,6 +75,8 @@ class ScenarioConfig:
     mgs_weights: tuple = DEFAULT_MGS_WEIGHTS
     n_enh_layers: int = DEFAULT_ENH_LAYERS
     streams: dict = field(init=False, repr=False, compare=False)  # id -> RdParams
+    # UEs per zone, and so the NOMA groups of every unit: one UE of each zone
+    zone_size: int = field(init=False, repr=False, compare=False)
 
     # each field's rule, which coerces its value or refuses it; a top-level
     # key of the scenario file sets the field of its name or a sub-config's
@@ -113,6 +115,7 @@ class ScenarioConfig:
             raise ConfigurationError("UE ids must be unique")
         if len(self.ues) % self.n_zones != 0:
             raise ConfigurationError("UE count must be a multiple of n_zones")
+        object.__setattr__(self, "zone_size", len(self.ues) // self.n_zones)
         for k, u in enumerate(self.ues, 1):
             # channel_gain divides by sqrt(1 + d^eta), which must stay finite
             try:
@@ -166,12 +169,11 @@ class ScenarioConfig:
                 " empty or overflowing SINR band")
         if self.grouping in (GroupingStrategy.WLBH, GroupingStrategy.WHBL):
             # group_users maps whole zones to one complexity class
-            zone_size = len(self.ues) // self.n_zones
             n_low = sum(table[u.requested_stream].complexity == "Low" for u in self.ues)
-            if n_low % zone_size != 0:
+            if n_low % self.zone_size != 0:
                 raise ConfigurationError(
                     f"{self.grouping.value} needs a number of Low-complexity UEs"
-                    f" that is a multiple of the zone size {zone_size}, got {n_low}")
+                    f" that is a multiple of the zone size {self.zone_size}, got {n_low}")
 
     def noise_var(self, snr_db: float) -> float:
         # scenario SNR definition: 10 log10(P / sigma^2) with P the group budget
@@ -388,59 +390,92 @@ def draw_unit(cfg: ScenarioConfig, trial: int, gop: int) -> list:
     return drawn
 
 
-def _solve_unit(cfg, rate_sets, tracing, unit):
-    """Every (group, SNR, scheme) instance of one ``(trial, gop)`` unit: its
-    records, its exclusions and, when ``tracing``, its polyblock trace rows."""
-    trial, gop = unit
+def _solve_cell(cfg, rate_sets, tracing, drawn, cell):
+    """Every scheme on one ``(trial, gop, group, snr)`` cell: its records, its
+    exclusions and, when ``tracing``, its polyblock trace rows.
+
+    ``drawn`` holds the last unit drawn, with each group's streams and SINR
+    bounds. A process takes its cells in increasing order, so it draws each
+    unit it meets once and never needs an earlier one again."""
+    trial, gop, g_idx, snr = cell
+    unit = trial, gop
+    if unit not in drawn:
+        drawn.clear()
+        groups = drawn[unit] = []
+        for members, gains in draw_unit(cfg, trial, gop):
+            streams = [cfg.streams[u.requested_stream] for u in members]
+            bounds = bounds_from_quality(streams, cfg.bandwidth_hz)
+            groups.append((members, gains, streams, bounds))
+    members, gains, streams, bounds = drawn[unit][g_idx]
+    ch = ChannelState(
+        gains_sq=gains,
+        noise_var=cfg.noise_var(snr),
+        power_budget_w=cfg.power_budget_w,
+    )
     records, exclusions, trace = [], [], []
-    for g_idx, (members, gains) in enumerate(draw_unit(cfg, trial, gop)):
-        streams = [cfg.streams[u.requested_stream] for u in members]
-        bounds = bounds_from_quality(streams, cfg.bandwidth_hz)
-        for snr in cfg.snr_db:
-            ch = ChannelState(
-                gains_sq=gains,
-                noise_var=cfg.noise_var(snr),
-                power_budget_w=cfg.power_budget_w,
-            )
-            for scheme in cfg.solvers:
-                try:
-                    res = _run_scheme(scheme, ch, streams, bounds, cfg)
-                except (Infeasible, InfeasibleRate) as e:
-                    exclusions.append((trial, gop, g_idx, scheme, snr, str(e)))
-                    continue
-                except SOLVER_FAILURES as e:
-                    exclusions.append((
-                        trial, gop, g_idx, scheme, snr,
-                        f"{type(e).__name__}: {e}",
-                    ))
-                    continue
-                if tracing and scheme == "polyblock":
-                    trace.extend((trial, gop, g_idx, snr, *row) for row in res.trace)
-                snapped = [
-                    snap_rate(float(r), rate_sets[s.stream_id])
-                    for r, s in zip(res.rates_bps, streams)
-                ]
-                psnrs = [psnr_of_rate(s, r) for s, r in zip(streams, snapped)]
-                records.append(TrialRecord(
-                    trial=trial,
-                    gop=gop,
-                    group=g_idx,
-                    scheme=scheme,
-                    snr_db=snr,
-                    grouping=cfg.grouping.value,
-                    ue_ids=tuple(u.id for u in members),
-                    streams=tuple(s.stream_id for s in streams),
-                    sinrs=tuple(float(x) for x in res.sinrs),
-                    rates_bps=tuple(float(r) for r in res.rates_bps),
-                    snapped_rates_bps=tuple(snapped),
-                    psnr_db=tuple(psnrs),
-                    alloc_coeff=tuple(float(x) for x in res.shares),
-                    avg_psnr_db=float(np.mean(psnrs)),
-                    avg_psnr_cont_db=float(np.mean(res.per_user_psnr_db)),
-                    iterations=int(res.iterations),
-                    bound_gap_db=float(res.bound_gap_db),
-                ))
+    for scheme in cfg.solvers:
+        try:
+            res = _run_scheme(scheme, ch, streams, bounds, cfg)
+        except (Infeasible, InfeasibleRate) as e:
+            exclusions.append((trial, gop, g_idx, scheme, snr, str(e)))
+            continue
+        except SOLVER_FAILURES as e:
+            exclusions.append((
+                trial, gop, g_idx, scheme, snr,
+                f"{type(e).__name__}: {e}",
+            ))
+            continue
+        if tracing and scheme == "polyblock":
+            trace.extend((trial, gop, g_idx, snr, *row) for row in res.trace)
+        snapped = [
+            snap_rate(float(r), rate_sets[s.stream_id])
+            for r, s in zip(res.rates_bps, streams)
+        ]
+        psnrs = [psnr_of_rate(s, r) for s, r in zip(streams, snapped)]
+        records.append(TrialRecord(
+            trial=trial,
+            gop=gop,
+            group=g_idx,
+            scheme=scheme,
+            snr_db=snr,
+            grouping=cfg.grouping.value,
+            ue_ids=tuple(u.id for u in members),
+            streams=tuple(s.stream_id for s in streams),
+            sinrs=tuple(float(x) for x in res.sinrs),
+            rates_bps=tuple(float(r) for r in res.rates_bps),
+            snapped_rates_bps=tuple(snapped),
+            psnr_db=tuple(psnrs),
+            alloc_coeff=tuple(float(x) for x in res.shares),
+            avg_psnr_db=float(np.mean(psnrs)),
+            avg_psnr_cont_db=float(np.mean(res.per_user_psnr_db)),
+            iterations=int(res.iterations),
+            bound_gap_db=float(res.bound_gap_db),
+        ))
     return records, exclusions, trace
+
+
+# a forked worker's run: the shared next-cell counter, the cell solver and the
+# cells, set by _start_worker as the worker starts
+_worker_run = None
+
+
+def _start_worker(next_cell, solve, cells):
+    global _worker_run
+    _worker_run = next_cell, solve, cells
+
+
+def _solve_claimed_cells():
+    """Claim the next cell from the shared counter and solve it, until no
+    cell is left; returns the ``(index, part)`` pairs of this worker."""
+    next_cell, solve, cells = _worker_run
+    solved = []
+    while True:
+        with next_cell.get_lock():
+            i = next_cell.value
+            next_cell.value += 1
+        if i >= len(cells):
+            return solved
+        solved.append((i, solve(cells[i])))
 
 
 def usable_cpus() -> int:
@@ -461,37 +496,47 @@ def run_scenario(cfg: ScenarioConfig, trace_sink: list | None = None) -> Scenari
     row per polyblock iteration: the (trial, gop, group, snr_db) key of the
     instance's record, then the solver's trace row.
 
-    The (trial, GOP) units run on one forked worker per usable CPU, and their
-    parts are joined in unit order, so the result is the serial run's. With
-    one unit, one usable CPU or other threads running (a forked child would
-    inherit any lock they hold), the units run in this process.
+    The work item is one ``(trial, gop, group, snr)`` cell, which runs every
+    scheme. One forked worker per usable CPU claims the next cell from a
+    shared counter until none is left, so a slow instance holds up only its
+    own worker, and drawing a unit is left to the workers that need it. The
+    parts are joined in cell order, so the result is the serial run's. With
+    one (trial, GOP) unit, one usable CPU or other threads running (a forked
+    child would inherit any lock they hold), the cells run in this process.
     """
     rate_sets = {
         sid: discrete_rate_set(p, cfg.mgs_weights, cfg.n_enh_layers)
         for sid, p in cfg.streams.items()
     }
-    units = [(t, g) for t in range(cfg.n_trials) for g in range(cfg.gops_per_trial)]
-    solve = functools.partial(_solve_unit, cfg, rate_sets, trace_sink is not None)
-    workers = min(usable_cpus(), len(units))
+    cells = [(t, g, k, snr) for t in range(cfg.n_trials)
+             for g in range(cfg.gops_per_trial)
+             for k in range(cfg.zone_size) for snr in cfg.snr_db]
+    solve = functools.partial(_solve_cell, cfg, rate_sets, trace_sink is not None, {})
+    workers = min(usable_cpus(), cfg.n_trials * cfg.gops_per_trial)
 
     records, exclusions = [], []
     if workers > 1 and threading.active_count() == 1:
         # fork, not spawn: a worker starts from this process's modules as they
-        # are, rebound attributes included, without importing nomavq again
+        # are, rebound attributes included, without importing nomavq again,
+        # and inherits the counter, which cannot be pickled
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")
-        ) as pool:
-            parts = list(pool.map(solve, units))
+        fork = multiprocessing.get_context("fork")
+        next_cell = fork.Value("i", 0)
+        parts = [None] * len(cells)
+        with ProcessPoolExecutor(workers, mp_context=fork, initializer=_start_worker,
+                                 initargs=(next_cell, solve, cells)) as pool:
+            for claimed in [pool.submit(_solve_claimed_cells) for _ in range(workers)]:
+                for i, part in claimed.result():
+                    parts[i] = part
     else:
-        parts = map(solve, units)
-    for unit_records, unit_exclusions, unit_trace in parts:
-        records += unit_records
-        exclusions += unit_exclusions
+        parts = map(solve, cells)
+    for cell_records, cell_exclusions, cell_trace in parts:
+        records += cell_records
+        exclusions += cell_exclusions
         if trace_sink is not None:
-            trace_sink.extend(unit_trace)
+            trace_sink.extend(cell_trace)
     return ScenarioResult(records=records, exclusions=exclusions, config=cfg)
 
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -587,33 +588,108 @@ def _in_process_schemes(monkeypatch):
     return calls
 
 
+def _in_process_draws(monkeypatch):
+    """The ``(trial, gop)`` units ``run_scenario`` draws in this process, in
+    draw order; a forked worker's draws stay in the worker."""
+    draws = []
+    inner = harness.draw_unit
+
+    def counted(cfg, trial, gop):
+        draws.append((trial, gop))
+        return inner(cfg, trial, gop)
+
+    monkeypatch.setattr(harness, "draw_unit", counted)
+    return draws
+
+
 def test_run_scenario_same_bytes_on_one_and_two_cpus(tmp_path, monkeypatch):
-    # the default scenario at 3 trials under all four schemes; 10 dB gives
-    # exclusions. The units run in this process at 1 CPU and on a pool of
-    # two forked workers at 2, and every output keeps its bytes
-    raw = read_config("configs/default.yaml")
-    raw["n_trials"] = 3
-    cfg_path = tmp_path / "scenario.yaml"
-    cfg_path.write_text(yaml.safe_dump(raw))
-    cfg = config_from_dict(raw)
-    assert sorted(cfg.solvers) == sorted(harness.SCHEMES) and 10.0 in cfg.snr_db
+    # the default scenario under all four schemes, its cells spanning three
+    # trials and then two GOPs of one trial; 10 dB gives exclusions. The cells
+    # run in this process at 1 CPU, which draws each unit once, and on a pool
+    # of two forked workers at 2, with no draw in this process; every output
+    # keeps its bytes
     calls = _in_process_schemes(monkeypatch)
-    outputs = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
-        calls.clear()
-        out = tmp_path / f"cpus{cpus}"
-        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
-        trace = []
-        run_scenario(cfg, trace_sink=trace)
-        assert multiprocessing.active_children() == []
-        outputs[cpus] = {p.name: p.read_bytes() for p in out.glob("*.csv")}, trace
-        assert bool(calls) == (cpus == 1)
-    csvs, trace = outputs[1]
-    assert sorted(csvs) == ["exclusions.csv", "grouping_psnr.csv", "mean_psnr.csv",
-                            "trials.csv", "weak_coeff.csv"]
-    assert csvs["exclusions.csv"].count(b"\n") > 1 and trace
-    assert outputs[2] == outputs[1]
+    draws = _in_process_draws(monkeypatch)
+    for changes in ({"n_trials": 3}, {"n_trials": 1, "gops_per_trial": 2}):
+        raw = read_config("configs/default.yaml")
+        raw.update(changes)
+        run_dir = tmp_path / "-".join(map(str, changes.values()))
+        cfg_path = run_dir / "scenario.yaml"
+        run_dir.mkdir()
+        cfg_path.write_text(yaml.safe_dump(raw))
+        cfg = config_from_dict(raw)
+        assert sorted(cfg.solvers) == sorted(harness.SCHEMES) and 10.0 in cfg.snr_db
+        units = [(t, g) for t in range(cfg.n_trials) for g in range(cfg.gops_per_trial)]
+        outputs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
+            calls.clear()
+            draws.clear()
+            out = run_dir / f"cpus{cpus}"
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+            trace = []
+            run_scenario(cfg, trace_sink=trace)
+            assert multiprocessing.active_children() == []
+            outputs[cpus] = {p.name: p.read_bytes() for p in out.glob("*.csv")}, trace
+            assert bool(calls) == (cpus == 1)
+            assert draws == (units + units if cpus == 1 else [])
+        csvs, trace = outputs[1]
+        assert sorted(csvs) == ["exclusions.csv", "grouping_psnr.csv", "mean_psnr.csv",
+                                "trials.csv", "weak_coeff.csv"]
+        assert csvs["exclusions.csv"].count(b"\n") > 1 and trace
+        assert outputs[2] == outputs[1]
+
+
+def test_a_slow_cell_holds_up_only_its_own_worker(tmp_path, monkeypatch):
+    # the cell of trial 0, group 0 sleeps; meanwhile the other worker takes
+    # the rest of trial 0 instead of leaving it behind the slow cell
+    cfg = dataclasses.replace(load_config("configs/default.yaml"), n_trials=2,
+                              snr_db=(20.0,), solvers=("greedy",))
+    cells = {gains.tobytes(): (t, k) for t in range(cfg.n_trials)
+             for k, (_, gains) in enumerate(harness.draw_unit(cfg, t, 0))}
+    log = tmp_path / "cells.txt"
+    inner = harness._run_scheme
+
+    def logged(scheme, ch, *args):
+        t, k = cells[ch.gains_sq.tobytes()]
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {t} {k}\n")
+        if (t, k) == (0, 0):
+            time.sleep(1.0)
+        return inner(scheme, ch, *args)
+
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "_run_scheme", logged)
+    run_scenario(cfg)
+    assert multiprocessing.active_children() == []
+    solved = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    assert sorted(cell for _, *cell in solved) == sorted(map(list, cells.values()))
+    slow = next(pid for pid, t, k in solved if (t, k) == (0, 0))
+    assert slow != os.getpid()
+    assert [k for pid, t, k in solved if pid == slow and t == 0] == [0]
+
+
+def test_more_workers_than_cores_solve_each_cell_once(tmp_path, monkeypatch):
+    # four workers on any host share 120 cheap cells through one counter; a
+    # lost update of it would solve a cell twice or leave one out
+    cfg = dataclasses.replace(load_config("configs/default.yaml"), n_trials=8,
+                              solvers=("greedy",))
+    serial = run_scenario(cfg)
+    log = tmp_path / "cells.txt"
+    inner = harness._run_scheme
+
+    def logged(scheme, ch, *args):
+        with open(log, "a") as fh:
+            fh.write(f"{ch.gains_sq.tobytes().hex()} {ch.noise_var!r}\n")
+        return inner(scheme, ch, *args)
+
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(harness, "_run_scheme", logged)
+    pooled = run_scenario(cfg)
+    assert multiprocessing.active_children() == []
+    solved = log.read_text().splitlines()
+    assert len(solved) == len(set(solved)) == 8 * cfg.zone_size * len(cfg.snr_db)
+    assert (pooled.records, pooled.exclusions) == (serial.records, serial.exclusions)
 
 
 def _polyblock_two_trials():
@@ -684,17 +760,52 @@ def test_run_scenario_beside_another_thread_runs_in_process(monkeypatch):
     assert run_scenario(cfg).records == results[0].records and not calls
 
 
-def test_import_leaves_multiprocessing_unloaded():
-    # the pool's modules load only when a run makes one, so importing the
-    # package and loading a config never pays for them
-    code = ("import sys, nomavq; nomavq.load_config('configs/default.yaml');"
-            " print('multiprocessing' in sys.modules)")
+def _run_python(code):
+    """The stdout words of ``code`` run in a fresh interpreter on this
+    checkout's package, from the repository root."""
     src = Path(harness.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
                           cwd=src.parent)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"]
+    return done.stdout.split()
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # the pool's modules load only when a run makes one, so importing the
+    # package and loading a config never pays for them
+    code = ("import sys, nomavq; nomavq.load_config('configs/default.yaml');"
+            " print('multiprocessing' in sys.modules)")
+    assert _run_python(code) == ["False"]
+
+
+def test_pooled_run_leaves_numpy_random_unloaded():
+    # only the workers draw, so the parent never imports numpy.random, which
+    # a first draw loads at a cost of about 5 MB of resident memory
+    code = ("import dataclasses, sys, nomavq; from nomavq import harness;"
+            " harness.usable_cpus = lambda: 2;"
+            " cfg = dataclasses.replace(nomavq.load_config('configs/default.yaml'),"
+            " n_trials=2, solvers=('greedy',));"
+            " result = harness.run_scenario(cfg);"
+            " print(len(result.records) + len(result.exclusions),"
+            " 'numpy.random' in sys.modules)")
+    assert _run_python(code) == ["30", "False"]
+
+
+@pytest.mark.parametrize("n_zones", [2, 3])
+@pytest.mark.parametrize("grouping", list(GroupingStrategy))
+def test_zone_size_is_the_group_count_of_a_draw(n_zones, grouping):
+    # run_scenario lists its cells from zone_size, without a draw
+    cfg = load_config("configs/default.yaml")
+    ues = cfg.ues
+    if n_zones == 3:  # two Low-complexity streams fill WLBH's zones of two
+        ues = tuple(dataclasses.replace(u, requested_stream="Football")
+                    if u.requested_stream == "Crew" else u for u in ues)
+    cfg = dataclasses.replace(cfg, ues=ues, n_zones=n_zones, grouping=grouping,
+                              solvers=("greedy",))
+    assert cfg.zone_size == {2: 3, 3: 2}[n_zones]
+    for trial, gop in [(0, 0), (1, 2)]:
+        assert len(harness.draw_unit(cfg, trial, gop)) == cfg.zone_size
 
 
 def test_aggregate_tables():
