@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import ChannelState, own_sinrs
 from .errors import Infeasible
-from .phy import Allocation, SinrBounds, amc_rate, bounds_from_quality, power_shares
+from .phy import Allocation, SinrBounds, amc_rate, bounds_from_quality
 from .quality import RdParams, psnr_of_rate
 
 GRID_STEP = 0.01  # bandwidth-fraction resolution of the OMA split search
@@ -53,16 +53,7 @@ def solve_noma_mt(
     gam = own_sinrs(ch, p)
     if gam[1] < bounds.gamma_min[1] * (1.0 - 1e-9):
         raise Infeasible("strong UE below its minimum quality under NOMA-MT")
-    rates = amc_rate(b_hz, gam)
-    per_user = np.array([psnr_of_rate(s, float(r)) for s, r in zip(streams, rates)])
-    return Allocation(
-        power=p,
-        shares=power_shares(p),
-        sinrs=gam,
-        rates_bps=rates,
-        per_user_psnr_db=per_user,
-        avg_psnr_db=float(np.mean(per_user)),
-    )
+    return Allocation.decode(streams, b_hz, gam, power=p)
 
 
 def _simplex_grid(n: int, step: float):
@@ -109,11 +100,4 @@ def solve_oma_simple(
             scores[i] > scores[best] - 1e-12 and balances[i] < balances[best] - 1e-15
         ):
             best = i
-    return Allocation(
-        power=None,
-        shares=rhos[best],
-        sinrs=snr,
-        rates_bps=rates[best],
-        per_user_psnr_db=per_user[best],
-        avg_psnr_db=scores[best],
-    )
+    return Allocation.decode(streams, b_hz, snr, shares=rhos[best])

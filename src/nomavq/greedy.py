@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import ChannelState, own_sinrs, sinr_step, sinrs_below
 from .errors import NOT_WHOLE, POSITIVE, Infeasible, Rule, check_fields, whole
-from .phy import Allocation, SinrBounds, amc_rate, bounds_from_quality, power_shares
+from .phy import Allocation, SinrBounds, amc_rate, bounds_from_quality
 from .quality import RdParams, psnr_of_rate
 
 
@@ -159,19 +159,7 @@ def solve_greedy(
             cand, key=lambda row: _mean([psnr(j, g) for j, g in enumerate(row[1])]))
         remaining -= 1
     p = np.array(power)
-
-    gam = np.minimum(own_sinrs(ch, p), bounds.gamma_max)
-    rates = amc_rate(b_hz, gam)
-    per_user = np.array([psnr_of_rate(s, r) for s, r in zip(streams, rates.tolist())])
-    return GreedyResult(
-        power=p,
-        shares=power_shares(p),
-        sinrs=gam,
-        rates_bps=rates,
-        per_user_psnr_db=per_user,
-        avg_psnr_db=float(np.mean(per_user)),
-        iterations=cfg.n_blocks - remaining,
-        blocks_total=cfg.n_blocks,
-        phase1_evals=phase1_evals,
-        phase2_evals=phase2_evals,
-    )
+    return GreedyResult.decode(
+        streams, b_hz, np.minimum(own_sinrs(ch, p), bounds.gamma_max), power=p,
+        iterations=cfg.n_blocks - remaining, blocks_total=cfg.n_blocks,
+        phase1_evals=phase1_evals, phase2_evals=phase2_evals)

@@ -466,7 +466,9 @@ def _start_worker(next_cell, solve, cells):
 
 def _solve_claimed_cells():
     """Claim the next cell from the shared counter and solve it, until no
-    cell is left; returns the ``(index, part)`` pairs of this worker."""
+    cell is left; returns the ``(index, part)`` pairs of this worker. A cell
+    that raises moves the counter past the last cell, so the other workers
+    stop after their current cell and the error ends the run."""
     next_cell, solve, cells = _worker_run
     solved = []
     while True:
@@ -475,7 +477,12 @@ def _solve_claimed_cells():
             next_cell.value += 1
         if i >= len(cells):
             return solved
-        solved.append((i, solve(cells[i])))
+        try:
+            solved.append((i, solve(cells[i])))
+        except BaseException:
+            with next_cell.get_lock():
+                next_cell.value = len(cells)
+            raise
 
 
 def usable_cpus() -> int:

@@ -2,8 +2,8 @@
 
 The AMC achievable rate is c1 * B * log2(1 + gamma/c2), with the one fixed
 fit c1 = AMC_C1, c2 = AMC_C2. Composing it with the stream's rate-PSNR curve
-links PSNR directly to SINR, and the per-user quality bounds (Q_min, Q_max)
-translate into SINR box bounds (gamma_min, gamma_max).
+links PSNR directly to SINR (``Allocation.decode``), and the per-user quality
+bounds (Q_min, Q_max) translate into SINR box bounds (gamma_min, gamma_max).
 Those box bounds, together with the power budget, linearize into a bounded
 polytope over the power vector. Whether that polytope is empty has a closed
 form: the least power that meets gamma_min must fit the budget.
@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelState
 from .errors import Infeasible
-from .quality import RdParams, rate_of_psnr
+from .quality import RdParams, psnr_of_rate, rate_of_psnr
 
 # rate adjustment c1 and SNR gap c2 of the adaptive modulation scheme
 AMC_C1 = 0.905
@@ -57,6 +57,8 @@ def power_shares(p):
 class Allocation:
     """One scheme's allocation on one instance, decoded to per-user PSNR.
 
+    ``decode`` is the one place a result applies the SINR -> rate -> PSNR
+    map; the searches score their candidates with the same two functions.
     ``sinrs`` are own SINRs (capped at gamma_max by polyblock and greedy),
     or full-band SNRs when ``power`` is None and ``shares`` split the band.
     ``rates_bps`` is ``amc_rate`` of ``sinrs``, times the band share, and
@@ -72,6 +74,24 @@ class Allocation:
     avg_psnr_db: float
     iterations: int = 0
     bound_gap_db: float = 0.0
+
+    @classmethod
+    def decode(cls, streams: list[RdParams], b_hz: float, sinrs, power=None,
+               shares=None, avg_psnr_db=None, **diagnostics):
+        """Decode ``power``, with ``shares`` its shares of the power spent,
+        or, when ``power`` is None, the band ``shares`` at the full-band SNRs
+        ``sinrs``. ``avg_psnr_db`` defaults to the mean per-user PSNR, and
+        ``diagnostics`` fill the other fields."""
+        rates = amc_rate(b_hz, sinrs)
+        if power is None:
+            rates = shares * rates
+        else:
+            shares = power_shares(power)
+        per_user = np.array([psnr_of_rate(s, r) for s, r in zip(streams, rates.tolist())])
+        if avg_psnr_db is None:
+            avg_psnr_db = float(np.mean(per_user))
+        return cls(power=power, shares=shares, sinrs=sinrs, rates_bps=rates,
+                   per_user_psnr_db=per_user, avg_psnr_db=avg_psnr_db, **diagnostics)
 
 
 def sinr_bound_of_psnr(params: RdParams, b_hz: float, q_db: float) -> float:

@@ -23,8 +23,7 @@ import numpy as np
 from .channel import own_sinrs, sinrs_below
 from .errors import NOT_NUMBER, POSITIVE, Infeasible, NonConvergence, Rule, check_fields
 from .lp import solve_lp
-from .phy import (Allocation, FeasiblePowerSet, amc_rate, check_feasible, power_shares,
-                  sinr_rows)
+from .phy import Allocation, FeasiblePowerSet, amc_rate, check_feasible, sinr_rows
 from .quality import RdParams, psnr_of_rate
 
 # cap on the outer loop and on the Dinkelbach loop of each projection
@@ -69,14 +68,10 @@ class PolyblockResult(Allocation):
     trace: list = field(default_factory=list)
 
 
-def _psnrs(streams, rates) -> np.ndarray:
-    """Per-user PSNR at each rate."""
-    return np.array([psnr_of_rate(s, float(r)) for s, r in zip(streams, rates)])
-
-
 def mean_psnr(z, streams, b_hz) -> float:
     """Average PSNR with saturation at each stream's q_max (decode semantics)."""
-    return float(np.mean(_psnrs(streams, amc_rate(b_hz, z))))
+    rates = amc_rate(b_hz, z).tolist()
+    return float(np.mean([psnr_of_rate(s, r) for s, r in zip(streams, rates)]))
 
 
 def _dinkelbach_lp(fset: FeasiblePowerSet, v, lam):
@@ -202,20 +197,10 @@ def solve_polyblock(
 
     def result(it, rel):
         p_star, psi_star = best
-        sinrs = np.minimum(own_sinrs(ch, p_star), g_max)
-        rates = amc_rate(b_hz, sinrs)
-        return PolyblockResult(
-            power=p_star,
-            shares=power_shares(p_star),
-            sinrs=sinrs,
-            rates_bps=rates,
-            per_user_psnr_db=_psnrs(streams, rates),
-            avg_psnr_db=psi_star,
-            iterations=it,
-            bound_gap_db=max(0.0, upper_bound - psi_star),
-            rel_gap=rel,
-            trace=trace,
-        )
+        return PolyblockResult.decode(
+            streams, b_hz, np.minimum(own_sinrs(ch, p_star), g_max), power=p_star,
+            avg_psnr_db=psi_star, iterations=it,
+            bound_gap_db=max(0.0, upper_bound - psi_star), rel_gap=rel, trace=trace)
 
     for it in range(1, MAX_ITERATIONS + 1):
         for vx in block.vertices:

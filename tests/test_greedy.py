@@ -268,6 +268,7 @@ def test_phase_two_ties_go_to_the_lowest_open_ue(instance):
         return 35.0
 
     with mock.patch.object(nomavq.greedy, "psnr_of_rate", flat), \
+            mock.patch.object(nomavq.phy, "psnr_of_rate", flat), \
             mock.patch.object(sys.modules[__name__], "psnr_of_rate", flat), \
             mock.patch.object(nomavq.greedy, "_open_awards", recording_awards):
         got = outcome(solve_greedy, ch, streams, B_HZ, cfg)

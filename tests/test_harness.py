@@ -669,6 +669,36 @@ def test_a_slow_cell_holds_up_only_its_own_worker(tmp_path, monkeypatch):
     assert [k for pid, t, k in solved if pid == slow and t == 0] == [0]
 
 
+def test_a_failed_cell_stops_the_other_workers(tmp_path, monkeypatch):
+    # cell 0 raises; the other worker finishes the cell it holds and claims
+    # no more, instead of solving every cell that is left before the error
+    # reaches the caller
+    cfg = dataclasses.replace(load_config("configs/default.yaml"), n_trials=2,
+                              solvers=("greedy",))
+    first = harness.draw_unit(cfg, 0, 0)[0][1].tobytes(), cfg.noise_var(cfg.snr_db[0])
+    log = tmp_path / "cells.txt"
+    inner = harness._run_scheme
+
+    def logged(scheme, ch, *args):
+        failed = (ch.gains_sq.tobytes(), ch.noise_var) == first
+        with open(log, "a") as fh:
+            fh.write("failed\n" if failed else "solved\n")
+        if failed:
+            raise RuntimeError("injected fault")
+        time.sleep(0.05)
+        return inner(scheme, ch, *args)
+
+    workers = 2
+    monkeypatch.setattr(harness, "usable_cpus", lambda: workers)
+    monkeypatch.setattr(harness, "_run_scheme", logged)
+    with pytest.raises(RuntimeError, match="injected fault"):
+        run_scenario(cfg)
+    assert multiprocessing.active_children() == []
+    lines = log.read_text().splitlines()
+    assert lines.count("failed") == 1
+    assert len(lines) - 1 - lines.index("failed") <= workers
+
+
 def test_more_workers_than_cores_solve_each_cell_once(tmp_path, monkeypatch):
     # four workers on any host share 120 cheap cells through one counter; a
     # lost update of it would solve a cell twice or leave one out

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -6,11 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nomavq import (
+    Allocation,
     ChannelState,
     GreedyConfig,
+    GreedyResult,
     Infeasible,
     InfeasibleRate,
     NonConvergence,
+    PolyblockResult,
     SinrBounds,
     amc_rate,
     bounds_from_quality,
@@ -24,6 +28,8 @@ from nomavq import (
     solve_oma_simple,
     solve_polyblock,
 )
+from nomavq.baselines import _simplex_grid
+from nomavq.phy import power_shares
 from nomavq.polyblock import _dinkelbach_lp
 from nomavq.quality import psnr_of_rate
 
@@ -303,3 +309,130 @@ def test_fast_schemes_keep_the_allocation_contract(instance, scheme):
 def test_polyblock_keeps_the_allocation_contract(instance):
     assume(instance[0].n_users == 2)  # keeps each example short
     _check_allocation_contract("polyblock", instance)
+
+
+# The result tails that polyblock, greedy, noma-mt and oma each built by hand
+# before ``Allocation.decode``, kept as its oracle.
+def _polyblock_tail(ch, streams, b_hz, g_max, p_star, psi_star, it, gap, rel, trace):
+    sinrs = np.minimum(own_sinrs(ch, p_star), g_max)
+    rates = amc_rate(b_hz, sinrs)
+    return PolyblockResult(
+        power=p_star,
+        shares=power_shares(p_star),
+        sinrs=sinrs,
+        rates_bps=rates,
+        per_user_psnr_db=np.array([psnr_of_rate(s, float(r))
+                                   for s, r in zip(streams, rates)]),
+        avg_psnr_db=psi_star,
+        iterations=it,
+        bound_gap_db=gap,
+        rel_gap=rel,
+        trace=trace,
+    )
+
+
+def _greedy_tail(ch, streams, b_hz, g_max, p, used, total, evals1, evals2):
+    gam = np.minimum(own_sinrs(ch, p), g_max)
+    rates = amc_rate(b_hz, gam)
+    per_user = np.array([psnr_of_rate(s, r) for s, r in zip(streams, rates.tolist())])
+    return GreedyResult(
+        power=p,
+        shares=power_shares(p),
+        sinrs=gam,
+        rates_bps=rates,
+        per_user_psnr_db=per_user,
+        avg_psnr_db=float(np.mean(per_user)),
+        iterations=used,
+        blocks_total=total,
+        phase1_evals=evals1,
+        phase2_evals=evals2,
+    )
+
+
+def _noma_mt_tail(ch, streams, b_hz, p):
+    gam = own_sinrs(ch, p)
+    rates = amc_rate(b_hz, gam)
+    per_user = np.array([psnr_of_rate(s, float(r)) for s, r in zip(streams, rates)])
+    return Allocation(
+        power=p,
+        shares=power_shares(p),
+        sinrs=gam,
+        rates_bps=rates,
+        per_user_psnr_db=per_user,
+        avg_psnr_db=float(np.mean(per_user)),
+    )
+
+
+def _oma_tails(ch, streams, b_hz, grid):
+    """The OMA result at each split of ``grid`` that meets every minimum."""
+    snr = ch.gains_sq * ch.power_budget_w / ch.noise_var
+    all_rates = grid * amc_rate(b_hz, snr)
+    r_min = np.array([s.rate_min for s in streams])
+    feasible = ~np.any(all_rates < r_min * (1.0 - 1e-12), axis=1)
+    if not feasible.any():
+        return []
+    rhos, rates = grid[feasible], all_rates[feasible]
+    per_user = np.array([[psnr_of_rate(s, r) for s, r in zip(streams, row)]
+                         for row in rates.tolist()])
+    scores = np.mean(per_user, axis=1).tolist()
+    return [Allocation(power=None, shares=rhos[best], sinrs=snr, rates_bps=rates[best],
+                       per_user_psnr_db=per_user[best], avg_psnr_db=scores[best])
+            for best in range(len(rhos))]
+
+
+def _same_allocation(got, want):
+    if isinstance(got, type) or isinstance(want, type):
+        assert got is want
+        return
+    assert type(got) is type(want)
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b), f.name
+        assert a is None or same_bits(a, b), f.name
+
+
+@st.composite
+def _sic_allocations(draw):
+    """An instance, its gamma_max and the least power at SINR targets drawn
+    from gamma_min up to half a band above gamma_max, so the cap may bite."""
+    ch, streams, _ = draw(small_instances())
+    bounds = bounds_from_quality(streams, B_HZ)
+    t = np.array(draw(st.lists(st.floats(0.0, 1.5), min_size=ch.n_users,
+                               max_size=ch.n_users)))
+    target = bounds.gamma_min + t * (bounds.gamma_max - bounds.gamma_min)
+    return ch, streams, bounds.gamma_max, min_power(ch, target)
+
+
+@given(_sic_allocations(), st.floats(20.0, 50.0), st.integers(0, 200),
+       st.floats(0.0, 0.02))
+@settings(max_examples=300, deadline=None)
+def test_decode_matches_the_sic_tails_bitwise(drawn, psi, count, gap):
+    ch, streams, g_max, p = drawn
+    capped = np.minimum(own_sinrs(ch, p), g_max)
+    _same_allocation(
+        outcome(lambda: GreedyResult.decode(streams, B_HZ, capped, power=p,
+                                            iterations=count, blocks_total=200,
+                                            phase1_evals=count, phase2_evals=2 * count)),
+        outcome(_greedy_tail, ch, streams, B_HZ, g_max, p, count, 200, count, 2 * count))
+    _same_allocation(
+        outcome(lambda: Allocation.decode(streams, B_HZ, own_sinrs(ch, p), power=p)),
+        outcome(_noma_mt_tail, ch, streams, B_HZ, p))
+    trace = [(1, 2, psi + gap, psi, gap)]
+    _same_allocation(
+        outcome(lambda: PolyblockResult.decode(streams, B_HZ, capped, power=p,
+                                               avg_psnr_db=psi, iterations=count,
+                                               bound_gap_db=gap, rel_gap=1e-4,
+                                               trace=trace)),
+        outcome(_polyblock_tail, ch, streams, B_HZ, g_max, p, psi, count, gap, 1e-4,
+                trace))
+
+
+@given(small_instances())
+@settings(max_examples=100, deadline=None)
+def test_decode_matches_the_band_share_tail_bitwise(instance):
+    ch, streams, _ = instance
+    grid = np.array(list(_simplex_grid(ch.n_users, 0.05)))
+    wants = _oma_tails(ch, streams, B_HZ, grid)
+    snr = ch.gains_sq * ch.power_budget_w / ch.noise_var
+    for want in wants:
+        _same_allocation(Allocation.decode(streams, B_HZ, snr, shares=want.shares), want)
