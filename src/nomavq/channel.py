@@ -41,17 +41,15 @@ class UserEquipment:
     distance_m: float
     requested_stream: str
     quality_req: QualityReq = QualityReq.QUALITY_SENSITIVE
-    zone: int = 0  # assigned by partition_zones, 1-based
 
-    # each field's rule; a UE entry of the scenario file sets every field
-    # but zone, requested_stream by its key ``stream``
+    # each field's rule; a UE entry of the scenario file sets every field,
+    # requested_stream by its key ``stream``
     FIELDS = {
         "id": Rule(whole, NOT_WHOLE, NONNEGATIVE),
         "distance_m": Rule(float, NOT_NUMBER, POSITIVE),
         "requested_stream": Rule(str, "config key {key} is not a string: {value!r}",
                                  key="stream"),
         "quality_req": Rule(QualityReq, "{value!r} is not a valid QualityReq"),
-        "zone": Rule(whole, NOT_WHOLE, NONNEGATIVE),
     }
 
     def __post_init__(self):
@@ -97,14 +95,14 @@ def sample_channel(ue: UserEquipment, rng, path_loss_exp: float = 2.0) -> comple
     return channel_gain(complex(re, im), ue.distance_m, path_loss_exp)
 
 
-def partition_zones(ues: list[UserEquipment], n_zones: int) -> list[UserEquipment]:
-    """Assign UEs to zones by connection quality (distance, under equal fading stats).
+def partition_zones(ues: list[UserEquipment], n_zones: int) -> list[list[UserEquipment]]:
+    """Split UEs into zones by connection quality (distance, under equal fading stats).
 
     Zone n has uniformly better connection quality than zone n-1 (zone 1 holds
     the farthest UEs). A latency-sensitive UE sitting within EDGE_TOLERANCE of
     a zone boundary is moved to the lower-index zone (fewer SIC stages), by
     swapping with the boundary UE across the border so zones stay equal-sized.
-    Returns new UE objects with ``zone`` set, sorted farthest-first.
+    Returns the zones, farthest first, each its UEs farthest first.
     """
     if len(ues) % n_zones != 0:
         raise ConfigurationError(
@@ -120,63 +118,55 @@ def partition_zones(ues: list[UserEquipment], n_zones: int) -> list[UserEquipmen
         edge = abs(inner.distance_m - boundary) <= EDGE_TOLERANCE * boundary
         if edge and inner.quality_req is QualityReq.LATENCY_SENSITIVE:
             order[cut - 1], order[cut] = inner, outer
-    return [
-        replace(u, zone=1 + i // per_zone) for i, u in enumerate(order)
-    ]
+    return [order[cut:cut + per_zone] for cut in range(0, len(order), per_zone)]
 
 
-def _assign_streams(zoned, strategy, streams, rng):
+def check_zone_fill(ues, streams: dict, strategy: GroupingStrategy, zone_size: int):
+    """Refuse a WLBH or WHBL grouping whose count of UEs requesting a
+    Low-complexity stream does not fill whole zones: these strategies map
+    whole zones to one complexity class."""
+    if strategy in (GroupingStrategy.WLBH, GroupingStrategy.WHBL):
+        n_low = sum(streams[u.requested_stream].complexity == "Low" for u in ues)
+        if n_low % zone_size != 0:
+            raise ConfigurationError(
+                f"{strategy.value} needs a number of Low-complexity UEs"
+                f" that is a multiple of the zone size {zone_size}, got {n_low}")
+
+
+def _assign_streams(flat, strategy, streams, seed):
     """Re-map requested streams across UEs per the grouping strategy."""
     if strategy is GroupingStrategy.BY_INDEX:
-        return zoned
-    sids = [u.requested_stream for u in zoned]
+        return flat
+    sids = [u.requested_stream for u in flat]
     if strategy is GroupingStrategy.WRBR:
-        ordered = [sids[i] for i in rng.permutation(len(sids))]
+        ordered = [sids[i] for i in np.random.default_rng(seed).permutation(len(sids))]
     else:
         # WLBH: low-complexity streams to low-index (weaker) zones; WHBL
-        # inverse. zoned is sorted farthest-first, i.e. weakest zone first
+        # inverse. flat runs farthest-first, i.e. weakest zone first
         first = "Low" if strategy is GroupingStrategy.WLBH else "High"
         ordered = sorted(sids, key=lambda s: (streams[s].complexity != first, s))
-    return [replace(u, requested_stream=s) for u, s in zip(zoned, ordered)]
+    return [replace(u, requested_stream=s) for u, s in zip(flat, ordered)]
 
 
 def group_users(
-    zoned: list[UserEquipment],
+    zones: list[list[UserEquipment]],
     streams: dict,
     strategy: GroupingStrategy = GroupingStrategy.BY_INDEX,
     seed: int | None = 0,
 ) -> list[list[UserEquipment]]:
     """Form NOMA groups: one UE per zone, ordered weakest zone first.
 
-    ``zoned`` is the output of partition_zones and ``streams`` maps each
+    ``zones`` is the output of partition_zones and ``streams`` maps each
     stream id to its ``RdParams``, whose ``complexity`` WLBH/WHBL read.
     Groups pair rank-matched UEs across zones (the k-th farthest of each
-    zone). WLBH/WHBL first re-map which streams the UEs request; they require
-    that the count of Low-complexity streams fills whole zones.
+    zone). WLBH/WHBL first re-map which streams the UEs request, and WRBR
+    shuffles them with a generator seeded by ``seed``.
     """
-    zones = {}
-    for u in zoned:
-        zones.setdefault(u.zone, []).append(u)
-    sizes = {len(v) for v in zones.values()}
-    if len(sizes) != 1:
-        raise ConfigurationError("zones are not equally sized")
-    per_zone = sizes.pop()
-    n_zones = len(zones)
-
-    if strategy in (GroupingStrategy.WLBH, GroupingStrategy.WHBL):
-        n_low = sum(streams[u.requested_stream].complexity == "Low" for u in zoned)
-        if n_low % per_zone != 0:
-            raise ConfigurationError(
-                "WLBH/WHBL need stream complexity counts matching zone sizes"
-            )
-
-    rng = np.random.default_rng(seed)
-    flat = [u for z in sorted(zones) for u in sorted(zones[z], key=lambda u: -u.distance_m)]
-    flat = _assign_streams(flat, strategy, streams, rng)
-    groups = []
-    for k in range(per_zone):
-        groups.append([flat[z * per_zone + k] for z in range(n_zones)])
-    return groups
+    per_zone = len(zones[0])
+    flat = [u for zone in zones for u in zone]
+    check_zone_fill(flat, streams, strategy, per_zone)
+    flat = _assign_streams(flat, strategy, streams, seed)
+    return [flat[k::per_zone] for k in range(per_zone)]
 
 
 def sinr_step(g, p, tail, noise):

@@ -26,6 +26,7 @@ from .channel import (
     ChannelState,
     GroupingStrategy,
     UserEquipment,
+    check_zone_fill,
     group_users,
     partition_zones,
     sample_channel,
@@ -54,9 +55,10 @@ class ScenarioConfig:
     """A checked scenario; a field's default is that of a key the file leaves
     out. Every field and every rule that spans fields is checked on
     construction, so a config derived with ``dataclasses.replace`` is checked
-    like a parsed one, and the stream table is read then, once, into ``streams``."""
+    like a parsed one. The stream table is read then, once, into ``streams``,
+    and the UEs are partitioned then, once, into ``zones``."""
 
-    ues: tuple  # UserEquipment, zone unset
+    ues: tuple  # UserEquipment
     n_zones: int
     bandwidth_hz: float
     power_budget_w: float
@@ -75,6 +77,8 @@ class ScenarioConfig:
     mgs_weights: tuple = DEFAULT_MGS_WEIGHTS
     n_enh_layers: int = DEFAULT_ENH_LAYERS
     streams: dict = field(init=False, repr=False, compare=False)  # id -> RdParams
+    # partition_zones of ues, which every unit groups
+    zones: list = field(init=False, repr=False, compare=False)
     # UEs per zone, and so the NOMA groups of every unit: one UE of each zone
     zone_size: int = field(init=False, repr=False, compare=False)
 
@@ -113,9 +117,8 @@ class ScenarioConfig:
 
         if len({u.id for u in self.ues}) != len(self.ues):
             raise ConfigurationError("UE ids must be unique")
-        if len(self.ues) % self.n_zones != 0:
-            raise ConfigurationError("UE count must be a multiple of n_zones")
-        object.__setattr__(self, "zone_size", len(self.ues) // self.n_zones)
+        object.__setattr__(self, "zones", partition_zones(self.ues, self.n_zones))
+        object.__setattr__(self, "zone_size", len(self.zones[0]))
         for k, u in enumerate(self.ues, 1):
             # channel_gain divides by sqrt(1 + d^eta), which must stay finite
             try:
@@ -167,13 +170,7 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"bandwidth_hz {self.bandwidth_hz} gives a requested stream an"
                 " empty or overflowing SINR band")
-        if self.grouping in (GroupingStrategy.WLBH, GroupingStrategy.WHBL):
-            # group_users maps whole zones to one complexity class
-            n_low = sum(table[u.requested_stream].complexity == "Low" for u in self.ues)
-            if n_low % self.zone_size != 0:
-                raise ConfigurationError(
-                    f"{self.grouping.value} needs a number of Low-complexity UEs"
-                    f" that is a multiple of the zone size {self.zone_size}, got {n_low}")
+        check_zone_fill(self.ues, table, self.grouping, self.zone_size)
 
     def noise_var(self, snr_db: float) -> float:
         # scenario SNR definition: 10 log10(P / sigma^2) with P the group budget
@@ -194,10 +191,10 @@ def _keys(cls) -> dict:
 # the sub-configs whose fields are set by top-level keys of a scenario file
 SUBCONFIGS = {"solver_cfg": SolverConfig, "greedy_cfg": GreedyConfig}
 # every key a scenario file may set, at the top level and in a UE entry: a
-# UE's zone is assigned, and its complexity key only restates the fixture's
+# UE's complexity key only restates the fixture's
 CONFIG_KEYS = frozenset(ScenarioConfig.FIELDS.keys() - SUBCONFIGS.keys()).union(
     *map(_keys, SUBCONFIGS.values()))
-UE_KEYS = frozenset(_keys(UserEquipment).keys() - {"zone"} | {"complexity"})
+UE_KEYS = frozenset(_keys(UserEquipment).keys() | {"complexity"})
 
 
 def _set_fields(cls, d) -> dict:
@@ -375,15 +372,14 @@ def draw_unit(cfg: ScenarioConfig, trial: int, gop: int) -> list:
 
     The fading and the grouping draw from the unit's own seeds, so a unit's
     draw is the same whichever process makes it and in whatever order."""
-    zoned = partition_zones(list(cfg.ues), cfg.n_zones)
     rng = np.random.default_rng(_instance_seed(cfg, trial, gop, 0))
     fading = {
         u.id: abs(sample_channel(u, rng, cfg.path_loss_exp)) ** 2
-        for u in sorted(zoned, key=lambda u: u.id)
+        for u in sorted(cfg.ues, key=lambda u: u.id)
     }
     group_seed = int(_instance_seed(cfg, trial, gop, 1).generate_state(1)[0])
     drawn = []
-    for group in group_users(zoned, cfg.streams, cfg.grouping, seed=group_seed):
+    for group in group_users(cfg.zones, cfg.streams, cfg.grouping, seed=group_seed):
         # SIC ordering follows the realized gains, not the zones
         members = sorted(group, key=lambda u: fading[u.id])
         drawn.append((members, np.array([fading[u.id] for u in members])))

@@ -56,9 +56,8 @@ def test_channel_state_validates_ordering():
 
 def test_partition_zones_orders_farthest_first():
     ues = [_ue(1, 1.0), _ue(2, 4.0), _ue(3, 2.0), _ue(4, 3.0)]
-    zoned = partition_zones(ues, 2)
-    assert [u.id for u in zoned] == [2, 4, 3, 1]
-    assert [u.zone for u in zoned] == [1, 1, 2, 2]
+    zones = partition_zones(ues, 2)
+    assert [[u.id for u in zone] for zone in zones] == [[2, 4], [3, 1]]
 
 
 def test_partition_zones_rejects_uneven_split():
@@ -75,22 +74,21 @@ def test_partition_zones_edge_swap_for_latency_sensitive():
         _ue(3, 2.0, req=QualityReq.LATENCY_SENSITIVE),
         _ue(4, 1.0),
     ]
-    zoned = partition_zones(ues, 2)
-    by_id = {u.id: u.zone for u in zoned}
-    assert by_id[3] == 1 and by_id[2] == 2
+    zones = partition_zones(ues, 2)
+    assert [[u.id for u in zone] for zone in zones] == [[1, 3], [2, 4]]
     # without the latency requirement no swap happens
     ues[2] = _ue(3, 2.0)
-    by_id = {u.id: u.zone for u in partition_zones(ues, 2)}
-    assert by_id[3] == 2 and by_id[2] == 1
+    zones = partition_zones(ues, 2)
+    assert [[u.id for u in zone] for zone in zones] == [[1, 2], [3, 4]]
 
 
 def test_group_users_rank_pairs_across_zones(streams_table):
     ues = [_ue(i, d) for i, d in enumerate([4.0, 3.0, 2.5, 2.0, 1.0, 0.5], 1)]
-    zoned = partition_zones(ues, 2)
-    groups = group_users(zoned, streams_table, GroupingStrategy.BY_INDEX)
+    zones = partition_zones(ues, 2)
+    groups = group_users(zones, streams_table, GroupingStrategy.BY_INDEX)
     assert [[u.id for u in g] for g in groups] == [[1, 4], [2, 5], [3, 6]]
-    for g in groups:
-        assert [u.zone for u in g] == [1, 2]
+    # member z of group k is the k-th farthest UE of zone z
+    assert groups == [[zones[0][k], zones[1][k]] for k in range(3)]
 
 
 def test_group_users_wlbh_and_whbl_mapping(streams_table):
@@ -101,15 +99,15 @@ def test_group_users_wlbh_and_whbl_mapping(streams_table):
         _ue(3, 2.0, "Foreman"),
         _ue(4, 1.0, "Ice"),
     ]
-    zoned = partition_zones(ues, 2)
+    zones = partition_zones(ues, 2)
 
     def complexity(groups):
         return {u.id: streams_table[u.requested_stream].complexity
                 for g in groups for u in g}
 
-    wlbh = complexity(group_users(zoned, streams_table, GroupingStrategy.WLBH))
+    wlbh = complexity(group_users(zones, streams_table, GroupingStrategy.WLBH))
     assert (wlbh[1], wlbh[2], wlbh[3]) == ("Low", "Low", "High")
-    whbl = complexity(group_users(zoned, streams_table, GroupingStrategy.WHBL))
+    whbl = complexity(group_users(zones, streams_table, GroupingStrategy.WHBL))
     assert (whbl[1], whbl[4]) == ("High", "Low")
 
 
@@ -120,9 +118,9 @@ def test_group_users_wrbr_seed_determinism(streams_table):
         _ue(3, 2.0, "Foreman"),
         _ue(4, 1.0, "Ice"),
     ]
-    zoned = partition_zones(ues, 2)
-    a = group_users(zoned, streams_table, GroupingStrategy.WRBR, seed=11)
-    b = group_users(zoned, streams_table, GroupingStrategy.WRBR, seed=11)
+    zones = partition_zones(ues, 2)
+    a = group_users(zones, streams_table, GroupingStrategy.WRBR, seed=11)
+    b = group_users(zones, streams_table, GroupingStrategy.WRBR, seed=11)
     assert [[u.requested_stream for u in g] for g in a] == \
         [[u.requested_stream for u in g] for g in b]
 
@@ -135,9 +133,9 @@ def test_group_users_complexity_count_mismatch(streams_table):
         _ue(3, 2.0, "Soccer"),
         _ue(4, 1.0, "Ice"),
     ]
-    zoned = partition_zones(ues, 2)
+    zones = partition_zones(ues, 2)
     with pytest.raises(ConfigurationError):
-        group_users(zoned, streams_table, GroupingStrategy.WLBH)
+        group_users(zones, streams_table, GroupingStrategy.WLBH)
 
 
 def _random_channel(rng, n):

@@ -20,6 +20,7 @@ from nomavq import (
     GreedyConfig,
     GroupingStrategy,
     NonConvergence,
+    QualityReq,
     ScenarioConfig,
     UserEquipment,
     config_from_dict,
@@ -315,14 +316,12 @@ def test_every_config_key_reaches_one_field_and_every_field_one_key(tmp_path):
     # a UE entry's complexity only restates its stream's fixture row
     assert reached.pop("ues.complexity") == []
     assert all(len(fields) == 1 for fields in reached.values()), reached
-    # every init field is reached, the sub-configs' through their own, but
-    # the UE's zone, which partition_zones assigns
+    # every init field is reached, the sub-configs' through their own
     want = [f.name for f in dataclasses.fields(ScenarioConfig)
             if f.init and f.name not in harness.SUBCONFIGS]
     want += [f"{name}.{f.name}" for name, sub in harness.SUBCONFIGS.items()
              for f in dataclasses.fields(sub)]
-    want += [f"ues.{f.name}" for f in dataclasses.fields(UserEquipment)
-             if f.name != "zone"]
+    want += [f"ues.{f.name}" for f in dataclasses.fields(UserEquipment)]
     assert sorted(fields[0] for fields in reached.values()) == sorted(want)
 
 
@@ -351,6 +350,26 @@ def test_config_and_run_read_the_fixture_once(monkeypatch):
     raw.update(n_trials=1, solvers=["greedy"])
     assert run_scenario(config_from_dict(raw)).records
     assert len(reads) == 1
+
+
+def test_config_partitions_the_zones_once(monkeypatch):
+    # the zones are a property of the config, so a run groups every unit
+    # from the partition made on construction
+    calls = []
+    partition = harness.partition_zones
+
+    def counting(*args):
+        calls.append(args)
+        return partition(*args)
+
+    monkeypatch.setattr(harness, "partition_zones", counting)
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
+    cfg = load_config("configs/default.yaml")
+    assert len(calls) == 1
+    cfg = dataclasses.replace(cfg, n_trials=3, solvers=("greedy",))
+    assert len(calls) == 2
+    assert run_scenario(cfg).records
+    assert len(calls) == 2
 
 
 def test_null_path_keys_take_their_defaults(tmp_path, monkeypatch, capsys):
@@ -838,6 +857,56 @@ def test_zone_size_is_the_group_count_of_a_draw(n_zones, grouping):
         assert len(harness.draw_unit(cfg, trial, gop)) == cfg.zone_size
 
 
+# the groups draw_unit forms on configs/default.yaml, and with UE 4 at 2.55 m
+# and LatencySensitive, which the edge swap moves into zone 1: per (config,
+# grouping, unit), each group's "id:stream" members in SIC order, the groups
+# joined by " | "
+GOLDEN_GROUPS = {
+    ("default", "WLBH", (0, 0)): "4:Football 1:Crew | 2:Foreman 5:Mobile | 6:Soccer 3:Ice",
+    ("default", "WLBH", (1, 0)): "1:Crew 4:Football | 2:Foreman 5:Mobile | 3:Ice 6:Soccer",
+    ("default", "WLBH", (2, 1)): "1:Crew 4:Football | 2:Foreman 5:Mobile | 3:Ice 6:Soccer",
+    ("default", "WHBL", (0, 0)): "4:Crew 1:Football | 2:Mobile 5:Foreman | 6:Ice 3:Soccer",
+    ("default", "WHBL", (1, 0)): "1:Football 4:Crew | 2:Mobile 5:Foreman | 3:Soccer 6:Ice",
+    ("default", "WHBL", (2, 1)): "1:Football 4:Crew | 2:Mobile 5:Foreman | 3:Soccer 6:Ice",
+    ("default", "WRBR", (0, 0)): "4:Soccer 1:Ice | 2:Mobile 5:Foreman | 6:Football 3:Crew",
+    ("default", "WRBR", (1, 0)): "1:Ice 4:Crew | 2:Football 5:Soccer | 3:Foreman 6:Mobile",
+    ("default", "WRBR", (2, 1)): "1:Mobile 4:Foreman | 2:Soccer 5:Crew | 3:Ice 6:Football",
+    ("default", "ByIndex", (0, 0)): "4:Football 1:Foreman | 2:Ice 5:Mobile | 6:Soccer 3:Crew",
+    ("default", "ByIndex", (1, 0)): "1:Foreman 4:Football | 2:Ice 5:Mobile | 3:Crew 6:Soccer",
+    ("default", "ByIndex", (2, 1)): "1:Foreman 4:Football | 2:Ice 5:Mobile | 3:Crew 6:Soccer",
+    ("edge", "WLBH", (0, 0)): "1:Crew 3:Football | 2:Foreman 5:Mobile | 4:Ice 6:Soccer",
+    ("edge", "WLBH", (1, 0)): "1:Crew 3:Football | 2:Foreman 5:Mobile | 6:Soccer 4:Ice",
+    ("edge", "WLBH", (2, 1)): "1:Crew 3:Football | 2:Foreman 5:Mobile | 4:Ice 6:Soccer",
+    ("edge", "WHBL", (0, 0)): "1:Football 3:Crew | 2:Mobile 5:Foreman | 4:Soccer 6:Ice",
+    ("edge", "WHBL", (1, 0)): "1:Football 3:Crew | 2:Mobile 5:Foreman | 6:Ice 4:Soccer",
+    ("edge", "WHBL", (2, 1)): "1:Football 3:Crew | 2:Mobile 5:Foreman | 4:Soccer 6:Ice",
+    ("edge", "WRBR", (0, 0)): "1:Ice 3:Soccer | 2:Mobile 5:Foreman | 4:Football 6:Crew",
+    ("edge", "WRBR", (1, 0)): "1:Ice 3:Football | 2:Crew 5:Soccer | 6:Mobile 4:Foreman",
+    ("edge", "WRBR", (2, 1)): "1:Mobile 3:Foreman | 2:Soccer 5:Football | 4:Ice 6:Crew",
+    ("edge", "ByIndex", (0, 0)): "1:Foreman 3:Crew | 2:Ice 5:Mobile | 4:Football 6:Soccer",
+    ("edge", "ByIndex", (1, 0)): "1:Foreman 3:Crew | 2:Ice 5:Mobile | 6:Soccer 4:Football",
+    ("edge", "ByIndex", (2, 1)): "1:Foreman 3:Crew | 2:Ice 5:Mobile | 4:Football 6:Soccer",
+}
+
+
+def test_draw_unit_forms_the_golden_groups():
+    # the grouping of every strategy, the edge swap included, is pinned by
+    # ids and stream names alone, so no platform's libm moves it
+    base = load_config("configs/default.yaml")
+    edge = tuple(dataclasses.replace(u, distance_m=2.55,
+                                     quality_req=QualityReq.LATENCY_SENSITIVE)
+                 if u.id == 4 else u for u in base.ues)
+    drawn = {}
+    for name, ues in (("default", base.ues), ("edge", edge)):
+        for grouping in GroupingStrategy:
+            cfg = dataclasses.replace(base, ues=ues, grouping=grouping)
+            for unit in [(0, 0), (1, 0), (2, 1)]:
+                drawn[name, grouping.value, unit] = " | ".join(
+                    " ".join(f"{u.id}:{u.requested_stream}" for u in members)
+                    for members, _ in harness.draw_unit(cfg, *unit))
+    assert drawn == GOLDEN_GROUPS
+
+
 def test_aggregate_tables():
     result = run_scenario(_tiny_scenario())
     tables = aggregate(result)
@@ -901,14 +970,16 @@ def _omit_complexity(raw):
     (lambda raw: raw.update(bandwidth_hz=1.0e300),
      "bandwidth_hz 1e+300 gives a requested stream an empty or overflowing"
      " SINR band"),
+    (lambda raw: raw.update(n_zones=4), "6 UEs cannot be split into 4 equal zones"),
 ], ids=["misspelt-key", "amc-c1", "amc-c2", "wlbh-complexity-counts", "complexity-omitted",
-        "complexity-mislabelled", "snr-overflow", "snr-underflow", "sinr-band"])
+        "complexity-mislabelled", "snr-overflow", "snr-underflow", "sinr-band",
+        "uneven-zones"])
 def test_cli_validate_rejects_what_simulate_rejects(tmp_path, capsys, edit, named):
     # a misspelt or retired key, 4 Low streams in zones of 3, a UE complexity that
     # differs from its stream's fixture row, an SNR point without a finite
-    # positive noise power, or a bandwidth that leaves a stream no SINR band
-    # fails both commands alike; without complexity labels (named None) both
-    # pass
+    # positive noise power, a bandwidth that leaves a stream no SINR band, or
+    # six UEs in four zones fails both commands alike; without complexity
+    # labels (named None) both pass
     raw = read_config("configs/default.yaml")
     edit(raw)
     path = tmp_path / "scenario.yaml"
