@@ -6,19 +6,26 @@ Bland's rule is used for both the entering and leaving choice, which makes
 the solver anti-cycling and fully deterministic: ties always resolve to the
 lowest variable index. The problems fed to it here are tiny (a handful of
 variables, about seven pivots each), so the cost is numpy call overhead, not
-arithmetic: each pivot is one masked row update, and the pivot choice is made
-over Python lists.
+arithmetic. An iteration makes one matmul for the reduced costs and one
+masked update for the pivot. The basis is a Python list, the costs of the
+basic variables are a vector that each pivot updates with one store, and the
+entering, ratio and leaving choices are plain loops over Python lists. The
+tableau is filled in place, without an identity matrix or a row mask.
 
 The arithmetic is fixed bit for bit: for finite inputs, every tableau entry
 (the sign of every zero included), every pivot and every result equal those
 of the straightforward formulation, with a ``column_stack`` tableau, a
 per-row pivot loop and numpy ratio tests. ``tests/test_lp.py`` keeps that
 formulation as ``_simplex_oracle`` and requires, under ``hypothesis``, the
-same ``optimum`` and ``x`` bytes, or the same exception and diagnostics. A
-change here that alters one output bit changes ``trials.csv``.
+same ``optimum`` and ``x`` bytes, or the same exception and diagnostics. The
+reduced costs stay one numpy matmul: BLAS does not sum a dot product in
+sequence, so a pure-Python tableau would not give the same bits. A change
+here that alters one output bit changes ``trials.csv``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,7 +35,7 @@ TOL = 1e-9  # pivot, ratio-test and optimality tolerance
 MAX_PIVOTS = 20000  # per phase; more raise NonConvergence
 
 
-def _pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int):
+def _pivot(t: np.ndarray, basis: list, row: int, col: int):
     p = t[row]
     p /= p[col]
     f = t[:, col, None].copy()
@@ -38,34 +45,49 @@ def _pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int):
     basis[row] = col
 
 
-def _run_simplex(t, basis, cost, n_cols):
+def _run_simplex(t, basis: list, cost, n_cols):
     """Maximize over the tableau in place; ``cost`` is the objective row.
 
     Optimality is tested before each of at most ``MAX_PIVOTS`` pivots and
-    once more after the last one.
+    once more after the last one. Returns the costs of the final basis.
     """
-    max_iter = MAX_PIVOTS
+    max_iter, tol, inf = MAX_PIVOTS, TOL, math.inf
     body = t[:, :n_cols]
-    cost_n = cost[:n_cols]
+    rhs = t[:, -1]
+    cost_n = cost[:n_cols].tolist()
+    cb = cost[basis]  # c_B, one store per pivot
     for pivots in range(max_iter + 1):
-        # reduced costs: c_j - c_B . B^-1 A_j
-        reduced = (cost_n - cost[basis] @ body).tolist()
-        # Bland: lowest improving index
-        entering = next((j for j, r in enumerate(reduced) if r > TOL), None)
-        if entering is None:
-            return
+        # reduced costs: c_j - c_B . B^-1 A_j; Bland: lowest improving index
+        for entering, (cj, d) in enumerate(zip(cost_n, (cb @ body).tolist())):
+            if cj - d > tol:
+                break
+        else:
+            return cb
         if pivots == max_iter:
             break
         col = t[:, entering].tolist()
-        if not any(v > TOL for v in col):
+        ratios = []
+        least = inf
+        bounded = False
+        for r, v in zip(rhs.tolist(), col):
+            if v > tol:
+                bounded = True
+                q = r / v
+                if q < least:
+                    least = q
+            else:
+                q = inf
+            ratios.append(q)
+        if not bounded:
             raise Unbounded("objective unbounded over the feasible polytope")
-        ratios = [r / v if v > TOL else np.inf
-                  for r, v in zip(t[:, -1].tolist(), col)]
-        cutoff = min(ratios) + TOL
+        cutoff = least + tol
         # Bland: lowest basis index among the tied rows
-        leaving = min((r for r, q in enumerate(ratios) if q <= cutoff),
-                      key=basis.__getitem__)
+        leaving, lowest = -1, inf
+        for r, q in enumerate(ratios):
+            if q <= cutoff and basis[r] < lowest:
+                leaving, lowest = r, basis[r]
         _pivot(t, basis, leaving, entering)
+        cb[leaving] = cost[entering]
     raise NonConvergence(
         f"simplex did not converge within {max_iter} pivots", {"pivots": max_iter}
     )
@@ -89,30 +111,30 @@ def solve_lp(c, a_ub, b_ub, free_vars: tuple = ()):
 
     # tableau [A | -A_free | I | artificials | b]; rows with negative rhs are
     # negated (zeros become -0.0) and get an artificial column
-    neg = b < 0
-    neg_rows = neg.nonzero()[0]
+    neg_rows = [r for r, v in enumerate(b.tolist()) if v < 0]
     n_art = len(neg_rows)
     n_cols = n_std + n_art
     tableau = np.zeros((m, n_cols + 1))
     tableau[:, :n] = a
     tableau[:, n:n_ext] = -a[:, free]
-    tableau[:, n_ext:n_std] = np.eye(m)
+    tableau.ravel()[n_ext::n_cols + 2] = 1.0  # the slack identity
     tableau[:, -1] = b
-    basis = np.arange(n_ext, n_std)
+    basis = list(range(n_ext, n_std))
     if n_art:
-        tableau[neg, :n_std] *= -1.0
-        tableau[neg, -1] *= -1.0
-        art = np.arange(n_std, n_cols)
-        tableau[neg_rows, art] = 1.0
-        basis[neg_rows] = art
+        for k, r in enumerate(neg_rows, n_std):
+            row = tableau[r]
+            row[:n_std] *= -1.0
+            row[-1] *= -1.0
+            row[k] = 1.0
+            basis[r] = k
 
         phase1 = np.zeros(n_cols)
         phase1[n_std:] = -1.0
-        _run_simplex(tableau, basis, phase1, n_cols)
-        if -float(phase1[basis] @ tableau[:, -1]) > 1e-7:
+        cb = _run_simplex(tableau, basis, phase1, n_cols)
+        if -float(cb @ tableau[:, -1]) > 1e-7:
             raise Infeasible("no point satisfies the constraint system")
         # pivot any artificial variable out of the basis where possible
-        for r in (basis >= n_std).nonzero()[0].tolist():
+        for r in [r for r, j in enumerate(basis) if j >= n_std]:
             for j, v in enumerate(tableau[r, :n_std].tolist()):
                 if abs(v) > TOL:
                     _pivot(tableau, basis, r, j)
@@ -125,10 +147,11 @@ def solve_lp(c, a_ub, b_ub, free_vars: tuple = ()):
     cost[n:n_ext] = -c[free]
     _run_simplex(tableau, basis, cost, n_std)
 
-    x_ext = np.zeros(n_ext)
-    structural = basis < n_ext
-    x_ext[basis[structural]] = tableau[structural, -1]
-    x = x_ext[:n]
+    x_ext = [0.0] * n_ext
+    for j, v in zip(basis, tableau[:, -1].tolist()):
+        if j < n_ext:
+            x_ext[j] = v
     for k, j in enumerate(free):
-        x[j] -= x_ext[n + k]
+        x_ext[j] -= x_ext[n + k]
+    x = np.array(x_ext[:n])
     return float(c @ x), x

@@ -12,6 +12,7 @@ form: the least power that meets gamma_min must fit the budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -122,6 +123,44 @@ class FeasiblePowerSet:
     b_ub: np.ndarray
     channel: ChannelState
     bounds: SinrBounds
+
+    @cached_property
+    def _epigraph(self):
+        """The parts of every ``epigraph_lp`` that do not depend on gamma,
+        built on first use and read-only: the objective t; the rows, whose n
+        SINR rows hold only their diagonal -|h_n|^2 and the epigraph column;
+        the rhs, zero in the SINR rows; the strict upper-triangle mask that
+        ``sinr_rows`` scales; and the mask of the off-diagonal entries."""
+        ch = self.channel
+        n = ch.n_users
+        c = np.zeros(n + 1)
+        c[-1] = 1.0
+        a = np.zeros((n + len(self.b_ub), n + 1))
+        np.fill_diagonal(a[:n, :n], -ch.gains_sq)
+        a[:n, n] = 1.0
+        a[n:, :n] = self.a_ub
+        b = np.concatenate([np.zeros(n), self.b_ub])
+        idx = np.arange(n)
+        upper = (idx > idx[:, None]).astype(float)
+        off_diag = idx != idx[:, None]
+        for block in (c, a, b, upper, off_diag):
+            block.flags.writeable = False
+        return c, a, b, upper, off_diag
+
+    def epigraph_lp(self, gamma):
+        """``(c, a, b)`` of the epigraph LP over (p, t) at SINR targets gamma:
+            max t  s.t.  A p + t <= rhs with (A, rhs) = sinr_rows(gamma),
+                         a_ub p <= b_ub.
+        Each call copies the cached rest and writes only the n SINR rows and
+        their rhs, with the bits that ``sinr_rows`` gives them.
+        """
+        c, a0, b0, upper, off_diag = self._epigraph
+        n = self.channel.n_users
+        a, b = a0.copy(), b0.copy()
+        np.multiply((gamma * self.channel.gains_sq)[:, None], upper,
+                    out=a[:n, :n], where=off_diag)
+        np.multiply(-gamma, self.channel.noise_var, out=b[:n])
+        return c, a, b
 
 
 def sinr_rows(ch: ChannelState, gamma):

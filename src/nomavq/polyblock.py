@@ -23,7 +23,7 @@ import numpy as np
 from .channel import own_sinrs, sinrs_below
 from .errors import NOT_NUMBER, POSITIVE, Infeasible, NonConvergence, Rule, check_fields
 from .lp import solve_lp
-from .phy import Allocation, FeasiblePowerSet, amc_rate, check_feasible, sinr_rows
+from .phy import Allocation, FeasiblePowerSet, amc_rate, check_feasible
 from .quality import RdParams, psnr_of_rate
 
 # cap on the outer loop and on the Dinkelbach loop of each projection
@@ -75,17 +75,15 @@ def mean_psnr(z, streams, b_hz) -> float:
 
 
 def _dinkelbach_lp(fset: FeasiblePowerSet, v, lam):
-    """One inner subproblem: max_P min_n {f_n(P) - lam v_n xi_n(P)} in epigraph form."""
+    """One inner subproblem: max_P min_n {f_n(P) - lam v_n xi_n(P)} in epigraph form.
+
+    Its rows are ``fset.epigraph_lp(lam * v)``: the power set builds the
+    objective, the budget and SINR-box rows, the epigraph column, the rhs of
+    the box rows and the triangle mask once, and each LP copies them and
+    writes only its n SINR rows at lam * v.
+    """
     n = fset.channel.n_users
-    rows, rhs = sinr_rows(fset.channel, lam * v)
-    a = np.zeros((n + len(fset.b_ub), n + 1))
-    a[:n, :n] = rows
-    a[:n, n] = 1.0  # the epigraph variable t enters only the SINR rows
-    a[n:, :n] = fset.a_ub
-    b = np.concatenate([rhs, fset.b_ub])
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    opt, x = solve_lp(c, a, b, free_vars=(n,))
+    opt, x = solve_lp(*fset.epigraph_lp(lam * v), free_vars=(n,))
     return opt, x[:n]
 
 
@@ -174,7 +172,15 @@ def solve_polyblock(
         return Vertex(z=np.minimum(np.asarray(z, dtype=float), g_max))
 
     def projected(vx, lam0):
-        vx.lam, vx.power = project(vx.z, fset, cfg, lam0=lam0)
+        try:
+            vx.lam, vx.power = project(vx.z, fset, cfg, lam0=lam0)
+        except Infeasible as e:
+            # the polytope passed check_feasible, so an LP that finds no
+            # point in it failed numerically
+            raise NonConvergence(
+                f"projection LP found no feasible point: {e}",
+                {"vertex": vx.z, "lam0": lam0},
+            ) from e
         if np.any(vx.z < g_min * (1.0 - 1e-12)):
             # the box [0, z] misses the SINR lower bounds entirely, so it
             # cannot hold the optimum; a clipped bound would overstate it

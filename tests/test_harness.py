@@ -19,6 +19,7 @@ from nomavq import (
     ConfigurationError,
     GreedyConfig,
     GroupingStrategy,
+    Infeasible,
     NonConvergence,
     QualityReq,
     ScenarioConfig,
@@ -566,6 +567,35 @@ def test_run_scenario_survives_solver_nonconvergence(monkeypatch, error, prefix)
 
     assert others(capped) == others(reference)
     assert reference.records
+
+
+def test_run_scenario_excludes_a_failed_projection_lp_as_nonconvergence(monkeypatch):
+    # one projection LP of group 0 reports infeasible after check_feasible
+    # passed: a numerical failure, so its instance is excluded as
+    # NonConvergence, never as infeasible, and the other groups keep their
+    # records; serial, so that the call count is this process's
+    cfg = dataclasses.replace(
+        load_config("configs/default.yaml"), n_trials=1, snr_db=(25.0,),
+        solvers=("polyblock",),
+    )
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
+    reference = run_scenario(cfg)
+    assert not reference.exclusions
+    calls = []
+    inner = polyblock.solve_lp
+
+    def fail_fifth(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 5:
+            raise Infeasible("no point satisfies the constraint system")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(polyblock, "solve_lp", fail_fifth)
+    failed = run_scenario(cfg)
+    assert failed.exclusions == [(
+        0, 0, 0, "polyblock", 25.0, "NonConvergence: projection LP found no"
+        " feasible point: no point satisfies the constraint system")]
+    assert failed.records == [r for r in reference.records if r.group != 0]
 
 
 def test_run_scenario_survives_both_iteration_caps(monkeypatch):

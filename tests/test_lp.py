@@ -12,8 +12,11 @@ from nomavq import (
     Unbounded,
     bounds_from_quality,
     build_feasible_set,
+    config_from_dict,
     solve_lp,
+    solve_polyblock,
 )
+from nomavq.harness import draw_unit, read_config
 from nomavq.polyblock import SolverConfig, _dinkelbach_lp, project
 
 from conftest import B_HZ, outcome, small_instances
@@ -325,5 +328,44 @@ def test_dinkelbach_lps_match_the_oracle_bitwise(inputs):
             outcome(_dinkelbach_lp, fset, v, share * projected[0])
     ended = projected.__name__ if isinstance(projected, type) else "projected"
     event(f"{fset.channel.n_users} users, {ended}")
+    for lp in lps:
+        assert _bits(solve_lp, *lp) == _bits(_simplex_oracle, *lp)
+
+
+def _reference_cell(group, snr_db, **overrides):
+    """Trial 0's group ``group`` at ``snr_db`` of ``configs/default.yaml``
+    with ``overrides``, drawn at the benchmark's reference seed: the power
+    set, the streams, the bandwidth and the solver config."""
+    raw = read_config("configs/default.yaml")
+    raw.update(overrides)
+    cfg = config_from_dict(raw)
+    assert cfg.seed == 20260825
+    members, gains = draw_unit(cfg, 0, 0)[group]
+    streams = [cfg.streams[u.requested_stream] for u in members]
+    ch = ChannelState(gains_sq=gains, noise_var=cfg.noise_var(snr_db),
+                      power_budget_w=cfg.power_budget_w)
+    fset = build_feasible_set(ch, bounds_from_quality(streams, cfg.bandwidth_hz))
+    return fset, streams, cfg.bandwidth_hz, cfg.solver_cfg
+
+
+@pytest.mark.parametrize("group, snr_db, overrides, shape, artificials", [
+    (1, 20.0, {}, (7, 3), 4),
+    (0, 25.0, {"n_zones": 3, "grouping": "ByIndex", "solvers": ["polyblock"]},
+     (10, 4), 6),
+], ids=["two users", "three users"])
+def test_reference_solve_lps_match_the_oracle_bitwise(group, snr_db, overrides,
+                                                      shape, artificials):
+    # every LP of one polyblock solve (199 and 748 LPs); the drawn LPs above
+    # are at most 6 x 4 and seldom need this many artificials
+    fset, streams, b_hz, cfg = _reference_cell(group, snr_db, **overrides)
+    lps = []
+
+    def recording(c, a_ub, b_ub, free_vars=()):
+        lps.append((c, a_ub, b_ub, free_vars))
+        return solve_lp(c, a_ub, b_ub, free_vars)
+
+    with mock.patch("nomavq.polyblock.solve_lp", recording):
+        solve_polyblock(fset, streams, b_hz, cfg)
+    assert (shape, artificials) in {(a.shape, int(np.sum(b < 0))) for _, a, b, _ in lps}
     for lp in lps:
         assert _bits(solve_lp, *lp) == _bits(_simplex_oracle, *lp)

@@ -29,7 +29,7 @@ from nomavq import (
     solve_polyblock,
 )
 from nomavq.baselines import _simplex_grid
-from nomavq.phy import power_shares
+from nomavq.phy import power_shares, sinr_rows
 from nomavq.polyblock import _dinkelbach_lp
 from nomavq.quality import psnr_of_rate
 
@@ -181,6 +181,48 @@ def test_sinr_rows_match_the_per_ue_loops(inputs):
     assert np.array_equal(a_ub, a) and np.array_equal(b_ub, b)
     assert np.array_equal(c, np.eye(ch.n_users + 1)[-1])
     assert free_vars == (ch.n_users,)
+
+
+def _epigraph_lp_oracle(fset, v, lam):
+    """The ``sinr_rows``/``zeros``/``concatenate`` assembly that built each
+    Dinkelbach LP before the power set cached its constant rows."""
+    n = fset.channel.n_users
+    rows, rhs = sinr_rows(fset.channel, lam * v)
+    a = np.zeros((n + len(fset.b_ub), n + 1))
+    a[:n, :n] = rows
+    a[:n, n] = 1.0
+    a[n:, :n] = fset.a_ub
+    b = np.concatenate([rhs, fset.b_ub])
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    return c, a, b, (n,)
+
+
+@given(_row_inputs())
+@settings(max_examples=300, deadline=None)
+def test_dinkelbach_lp_assembly_keeps_its_bytes(inputs):
+    # bytes, not values: a zero that changes sign moves the simplex's bits;
+    # the drawn lam, then 0.0, then the drawn lam again on the same cache
+    ch, bounds, v, lam = inputs
+    fset = build_feasible_set(ch, bounds)
+    lams = (lam, 0.0, lam)
+    captured = []
+
+    def capture(c, a_ub, b_ub, free_vars):
+        captured.append((c, a_ub, b_ub, free_vars))
+        return 0.0, np.zeros(len(c))
+
+    with mock.patch("nomavq.polyblock.solve_lp", capture):
+        for x in lams:
+            _dinkelbach_lp(fset, v, x)
+    for (c, a, b, free_vars), x in zip(captured, lams):
+        want_c, want_a, want_b, want_free = _epigraph_lp_oracle(fset, v, x)
+        assert same_bits(c, want_c) and same_bits(a, want_a) and same_bits(b, want_b)
+        assert free_vars == want_free
+    # at lam = 0 the SINR rows' rhs is -0.0, which is not negative, so the
+    # simplex gives those rows no artificial
+    sinr_rhs = captured[1][2][:ch.n_users]
+    assert np.signbit(sinr_rhs).all() and not (sinr_rhs < 0).any()
 
 
 @st.composite

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nomavq import (
     ChannelState,
     Infeasible,
+    NonConvergence,
     SinrBounds,
     SolverConfig,
     amc_rate,
@@ -15,6 +16,7 @@ from nomavq import (
     build_feasible_set,
     own_sinrs,
     project,
+    solve_lp,
     solve_polyblock,
 )
 from nomavq import polyblock
@@ -29,7 +31,7 @@ from nomavq.polyblock import (
 from nomavq.quality import PEAK_SQ, psnr_of_rate
 
 from conftest import (B_HZ, make_instance, make_three_user_instance,
-                      observe_prune, record_dinkelbach)
+                      observe_prune, record_dinkelbach, same_bits)
 
 CFG = SolverConfig()
 
@@ -221,6 +223,39 @@ def test_solve_infeasible_bounds(streams_table):
     streams = [streams_table["Foreman"], streams_table["Soccer"]]
     with pytest.raises(Infeasible):
         solve_polyblock(fset, streams, B_HZ)
+
+
+def test_projection_lp_infeasible_inside_the_solver_is_nonconvergence(
+        streams_table, monkeypatch):
+    # the polytope passed check_feasible, so a projection LP that reports no
+    # feasible point failed numerically; project alone still says Infeasible
+    ch, streams = make_instance(np.random.default_rng(3), streams_table, snr_db=25.0)
+    fset = _fset(ch, streams)
+    calls = []
+
+    def fail_third(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise Infeasible("no point satisfies the constraint system")
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(polyblock, "solve_lp", fail_third)
+    with pytest.raises(NonConvergence) as err:
+        solve_polyblock(fset, streams, B_HZ)
+    assert not isinstance(err.value, Infeasible)
+    assert isinstance(err.value.__cause__, Infeasible)
+    assert str(err.value) == ("projection LP found no feasible point:"
+                              " no point satisfies the constraint system")
+    # the third LP belongs to the first projection
+    first = np.minimum(ch.gains_sq * ch.power_budget_w / ch.noise_var,
+                       fset.bounds.gamma_max)
+    assert same_bits(err.value.diagnostics["vertex"], first)
+    assert err.value.diagnostics["lam0"] == 0.0
+
+    calls.clear()
+    with pytest.raises(Infeasible):
+        project(first, fset, CFG)
+    assert len(calls) == 3
 
 
 def test_bounds_monotone_and_terminal_gap(streams_table):
