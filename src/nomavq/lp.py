@@ -9,8 +9,7 @@ variables, about seven pivots each), so the cost is numpy call overhead, not
 arithmetic. An iteration makes one matmul for the reduced costs and one
 masked update for the pivot. The basis is a Python list, the costs of the
 basic variables are a vector that each pivot updates with one store, and the
-entering, ratio and leaving choices are plain loops over Python lists. The
-tableau is filled in place, without an identity matrix or a row mask.
+entering, ratio and leaving choices are plain loops over Python lists.
 
 The arithmetic is fixed bit for bit: for finite inputs, every tableau entry
 (the sign of every zero included), every pivot and every result equal those

@@ -1154,6 +1154,23 @@ def test_cli_solve_names_each_exclusion_and_exits_1_on_a_solver_failure(
         f"error: scheme=polyblock group={g} snr_db=20: NonConvergence:"
         " Dinkelbach projection hit the iteration cap" for g in range(3)]
 
+    # a projection LP that finds no point in a polytope that passed
+    # check_feasible failed numerically: exit 1, not 3
+    def no_point(*args, **kwargs):
+        raise Infeasible("no point satisfies the constraint system")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(polyblock, "solve_lp", no_point)
+    raw.update(solvers=["polyblock"])
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["solve", "--config", str(cfg_path)]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: scheme=polyblock group={g} snr_db=20: NonConvergence:"
+        " projection LP found no feasible point: no point satisfies the"
+        " constraint system" for g in range(3)]
+
     raw.update(snr_db=[0], solvers=["greedy"])
     cfg_path.write_text(yaml.safe_dump(raw))
     assert main(["solve", "--config", str(cfg_path)]) == EXIT_INFEASIBLE
