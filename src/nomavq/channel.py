@@ -3,8 +3,9 @@
 Within one NOMA group the UEs are indexed weakest channel first:
 |h_1|^2 <= ... <= |h_N|^2. With successive interference cancellation, UE n
 decodes the signals of UEs 1..n-1 before its own and treats UEs n+1..N as
-noise: its own SINR is ``sinr_step``, which ``own_sinrs`` applies to numpy
-stacks and ``sinrs_below`` to Python floats, with the same bits.
+noise: its own SINR is ``sinr_step``, which ``sinrs_below`` applies to
+Python floats, strongest UE first; ``own_sinrs`` returns its SINRs as an
+array.
 """
 
 from __future__ import annotations
@@ -67,12 +68,12 @@ class ChannelState:
     def __post_init__(self):
         g = np.asarray(self.gains_sq, dtype=float)
         object.__setattr__(self, "gains_sq", g)
-        if np.any(g <= 0):
-            raise ValueError("channel gains must be strictly positive")
+        if not np.all((g > 0) & (g < np.inf)):
+            raise ValueError("channel gains must be finite and strictly positive")
         if np.any(np.diff(g) < 0):
             raise ValueError("gains_sq must be nondecreasing (SIC ordering)")
-        if self.noise_var <= 0 or self.power_budget_w <= 0:
-            raise ValueError("noise_var and power_budget_w must be positive")
+        if not (0 < self.noise_var < np.inf and 0 < self.power_budget_w < np.inf):
+            raise ValueError("noise_var and power_budget_w must be finite and positive")
 
     @property
     def n_users(self) -> int:
@@ -175,23 +176,20 @@ def sinr_step(g, p, tail, noise):
 
 
 def own_sinrs(ch: ChannelState, p: np.ndarray) -> np.ndarray:
-    """Each UE's SINR for its own stream (gamma_n in closed form).
-
-    ``p`` is one power vector of shape (N,) or a stack of shape (..., N);
-    every stacked vector gives the same SINRs, bit for bit, as its own call.
-    """
-    p = np.asarray(p, dtype=float)
-    # interference from stronger UEs: suffix sums, accumulated from UE N down
-    suffix = np.cumsum(p[..., ::-1], axis=-1)[..., ::-1]
-    tail = np.concatenate([suffix[..., 1:], np.zeros(p.shape[:-1] + (1,))], axis=-1)
-    return sinr_step(ch.gains_sq, p, tail, ch.noise_var)
+    """Each UE's SINR for its own stream at the power vector ``p``, of
+    shape (N,): ``sinrs_below`` over every UE, as an array."""
+    power = np.asarray(p, dtype=float).tolist()
+    if len(power) != ch.n_users:
+        raise ValueError(f"need one power per UE, got {len(power)} for {ch.n_users}")
+    sinrs, _ = sinrs_below(ch.gains_sq.tolist(), power, ch.noise_var, ch.n_users - 1, 0.0)
+    return np.array(sinrs)
 
 
 def sinrs_below(gains, power, noise, k, tail):
     """Own SINRs of UEs k, k-1, ..., 0 of the power list ``power``, and the
     interference each sees, given ``tail``, the power of the UEs stronger
-    than k, all Python floats. ``sinrs_below(gains, p, noise, n - 1,
-    0.0)[0]`` equals ``own_sinrs`` of ``p`` bit for bit."""
+    than k, all Python floats. The interference is summed from the
+    strongest UE down."""
     sinrs, tails = [0.0] * (k + 1), [0.0] * (k + 1)
     for j in range(k, -1, -1):
         sinrs[j] = sinr_step(gains[j], power[j], tail, noise)

@@ -87,6 +87,10 @@ def _write_all(result, out_dir: Path) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg = harness.config_from_dict(_read(args))
+    try:  # refuse an unusable output path before the run, not after it
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigurationError(f"cannot write to {cfg.out_dir}: {e}") from e
     result = harness.run_scenario(cfg)
     _write_all(result, cfg.out_dir)
     print(f"{len(result.records)} records, {len(result.exclusions)} excluded"
@@ -145,11 +149,14 @@ def _cmd_fit_rd(args) -> int:
     )
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        dump_rd_fixtures(
-            {params.stream_id or "fitted": params}, out,
-            provenance=f"fitted from {args.points}",
-        )
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            dump_rd_fixtures(
+                {params.stream_id or "fitted": params}, out,
+                provenance=f"fitted from {args.points}",
+            )
+        except OSError as e:
+            raise ConfigurationError(f"cannot write fixture: {e}") from e
         print(f"fixture written to {out}")
     return EXIT_OK
 

@@ -7,8 +7,8 @@ Phase II hands out the remaining blocks one at a time to whichever UE
 improves the average PSNR most, rejecting any award that would break a
 quality bound. Complexity is O(N^2 L + 2 N L) PSNR evaluations.
 
-Both phases run on Python floats through ``channel``'s SIC step, which
-gives ``own_sinrs``'s bits. Phase I adds one block at a time and stops at
+Both phases run on Python floats through ``channel``'s SIC recurrence, the
+one behind ``own_sinrs``. Phase I adds one block at a time and stops at
 the first level that meets the minimum. An award in phase II to UE k leaves
 every stronger UE at its SINR, so only UE k and the weaker UEs are
 recomputed, and each (UE, SINR) pair's PSNR is computed once per instance.
@@ -131,7 +131,7 @@ def solve_greedy(
                 )
             power[nd] += block
             remaining -= 1
-        tail += power[nd]  # summed from the strongest UE down, as in own_sinrs
+        tail += power[nd]  # summed from the strongest UE down, as in sinrs_below
     phase1_evals = cfg.n_blocks - remaining
 
     # Phase II: award remaining blocks to the best average-PSNR candidate.

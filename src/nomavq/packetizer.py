@@ -30,6 +30,9 @@ class UxpProfile:
     codeword_len: int = 255
 
     def __post_init__(self):
+        layers = [layer for layer, _ in self.parity_per_class]
+        if len(set(layers)) < len(layers):
+            raise ValueError(f"repeated layer id in {layers}")
         for layer, s in self.parity_per_class:
             if not 0 <= s < self.codeword_len:
                 raise ValueError(f"layer {layer}: parity {s} not in [0, {self.codeword_len})")

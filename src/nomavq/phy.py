@@ -12,7 +12,6 @@ form: the least power that meets gamma_min must fit the budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,8 +34,8 @@ class SinrBounds:
         hi = np.asarray(self.gamma_max, dtype=float)
         object.__setattr__(self, "gamma_min", lo)
         object.__setattr__(self, "gamma_max", hi)
-        if np.any(lo < 0) or np.any(hi <= lo):
-            raise ValueError("need 0 <= gamma_min < gamma_max componentwise")
+        if not np.all((0 <= lo) & (lo < hi) & (hi < np.inf)):
+            raise ValueError("need 0 <= gamma_min < gamma_max < inf componentwise")
 
 
 def amc_rate(b_hz: float, gamma):
@@ -113,91 +112,81 @@ def bounds_from_quality(streams: list[RdParams], b_hz: float) -> SinrBounds:
 
 @dataclass(frozen=True)
 class FeasiblePowerSet:
-    """Bounded polytope {p >= 0 : A p <= b} of budget + SINR box constraints.
+    """Bounded polytope {p >= 0 : a_ub p <= b_ub} of budget + SINR box
+    constraints, inside the radial projection's epigraph LP.
 
-    Nonnegativity is kept implicit (the LP layer enforces p >= 0). The rows
-    are the budget, then gamma_min and gamma_max of each UE in turn.
+    Nonnegativity is kept implicit (the LP layer enforces p >= 0).
+    ``epigraph`` holds, read-only, the parts of every ``epigraph_lp`` that
+    do not depend on gamma: (c, a, b) and the two masks of the SINR rows.
+    Its first n rows are those SINR rows, holding only their diagonal
+    -|h_n|^2 and the epigraph column. ``a_ub`` and ``b_ub`` view the rest:
+    the budget, then gamma_min and gamma_max of each UE in turn.
     """
 
     a_ub: np.ndarray
     b_ub: np.ndarray
     channel: ChannelState
     bounds: SinrBounds
-
-    @cached_property
-    def _epigraph(self):
-        """The parts of every ``epigraph_lp`` that do not depend on gamma,
-        built on first use and read-only: the objective t; the rows, whose n
-        SINR rows hold only their diagonal -|h_n|^2 and the epigraph column;
-        the rhs, zero in the SINR rows; the strict upper-triangle mask that
-        ``sinr_rows`` scales; and the mask of the off-diagonal entries."""
-        ch = self.channel
-        n = ch.n_users
-        c = np.zeros(n + 1)
-        c[-1] = 1.0
-        a = np.zeros((n + len(self.b_ub), n + 1))
-        np.fill_diagonal(a[:n, :n], -ch.gains_sq)
-        a[:n, n] = 1.0
-        a[n:, :n] = self.a_ub
-        b = np.concatenate([np.zeros(n), self.b_ub])
-        idx = np.arange(n)
-        upper = (idx > idx[:, None]).astype(float)
-        off_diag = idx != idx[:, None]
-        for block in (c, a, b, upper, off_diag):
-            block.flags.writeable = False
-        return c, a, b, upper, off_diag
+    epigraph: tuple  # (c, a, b, upper, off_diag)
 
     def epigraph_lp(self, gamma):
         """``(c, a, b)`` of the epigraph LP over (p, t) at SINR targets gamma:
-            max t  s.t.  A p + t <= rhs with (A, rhs) = sinr_rows(gamma),
+            max t  s.t.  A p + t <= rhs, the SINR rows at gamma,
                          a_ub p <= b_ub.
-        Each call copies the cached rest and writes only the n SINR rows and
-        their rhs, with the bits that ``sinr_rows`` gives them.
+        Each call copies ``epigraph`` and writes only the n SINR rows and
+        their rhs.
         """
-        c, a0, b0, upper, off_diag = self._epigraph
+        c, a0, b0, upper, off_diag = self.epigraph
         n = self.channel.n_users
         a, b = a0.copy(), b0.copy()
-        np.multiply((gamma * self.channel.gains_sq)[:, None], upper,
-                    out=a[:n, :n], where=off_diag)
-        np.multiply(-gamma, self.channel.noise_var, out=b[:n])
+        _write_sinr_rows(self.channel, gamma, upper, off_diag, a[:n, :n], b[:n])
         return c, a, b
 
 
-def sinr_rows(ch: ChannelState, gamma):
-    """Rows (A, b) with A p <= b exactly when every UE n reaches SINR gamma_n:
+def _write_sinr_rows(ch: ChannelState, gamma, upper, off_diag, a, b):
+    """Write the off-diagonal entries and the rhs of the rows (a, b) with
+    a p <= b exactly when every UE n reaches SINR gamma_n:
         -|h_n|^2 p_n + gamma_n |h_n|^2 sum_{i>n} p_i <= -gamma_n sigma^2
-    Row n holds UE n's own gain on the diagonal and the interference of the
-    stronger UEs above it.
-    """
-    g = ch.gains_sq
-    gamma = np.asarray(gamma, dtype=float)
-    idx = np.arange(ch.n_users)
-    a = (gamma * g)[:, None] * (idx > idx[:, None])
-    np.fill_diagonal(a, -g)
-    return a, -gamma * ch.noise_var
+    The caller fills the diagonal. ``upper`` and ``off_diag`` are the masks
+    that ``FeasiblePowerSet.epigraph`` keeps."""
+    np.multiply((gamma * ch.gains_sq)[:, None], upper, out=a, where=off_diag)
+    np.multiply(-gamma, ch.noise_var, out=b)
 
 
 def build_feasible_set(ch: ChannelState, bounds: SinrBounds) -> FeasiblePowerSet:
-    """Linearize the SINR box constraints into an inequality system over p.
+    """Linearize the SINR box constraints into an inequality system over p,
+    written once into the constant block of the projection's epigraph LP.
 
-    The gamma_min rows are ``sinr_rows`` at gamma_min; the gamma_max rows are
-    ``sinr_rows`` at gamma_max, negated. The SIC decodability constraints
-    (better UEs decoding weaker streams) are implied by the channel ordering
-    and are not added as rows; see the property tests.
+    The gamma_min rows are the SINR rows at gamma_min; the gamma_max rows
+    are those at gamma_max negated, written at -gamma_max over +|h_n|^2.
+    The SIC decodability constraints (better UEs decoding weaker streams)
+    are implied by the channel ordering and are not added as rows; see the
+    property tests.
     """
     n = ch.n_users
     if len(bounds.gamma_min) != n:
         raise ValueError("bounds dimension mismatch")
-    lo_a, lo_b = sinr_rows(ch, bounds.gamma_min)
-    hi_a, hi_b = sinr_rows(ch, bounds.gamma_max)
-    rows = np.stack([lo_a, -hi_a], axis=1).reshape(2 * n, n)
-    rhs = np.stack([lo_b, -hi_b], axis=1).ravel()
-    return FeasiblePowerSet(
-        a_ub=np.vstack([np.ones(n), rows]),
-        b_ub=np.concatenate([[ch.power_budget_w], rhs]),
-        channel=ch,
-        bounds=bounds,
-    )
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    a = np.zeros((3 * n + 1, n + 1))
+    b = np.zeros(3 * n + 1)
+    idx = np.arange(n)
+    upper = (idx > idx[:, None]).astype(float)
+    off_diag = idx != idx[:, None]
+    # the LP's SINR rows, written at each LP's gamma
+    np.fill_diagonal(a[:n, :n], -ch.gains_sq)
+    a[:n, n] = 1.0
+    # the budget, then the gamma_min and gamma_max rows of each UE in turn
+    a[n, :n] = 1.0
+    b[n] = ch.power_budget_w
+    lo, hi = slice(n + 1, None, 2), slice(n + 2, None, 2)
+    np.fill_diagonal(a[lo, :n], -ch.gains_sq)
+    np.fill_diagonal(a[hi, :n], ch.gains_sq)
+    _write_sinr_rows(ch, bounds.gamma_min, upper, off_diag, a[lo, :n], b[lo])
+    _write_sinr_rows(ch, -bounds.gamma_max, upper, off_diag, a[hi, :n], b[hi])
+    for block in (c, a, b, upper, off_diag):
+        block.flags.writeable = False
+    return FeasiblePowerSet(a[n:, :n], b[n:], ch, bounds, (c, a, b, upper, off_diag))
 
 
 def min_power(ch: ChannelState, gamma) -> np.ndarray:

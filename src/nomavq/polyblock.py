@@ -77,10 +77,11 @@ def mean_psnr(z, streams, b_hz) -> float:
 def _dinkelbach_lp(fset: FeasiblePowerSet, v, lam):
     """One inner subproblem: max_P min_n {f_n(P) - lam v_n xi_n(P)} in epigraph form.
 
-    Its rows are ``fset.epigraph_lp(lam * v)``: the power set builds the
-    objective, the budget and SINR-box rows, the epigraph column, the rhs of
-    the box rows and the triangle mask once, and each LP copies them and
-    writes only its n SINR rows at lam * v.
+    Its rows are ``fset.epigraph_lp(lam * v)``: ``build_feasible_set``
+    writes the objective, the budget and SINR-box rows, the epigraph column,
+    the rhs of the box rows and the triangle masks once, and each LP copies
+    them and writes only its n SINR rows at lam * v, with the same row
+    writer as the box rows.
     """
     n = fset.channel.n_users
     opt, x = solve_lp(*fset.epigraph_lp(lam * v), free_vars=(n,))

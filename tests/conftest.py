@@ -118,6 +118,18 @@ def sinr(ch, p, detector, target):
     return g * p[t] / (interference + ch.noise_var)
 
 
+def own_sinrs_oracle(ch, p):
+    """The numpy closed form that ``own_sinrs`` replaced: each UE's own SINR
+    behind suffix sums of the stronger UEs' power, accumulated from UE N
+    down. ``p`` is one power vector of shape (N,) or a stack of shape
+    (..., N); every stacked vector gives the same SINRs, bit for bit, as
+    its own call."""
+    p = np.asarray(p, dtype=float)
+    suffix = np.cumsum(p[..., ::-1], axis=-1)[..., ::-1]
+    tail = np.concatenate([suffix[..., 1:], np.zeros(p.shape[:-1] + (1,))], axis=-1)
+    return ch.gains_sq * p / (ch.gains_sq * tail + ch.noise_var)
+
+
 def verify_sic_elimination(fset, p, tol=1e-9):
     """Check that cross-decoding SINRs dominate own SINRs for a feasible p.
 

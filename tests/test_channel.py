@@ -18,7 +18,7 @@ from nomavq import (
 from nomavq.channel import channel_gain, sinr_step, sinrs_below
 from nomavq.greedy import _open_awards
 
-from conftest import B_HZ, same_bits, sinr
+from conftest import B_HZ, own_sinrs_oracle, same_bits, sinr
 
 
 def _ue(i, d, stream="Foreman", req=QualityReq.QUALITY_SENSITIVE):
@@ -52,6 +52,16 @@ def test_channel_state_validates_ordering():
     with pytest.raises(ValueError):
         ChannelState(gains_sq=np.array([0.0, 1.0]), noise_var=0.1,
                      power_budget_w=1.0)
+
+
+@pytest.mark.parametrize("field", ["gains_sq", "noise_var", "power_budget_w"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_channel_state_rejects_a_non_finite_field(field, bad):
+    # NaN compares false both ways, so an order test alone lets it through
+    good = {"gains_sq": [0.5, 1.0], "noise_var": 0.1, "power_budget_w": 1.0}
+    value = [0.5, bad] if field == "gains_sq" else bad
+    with pytest.raises(ValueError, match="finite"):
+        ChannelState(**{**good, field: value})
 
 
 def test_partition_zones_orders_farthest_first():
@@ -167,6 +177,14 @@ def test_own_sinrs_matches_elementwise_definition():
         assert np.allclose(got, want, rtol=1e-12)
 
 
+def test_own_sinrs_needs_one_power_per_ue():
+    ch = ChannelState(gains_sq=np.array([0.2, 0.8]), noise_var=0.1,
+                      power_budget_w=1.0)
+    for p in ([0.5], [0.1, 0.2, 0.3]):
+        with pytest.raises(ValueError, match="one power per UE"):
+            own_sinrs(ch, p)
+
+
 def _own_sinrs_1d(ch, p):
     """The single-vector closed form, written out with a 1-D suffix sum."""
     tail = np.concatenate([np.cumsum(p[::-1])[::-1][1:], [0.0]])
@@ -175,18 +193,19 @@ def _own_sinrs_1d(ch, p):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_own_sinrs_stack_matches_row_by_row_bitwise(n):
+    # the stacked form is the test oracle's; each row is own_sinrs's bits
     rng = np.random.default_rng(40 + n)
     ch = _random_channel(rng, n)
     stack = rng.uniform(0, 0.5, (7, n))
     stack[0] = 0.0
-    got = own_sinrs(ch, stack)
+    got = own_sinrs_oracle(ch, stack)
     assert got.shape == (7, n)
     for row, p in zip(got, stack):
         assert row.tobytes() == own_sinrs(ch, p).tobytes()
         assert row.tobytes() == _own_sinrs_1d(ch, p).tobytes()
     # deeper stacks reduce over the last axis only
     deep = stack.reshape(7, 1, n)
-    assert own_sinrs(ch, deep).tobytes() == got.tobytes()
+    assert own_sinrs_oracle(ch, deep).tobytes() == got.tobytes()
 
 
 @st.composite
@@ -208,7 +227,8 @@ def _power_vectors(draw):
 def test_scalar_sinr_step_matches_own_sinrs_bitwise(drawn):
     # greedy never calls own_sinrs before its result: phase I's levels come
     # from sinr_step, phase II's SINRs and award rows from sinrs_below, and
-    # each award's rate from a scalar amc_rate
+    # each award's rate from a scalar amc_rate; each must give the bits of
+    # the numpy suffix sums, an independent oracle of the recurrence
     ch, power, block = drawn
     n = ch.n_users
     gains = ch.gains_sq.tolist()
@@ -220,11 +240,12 @@ def test_scalar_sinr_step_matches_own_sinrs_bitwise(drawn):
         for _ in range(20):
             vec = [0.0] * k + [level] + power[k + 1:]
             assert same_bits(sinr_step(gains[k], level, tail, ch.noise_var),
-                             own_sinrs(ch, np.array(vec))[k])
+                             own_sinrs_oracle(ch, np.array(vec))[k])
             level += block
         tail += power[k]
     sinrs, tails = sinrs_below(gains, power, ch.noise_var, n - 1, 0.0)
-    assert same_bits(sinrs, own_sinrs(ch, np.array(power)))
+    assert same_bits(sinrs, own_sinrs_oracle(ch, np.array(power)))
+    assert same_bits(own_sinrs(ch, power), own_sinrs_oracle(ch, np.array(power)))
     # every UE open and passing, so _open_awards returns every award
     _, rows = _open_awards(gains, ch.noise_var, block, [-np.inf] * n,
                            [np.inf] * n, power, sinrs, tails)
@@ -233,7 +254,7 @@ def test_scalar_sinr_step_matches_own_sinrs_bitwise(drawn):
         want = np.array(power)
         want[k] += block
         assert same_bits(award, want)
-        assert same_bits(row, own_sinrs(ch, want))
+        assert same_bits(row, own_sinrs_oracle(ch, want))
         # the award row is the next state: its tails are the full recompute's
         assert (row, row_tails) == sinrs_below(gains, award, ch.noise_var,
                                                n - 1, 0.0)

@@ -23,7 +23,7 @@ from nomavq.greedy import GreedyResult, _mean, _open_awards
 from nomavq.phy import AMC_C1, AMC_C2, build_feasible_set, power_shares
 
 from conftest import (B_HZ, make_instance, make_three_user_instance, outcome,
-                      same_bits, small_instances)
+                      own_sinrs_oracle, same_bits, small_instances)
 
 
 def test_single_user_stops_at_saturation(streams_table):
@@ -290,7 +290,7 @@ def test_phase_two_ties_go_to_the_lowest_open_ue(instance):
     awards = 0
     for before, after in zip(steps, steps[1:] + [got.power]):
         open_ues = own_sinrs(ch, before) < bounds.gamma_max
-        rows = own_sinrs(ch, before + block * np.eye(n))
+        rows = own_sinrs_oracle(ch, before + block * np.eye(n))
         passing = open_ues & np.all(rows >= g_min, axis=1)
         awarded = np.flatnonzero(after != before)
         assert list(awarded) == list(np.flatnonzero(passing)[:1])

@@ -1096,6 +1096,23 @@ def test_cli_simulate_writes_outputs(tmp_path):
         assert (out / name).exists()
 
 
+def test_cli_simulate_refuses_an_unwritable_out_before_running(tmp_path, capsys,
+                                                              monkeypatch):
+    # an existing file where the output directory goes
+    cfg_path = _write_cfg(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+
+    def run_scenario(*args, **kwargs):
+        raise AssertionError("the Monte Carlo started")
+
+    monkeypatch.setattr(harness, "run_scenario", run_scenario)
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert out.read_text() == "not a directory\n"
+
+
 def test_cli_solve_and_trace(tmp_path, capsys):
     # each trace row carries the key of its instance's record, and each
     # instance's iterations run from 1 to the record's count
@@ -1271,6 +1288,18 @@ def test_cli_fit_rd_round_trip(tmp_path, capsys):
     assert refit.theta == pytest.approx(src.theta, rel=1e-6)
     assert main(["fit-rd", "--points", str(tmp_path / "nope.csv"),
                  "--q-min", "30", "--q-max", "40"]) == EXIT_CONFIG
+
+
+def test_cli_fit_rd_out_to_a_directory_is_a_config_error(tmp_path, capsys):
+    src = load_rd_fixtures()["Ice"]
+    rows = [f"{r!r},{psnr_of_rate(src, r)!r}"
+            for r in map(float, np.linspace(src.rate_min, src.rate_max, 8))]
+    points = tmp_path / "points.csv"
+    points.write_text("rate_bps,psnr_db\n" + "\n".join(rows) + "\n")
+    (tmp_path / "out").mkdir()
+    assert main(["fit-rd", "--points", str(points), "--q-min", "30",
+                 "--q-max", "40", "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: cannot write fixture: ")
 
 
 @pytest.mark.parametrize("q_min, q_max, extra_row", [

@@ -25,6 +25,12 @@ def test_profile_validation():
         _profile((0, 10)).parity_of(1)
 
 
+def test_profile_rejects_a_repeated_layer_id():
+    # parity_of would return the first class's parity for both
+    with pytest.raises(ValueError, match="repeated layer id"):
+        _profile((0, 32), (0, 16))
+
+
 def test_layout_single_layer():
     tsb = layout_tsb([(0, 1000)], _profile((0, 55)))
     assert tsb.n_rows == 5  # ceil(1000 / 200)

@@ -29,7 +29,7 @@ from nomavq import (
     solve_polyblock,
 )
 from nomavq.baselines import _simplex_grid
-from nomavq.phy import power_shares, sinr_rows
+from nomavq.phy import power_shares
 from nomavq.polyblock import _dinkelbach_lp
 from nomavq.quality import psnr_of_rate
 
@@ -67,6 +67,17 @@ def test_bounds_from_quality_ordering(streams_table):
 def test_sinr_bounds_validation():
     with pytest.raises(ValueError):
         SinrBounds(gamma_min=np.array([1.0]), gamma_max=np.array([0.5]))
+
+
+@pytest.mark.parametrize("field, bad", [("gamma_min", np.nan),
+                                        ("gamma_max", np.nan),
+                                        ("gamma_max", np.inf)])
+def test_sinr_bounds_reject_a_non_finite_field(field, bad):
+    # NaN compares false both ways, so an order test alone lets it through;
+    # an infinite gamma_min already fails gamma_min < gamma_max
+    good = {"gamma_min": [0.5, 1.0], "gamma_max": [2.0, 3.0]}
+    with pytest.raises(ValueError, match="inf componentwise"):
+        SinrBounds(**{**good, field: [bad, good[field][1]]})
 
 
 def test_feasible_set_rows_and_tags():
@@ -181,6 +192,48 @@ def test_sinr_rows_match_the_per_ue_loops(inputs):
     assert np.array_equal(a_ub, a) and np.array_equal(b_ub, b)
     assert np.array_equal(c, np.eye(ch.n_users + 1)[-1])
     assert free_vars == (ch.n_users,)
+
+
+def sinr_rows(ch, gamma):
+    """Rows (A, b) with A p <= b exactly when every UE n reaches SINR gamma_n:
+        -|h_n|^2 p_n + gamma_n |h_n|^2 sum_{i>n} p_i <= -gamma_n sigma^2
+    Row n holds UE n's own gain on the diagonal and the interference of the
+    stronger UEs above it. The function that ``build_feasible_set`` and
+    each Dinkelbach LP used before they shared one masked row writer.
+    """
+    g = ch.gains_sq
+    gamma = np.asarray(gamma, dtype=float)
+    idx = np.arange(ch.n_users)
+    a = (gamma * g)[:, None] * (idx > idx[:, None])
+    np.fill_diagonal(a, -g)
+    return a, -gamma * ch.noise_var
+
+
+def _feasible_set_oracle(ch, bounds):
+    """``(a_ub, b_ub)`` as ``build_feasible_set`` assembled them from
+    ``sinr_rows``: the budget, then each UE's gamma_min rows and its
+    gamma_max rows negated."""
+    n = ch.n_users
+    lo_a, lo_b = sinr_rows(ch, bounds.gamma_min)
+    hi_a, hi_b = sinr_rows(ch, bounds.gamma_max)
+    rows = np.stack([lo_a, -hi_a], axis=1).reshape(2 * n, n)
+    rhs = np.stack([lo_b, -hi_b], axis=1).ravel()
+    return (np.vstack([np.ones(n), rows]),
+            np.concatenate([[ch.power_budget_w], rhs]))
+
+
+@given(_row_inputs())
+@settings(max_examples=300, deadline=None)
+def test_feasible_set_keeps_its_bytes(inputs):
+    # bytes, not values: the negated gamma_max rows hold -0.0 below the
+    # diagonal, and the projection LPs copy these rows
+    ch, bounds, _, _ = inputs
+    fset = build_feasible_set(ch, bounds)
+    want_a, want_b = _feasible_set_oracle(ch, bounds)
+    assert same_bits(fset.a_ub, want_a) and same_bits(fset.b_ub, want_b)
+    # the shared block is read-only, so no LP can change the next one's rows
+    for block in fset.epigraph:
+        assert not block.flags.writeable
 
 
 def _epigraph_lp_oracle(fset, v, lam):
