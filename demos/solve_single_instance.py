@@ -19,6 +19,7 @@ from nomavq import (
     solve_oma_simple,
     solve_polyblock,
 )
+from nomavq.channel import DEFAULT_PATH_LOSS_EXP, channel_gain
 
 B_HZ = 140e3
 P_MAX_W = 1.0
@@ -32,7 +33,7 @@ streams = [table["Foreman"], table["Soccer"]]  # weak UE first
 gains = []
 for d in (3.0, 1.0):
     g = (rng.standard_normal() + 1j * rng.standard_normal()) * np.sqrt(0.5)
-    gains.append(abs(g) ** 2 / (1.0 + d**2))
+    gains.append(abs(channel_gain(g, d, DEFAULT_PATH_LOSS_EXP)) ** 2)
 ch = ChannelState(
     gains_sq=np.sort(gains),
     noise_var=P_MAX_W / 10 ** (SNR_DB / 10),

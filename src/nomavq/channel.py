@@ -34,6 +34,8 @@ class GroupingStrategy(Enum):
 # a UE counts as "edge" when its distance is within this fraction of a
 # zone boundary radius (the boundary itself is not specified upstream)
 EDGE_TOLERANCE = 0.05
+# eta of the path loss 1 / (1 + d^eta) of the scenario
+DEFAULT_PATH_LOSS_EXP = 2.0
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,8 @@ def channel_gain(g: complex, distance_m: float, path_loss_exp: float) -> complex
     return g / np.sqrt(1.0 + distance_m**path_loss_exp)
 
 
-def sample_channel(ue: UserEquipment, rng, path_loss_exp: float = 2.0) -> complex:
+def sample_channel(ue: UserEquipment, rng,
+                   path_loss_exp: float = DEFAULT_PATH_LOSS_EXP) -> complex:
     """Draw one Rayleigh-faded channel gain for a UE.
 
     ``rng`` is a ``numpy.random.Generator`` (or an int seed). The small-scale

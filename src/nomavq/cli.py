@@ -45,11 +45,22 @@ def _read(args):
     return raw
 
 
+def _make_out_dir(cfg) -> None:
+    """Make the output directory, so that an unusable path is refused
+    before the run, not after it."""
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigurationError(f"cannot write to {cfg.out_dir}: {e}") from e
+
+
 def _cmd_solve(args) -> int:
     cfg = harness.config_from_dict(_read(args))
     cfg = dataclasses.replace(
         cfg, n_trials=1, gops_per_trial=1, snr_db=cfg.snr_db[:1]
     )
+    if args.trace:
+        _make_out_dir(cfg)
     trace = [] if args.trace else None
     result = harness.run_scenario(cfg, trace_sink=trace)
     for r in sorted(result.records, key=harness._record_sort_key):
@@ -87,10 +98,7 @@ def _write_all(result, out_dir: Path) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg = harness.config_from_dict(_read(args))
-    try:  # refuse an unusable output path before the run, not after it
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise ConfigurationError(f"cannot write to {cfg.out_dir}: {e}") from e
+    _make_out_dir(cfg)
     result = harness.run_scenario(cfg)
     _write_all(result, cfg.out_dir)
     print(f"{len(result.records)} records, {len(result.exclusions)} excluded"
@@ -107,6 +115,7 @@ def _cmd_grouping_compare(args) -> int:
             GroupingStrategy.WLBH, GroupingStrategy.WRBR, GroupingStrategy.WHBL
         )
     ]
+    _make_out_dir(cfg)
     runs = [harness.aggregate(harness.run_scenario(v)) for v in variants]
     # each run counts only its own exclusions; the first three columns hold
     # the grouping, and each run's rows are already sorted past them

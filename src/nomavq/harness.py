@@ -23,6 +23,7 @@ import yaml
 
 from .baselines import solve_noma_mt, solve_oma_simple
 from .channel import (
+    DEFAULT_PATH_LOSS_EXP,
     ChannelState,
     GroupingStrategy,
     UserEquipment,
@@ -37,8 +38,8 @@ from .errors import (NONNEGATIVE, NOT_NUMBER, NOT_WHOLE, POSITIVE, WRONG_TYPE,
 from .greedy import GreedyConfig, solve_greedy
 from .phy import bounds_from_quality, build_feasible_set
 from .polyblock import SolverConfig, solve_polyblock
-from .quality import (DEFAULT_FIXTURE_PATH, RdParams, load_rd_fixtures,
-                      psnr_of_rate)
+from .quality import (DEFAULT_FIXTURE_PATH, DEFAULT_P_RTP, RdParams,
+                      load_rd_fixtures, psnr_of_rate)
 
 SCHEMES = ("polyblock", "greedy", "noma-mt", "oma")
 # solver failures: an instance that raises one is excluded, its reason
@@ -63,8 +64,8 @@ class ScenarioConfig:
     bandwidth_hz: float
     power_budget_w: float
     snr_db: tuple = (15.0,)
-    path_loss_exp: float = 2.0
-    p_rtp: float = 0.05
+    path_loss_exp: float = DEFAULT_PATH_LOSS_EXP
+    p_rtp: float = DEFAULT_P_RTP
     gops_per_trial: int = 1
     grouping: GroupingStrategy = GroupingStrategy.BY_INDEX
     solvers: tuple = SCHEMES
@@ -160,16 +161,13 @@ class ScenarioConfig:
             if u.requested_stream not in table:
                 raise ConfigurationError(
                     f"UE {u.id} requests unknown stream {u.requested_stream!r}")
-        try:
-            requested = [table[u.requested_stream] for u in self.ues]
-            bounds = bounds_from_quality(requested, self.bandwidth_hz)
-            finite = np.all(np.isfinite(bounds.gamma_max))
-        except (OverflowError, ValueError):  # overflow, or gamma_min == gamma_max
-            finite = False
-        if not finite:
+        try:  # SinrBounds refuses an empty or non-finite band
+            bounds_from_quality([table[u.requested_stream] for u in self.ues],
+                                self.bandwidth_hz)
+        except (OverflowError, ValueError) as e:
             raise ConfigurationError(
                 f"bandwidth_hz {self.bandwidth_hz} gives a requested stream an"
-                " empty or overflowing SINR band")
+                " empty or overflowing SINR band") from e
         check_zone_fill(self.ues, table, self.grouping, self.zone_size)
 
     def noise_var(self, snr_db: float) -> float:

@@ -5,8 +5,9 @@ fit c1 = AMC_C1, c2 = AMC_C2. Composing it with the stream's rate-PSNR curve
 links PSNR directly to SINR (``Allocation.decode``), and the per-user quality
 bounds (Q_min, Q_max) translate into SINR box bounds (gamma_min, gamma_max).
 Those box bounds, together with the power budget, linearize into a bounded
-polytope over the power vector. Whether that polytope is empty has a closed
-form: the least power that meets gamma_min must fit the budget.
+polytope over the power vector, which only the radial projection's LP
+reads. Whether it is empty has a closed form in the channel and the SINR box
+(``check_feasible``): the least power that meets gamma_min must fit the budget.
 """
 
 from __future__ import annotations
@@ -207,15 +208,14 @@ def min_power(ch: ChannelState, gamma) -> np.ndarray:
     return p
 
 
-def check_feasible(fset: FeasiblePowerSet) -> np.ndarray:
-    """Return the least power vector in the set, or raise Infeasible.
+def check_feasible(ch: ChannelState, bounds: SinrBounds) -> np.ndarray:
+    """Return the least power vector meeting ``bounds``, or raise Infeasible.
 
     Every power vector meeting gamma_min dominates ``min_power`` at
     gamma_min, so the set is empty exactly when that vector overruns the
     budget. At it each UE sees exactly gamma_min < gamma_max.
     """
-    ch = fset.channel
-    p = min_power(ch, fset.bounds.gamma_min)
+    p = min_power(ch, bounds.gamma_min)
     if np.sum(p) > ch.power_budget_w + 1e-9:
         raise Infeasible("SINR bounds incompatible with power budget")
     return p

@@ -7,9 +7,11 @@ closed) set, spanned by the power budget and the SINR upper bounds, and a
 conormal set given by the SINR lower bounds. The solver shrinks a polyblock
 (a union of boxes [0, v]) around that region: at each step the most promising
 vertex is projected radially onto the boundary of the normal set, the box is
-cut at the projection, and the vertex is replaced by N children. The radial
-projection itself is a max-min linear-fractional program solved with a
-Dinkelbach iteration whose subproblems are small LPs in epigraph form.
+cut at the projection, and the vertex is replaced by N children. The
+incumbent can improve only where a projection lands in the feasible set, so
+it is recorded there. The radial projection, the only reader of the power
+polytope, is a max-min linear-fractional program solved with a Dinkelbach
+iteration whose subproblems are small LPs in epigraph form.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class Vertex:
 
     z: np.ndarray
     lam: float | None = None  # scaling of the projection, z outside G => lam <= 1
-    power: np.ndarray | None = None  # argmax power vector of the projection LP
     sel_value: float = -math.inf  # psi at the projection, -inf if below gamma_min
     ub_value: float = -math.inf  # psi at z clipped into the SINR box
 
@@ -151,20 +152,18 @@ def solve_polyblock(
     SINR at full power capped at gamma_max. Each iteration drops the boxes
     whose bound cannot beat the incumbent, splits the selected vertex at its
     radial projection (``project``) and passes the vertices through
-    ``prune_vertices``. It terminates when the selected vertex is within
-    relative distance ``cfg.epsilon`` of its own projection and the
-    returned ``bound_gap_db``, which certifies how far the incumbent can be
-    from the true optimum, is within ``cfg.gap_tol_db``.
+    ``prune_vertices``, then projects the children it keeps; a feasible
+    projection that beats the incumbent replaces it. It terminates when the
+    selected vertex is within relative distance ``cfg.epsilon`` of its own
+    projection and the returned ``bound_gap_db``, which certifies how far the
+    incumbent can be from the true optimum, is within ``cfg.gap_tol_db``.
     """
     cfg = cfg or SolverConfig()
-    ch = fset.channel
+    ch, bounds = fset.channel, fset.bounds
     n = ch.n_users
-    g_min = fset.bounds.gamma_min
-    g_max = fset.bounds.gamma_max
-    check_feasible(fset)  # raises Infeasible on an empty polytope
-
-    def clipped_psi(z):
-        return mean_psnr(np.clip(z, g_min, g_max), streams, b_hz)
+    g_min, g_max = bounds.gamma_min, bounds.gamma_max
+    check_feasible(ch, bounds)  # raises Infeasible on an empty polytope
+    best: tuple | None = None  # (power, psi, sinrs) of the incumbent
 
     def make_vertex(z):
         # every achievable SINR vector lies under gamma_max, so capping the
@@ -173,8 +172,9 @@ def solve_polyblock(
         return Vertex(z=np.minimum(np.asarray(z, dtype=float), g_max))
 
     def projected(vx, lam0):
+        nonlocal best
         try:
-            vx.lam, vx.power = project(vx.z, fset, cfg, lam0=lam0)
+            vx.lam, power = project(vx.z, fset, cfg, lam0=lam0)
         except Infeasible as e:
             # the polytope passed check_feasible, so an LP that finds no
             # point in it failed numerically
@@ -187,32 +187,29 @@ def solve_polyblock(
             # cannot hold the optimum; a clipped bound would overstate it
             vx.ub_value = -math.inf
         else:
-            vx.ub_value = clipped_psi(vx.z)
+            vx.ub_value = mean_psnr(np.clip(vx.z, g_min, g_max), streams, b_hz)
         if np.all(vx.lam * vx.z >= g_min * (1.0 - 1e-9)):
-            # projection lands in the conormal set: a feasible incumbent
-            vx.sel_value = mean_psnr(
-                np.clip(own_sinrs(ch, vx.power), g_min, g_max), streams, b_hz
-            )
+            # projection lands in the conormal set: a feasible point, and the
+            # only place the incumbent can improve
+            sinrs = own_sinrs(ch, power)
+            vx.sel_value = mean_psnr(np.clip(sinrs, g_min, g_max), streams, b_hz)
+            if vx.sel_value > (best[1] if best else -math.inf):
+                best = (power, vx.sel_value, sinrs)
         return vx
 
     v1 = ch.gains_sq * ch.power_budget_w / ch.noise_var
     block = Polyblock([projected(make_vertex(v1), 0.0)])
     trace = []
-
-    best: tuple | None = None  # (power, psi) of the incumbent
     upper_bound = math.inf
 
     def result(it, rel):
-        p_star, psi_star = best
+        p_star, psi_star, sinrs = best
         return PolyblockResult.decode(
-            streams, b_hz, np.minimum(own_sinrs(ch, p_star), g_max), power=p_star,
+            streams, b_hz, np.minimum(sinrs, g_max), power=p_star,
             avg_psnr_db=psi_star, iterations=it,
             bound_gap_db=max(0.0, upper_bound - psi_star), rel_gap=rel, trace=trace)
 
     for it in range(1, MAX_ITERATIONS + 1):
-        for vx in block.vertices:
-            if vx.sel_value > -math.inf and (best is None or vx.sel_value > best[1]):
-                best = (vx.power, vx.sel_value)
         if best is not None:
             # a box whose optimistic value cannot beat the incumbent holds no
             # improvement; dropping it narrows the polyblock to the

@@ -25,6 +25,8 @@ PEAK_SQ = 255.0**2
 PEAK_DB = 20.0 * math.log10(255.0)
 
 DEFAULT_FIXTURE_PATH = Path(__file__).parent / "fixtures" / "rd_params.csv"
+# RTP packet loss rate of the scenario, which selects the fixture rows
+DEFAULT_P_RTP = 0.05
 
 # how far (dB) a PSNR may sit outside its stream's band in ``rate_of_psnr``
 BAND_TOL_DB = 1e-9
@@ -208,7 +210,7 @@ _FIXTURE_FIELDS = [
 ]
 
 
-def load_rd_fixtures(path=DEFAULT_FIXTURE_PATH, p_rtp: float = 0.05):
+def load_rd_fixtures(path=DEFAULT_FIXTURE_PATH, p_rtp: float = DEFAULT_P_RTP):
     """Read the shipped R-D parameter table, keyed by stream id.
 
     Each stream may have one row per ``p_rtp``; a repeat is a ValueError.
@@ -246,7 +248,7 @@ def load_rd_fixtures(path=DEFAULT_FIXTURE_PATH, p_rtp: float = 0.05):
     return table
 
 
-def dump_rd_fixtures(table, path, p_rtp: float = 0.05, provenance: str = ""):
+def dump_rd_fixtures(table, path, p_rtp: float = DEFAULT_P_RTP, provenance: str = ""):
     """Write an R-D parameter table in the fixture format (round-trips bit-exactly)."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_FIXTURE_FIELDS)

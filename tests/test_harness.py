@@ -1113,6 +1113,43 @@ def test_cli_simulate_refuses_an_unwritable_out_before_running(tmp_path, capsys,
     assert out.read_text() == "not a directory\n"
 
 
+def test_cli_grouping_compare_refuses_an_unwritable_out_before_running(
+        tmp_path, capsys, monkeypatch):
+    # an existing file where the output directory goes
+    cfg_path = _write_cfg(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    monkeypatch.setattr(harness, "run_scenario",
+                        lambda cfg: pytest.fail("a scenario ran"))
+    assert main(["grouping-compare", "--config", str(cfg_path),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: cannot write to {out}: ")
+    assert out.read_text() == "not a directory\n"
+
+
+def test_cli_solve_trace_refuses_an_unwritable_out_before_running(
+        tmp_path, capsys, monkeypatch):
+    # only --trace writes to --out, so only then is the path checked first
+    cfg_path = _write_cfg(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    ran = []
+
+    def run_scenario(cfg, trace_sink=None):
+        ran.append(trace_sink)
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "run_scenario", run_scenario)
+    assert main(["solve", "--config", str(cfg_path), "--trace",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: cannot write to {out}: ")
+    assert ran == []
+    with pytest.raises(AssertionError, match="a cell ran"):
+        main(["solve", "--config", str(cfg_path), "--out", str(out)])
+    assert ran == [None]
+    assert out.read_text() == "not a directory\n"
+
+
 def test_cli_solve_and_trace(tmp_path, capsys):
     # each trace row carries the key of its instance's record, and each
     # instance's iterations run from 1 to the record's count

@@ -107,9 +107,8 @@ def test_check_feasible_returns_member_point():
                       power_budget_w=1.0)
     bounds = SinrBounds(gamma_min=np.array([0.5, 1.0]),
                         gamma_max=np.array([5.0, 20.0]))
-    fset = build_feasible_set(ch, bounds)
-    p = check_feasible(fset)
-    assert contains(fset, p, tol=1e-7)
+    p = check_feasible(ch, bounds)
+    assert contains(build_feasible_set(ch, bounds), p, tol=1e-7)
 
 
 def test_check_feasible_raises_on_empty_polytope():
@@ -118,7 +117,7 @@ def test_check_feasible_raises_on_empty_polytope():
     bounds = SinrBounds(gamma_min=np.array([50.0, 1.0]),
                         gamma_max=np.array([60.0, 20.0]))
     with pytest.raises(Infeasible):
-        check_feasible(build_feasible_set(ch, bounds))
+        check_feasible(ch, bounds)
 
 
 def _feasible_rows_oracle(ch, bounds):
@@ -300,7 +299,7 @@ def _budget_near_minimum(draw):
 @given(_budget_near_minimum())
 @settings(max_examples=500, deadline=None)
 def test_check_feasible_matches_lp_oracle(fset):
-    got = outcome(check_feasible, fset)
+    got = outcome(check_feasible, fset.channel, fset.bounds)
     want = outcome(lp_check_feasible, fset)
     ch, g_min = fset.channel, fset.bounds.gamma_min
     if isinstance(got, type) or isinstance(want, type):

@@ -32,6 +32,7 @@ from nomavq.quality import PEAK_SQ, psnr_of_rate
 
 from conftest import (B_HZ, make_instance, make_three_user_instance,
                       observe_prune, record_dinkelbach, same_bits)
+from test_lp import _reference_cell
 
 CFG = SolverConfig()
 
@@ -521,3 +522,42 @@ def test_trace_csv_emission(tmp_path, streams_table):
     assert lines[0] == ("trial,gop,group,snr_db,iteration,n_vertices,"
                         "upper_bound_db,incumbent_db,gap_db")
     assert len(lines) == len(res.trace) + 1
+
+
+# (group, snr_db) of trial 0 on configs/default.yaml with three zones and
+# ByIndex, and the result's bits: power and sinrs as float64 bytes,
+# avg_psnr_db, bound_gap_db and rel_gap as float.hex, the iterations, the
+# trace's length and its last row
+GOLDEN_THREE_USER = {
+    "20 dB": (1, 20.0, dict(
+        power="4ef815d6bdbbe83fc487c699384dc33f0a2ec31ba087b33f",
+        sinrs="a4240cb807c9f23fdcd1d815449fe43fbbb9d5b81bdbf83f",
+        avg_psnr_db="0x1.f90b5a2163674p+4", bound_gap_db="0x1.3e40702e5ec00p-6",
+        rel_gap="0x1.cc25654e599e0p-11", iterations=525, trace_len=525,
+        last_row=(525, 74, "0x1.f95aea3d6efefp+4", "0x1.f90b5a2163674p+4",
+                  "0x1.3e40702e5ec00p-6"))),
+    "30 dB": (0, 30.0, dict(
+        power="89d733f67590d83f0d50d1f78413c63fe577e458f79f703f",
+        sinrs="e129a9910f72004059aca3dc984f3340c91211b6eb180740",
+        avg_psnr_db="0x1.32a940890ab04p+5", bound_gap_db="0x1.6a219ffa70000p-11",
+        rel_gap="0x1.4eab9974d9f10p-12", iterations=1, trace_len=1,
+        last_row=(1, 1, "0x1.32aaaaaaaaaabp+5", "0x1.32a940890ab04p+5",
+                  "0x1.6a219ffa70000p-11"))),
+}
+
+
+@pytest.mark.parametrize("group, snr_db, want", GOLDEN_THREE_USER.values(),
+                         ids=GOLDEN_THREE_USER.keys())
+def test_three_user_solves_keep_their_bits(group, snr_db, want):
+    # a refactor of the solver's bookkeeping must not move a single bit of
+    # its result: 525 outer iterations at 20 dB, one at 30 dB
+    res = solve_polyblock(*_reference_cell(
+        group, snr_db, n_zones=3, grouping="ByIndex", solvers=["polyblock"]))
+    row = res.trace[-1]
+    got = dict(
+        power=res.power.tobytes().hex(), sinrs=res.sinrs.tobytes().hex(),
+        avg_psnr_db=res.avg_psnr_db.hex(), bound_gap_db=res.bound_gap_db.hex(),
+        rel_gap=res.rel_gap.hex(), iterations=res.iterations,
+        trace_len=len(res.trace), last_row=(*row[:2], *(x.hex() for x in row[2:])))
+    assert res.power.dtype == res.sinrs.dtype == np.float64
+    assert got == want
